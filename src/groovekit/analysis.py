@@ -31,8 +31,8 @@ from .groove import (
     write_profile_csv,
 )
 from .intervals import (
+    CLASSES,
     DEFAULT_MAX_MULTIPLE,
-    BeatClass,
     IntervalSeries,
     SectionMap,
     classify_intervals,
@@ -96,8 +96,7 @@ class AnalysisResult:
     def report_dict(self) -> dict:
         drift_vals = self.drift.drift_values()
         counts = {
-            klass.value: self.stats[klass.value]["count"]
-            for klass in (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE)
+            klass.value: self.stats[klass.value]["count"] for klass in CLASSES
         }
         counts["discarded"] = self.stats["discarded"]["count"]
         report = {
@@ -178,23 +177,17 @@ def _dfa_series(result: AnalysisResult, params: AnalysisParams) -> dict[str, np.
     durations; DFA's own mean subtraction centers them.
     """
     series = result.series
-    valid = series.valid_intervals()
-
-    def value(iv):
-        return iv.tau_s if params.raw_intervals else iv.normalized_tau_s
-
-    class_means = {}
-    for klass in (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE):
-        members = series.of_class(klass)
-        if members:
-            class_means[klass] = float(np.mean([value(iv) for iv in members]))
-    out = {
-        "intervals_all": np.array([value(iv) - class_means[iv.klass] for iv in valid]),
-    }
-    for klass in (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE):
-        out[f"intervals_{klass.value}s"] = np.array(
-            [iv.tau_s for iv in series.of_class(klass)]
-        )
+    valid = series.multiples() != 0
+    taus, multiples = series.taus()[valid], series.multiples()[valid]
+    values = taus if params.raw_intervals else series.normalized_taus()
+    class_mean = np.zeros(len(CLASSES) + 1)
+    for klass in CLASSES:
+        members = values[multiples == klass.multiple]
+        if len(members):
+            class_mean[klass.multiple] = float(np.mean(members))
+    out = {"intervals_all": values - class_mean[multiples]}
+    for klass in CLASSES:
+        out[f"intervals_{klass.value}s"] = taus[multiples == klass.multiple]
     out["amplitudes"] = result.onsets.amplitudes()
     return out
 
@@ -296,7 +289,7 @@ def write_analysis_outputs(out_dir, result: AnalysisResult) -> Path:
     _atomic(out / "phrase_amplitude.csv", lambda p: write_profile_csv(p, result.phrase_amplitude))
     for name, res in result.dfa_results.items():
         _atomic(out / f"dfa_{name}.csv", lambda p, r=res: _write_dfa_csv(p, r))
-    for klass in (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE):
+    for klass in CLASSES:
         entry = result.stats[klass.value]
         if entry["count"] > 0:
             _atomic(

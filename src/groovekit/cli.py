@@ -50,8 +50,7 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
                         help="envelope smoothing time constant (default 2)")
 
 
-def _detect_from_audio(path: str, args) -> tuple:
-    clip = load_audio(path)
+def _detect_from_audio(clip, args) -> tuple:
     filtered = highpass(clip, cutoff_hz=args.cutoff_hz)
     env = envelope(filtered, smoothing_ms=args.smoothing_ms)
     series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
@@ -60,7 +59,7 @@ def _detect_from_audio(path: str, args) -> tuple:
 
 
 def _cmd_onsets(args) -> int:
-    series, env = _detect_from_audio(args.audio, args)
+    series, env = _detect_from_audio(load_audio(args.audio), args)
     if args.edits:
         series = apply_edits(series, read_edits_csv(args.edits), env=env)
     write_onsets_csv(args.output, series)
@@ -70,10 +69,12 @@ def _cmd_onsets(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = (int(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    if not 0 < lo < hi:
+        raise argparse.ArgumentTypeError(f"expected 0 < LO < HI, got {text!r}")
+    return lo, hi
 
 
 def _cmd_analyze(args) -> int:
@@ -83,11 +84,7 @@ def _cmd_analyze(args) -> int:
         series = read_onsets_csv(in_path)
     else:
         clip = load_audio(args.input)
-        filtered = highpass(clip, cutoff_hz=args.cutoff_hz)
-        env = envelope(filtered, smoothing_ms=args.smoothing_ms)
-        series = detect_onsets(env, threshold=args.threshold,
-                               refractory_ms=args.refractory_ms)
-        series = merge_close_onsets(series, window_ms=args.merge_ms)
+        series = _detect_from_audio(clip, args)[0]
     sections = read_sections_csv(args.sections) if args.sections else None
     params = AnalysisParams(
         bpm_hint=args.bpm_hint,

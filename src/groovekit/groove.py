@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ParameterError
-from .intervals import BeatClass, IntervalSeries, SectionMap
-from .onsets import OnsetSeries
+from .intervals import IntervalSeries, SectionMap
+from .onsets import LABELS, OnsetSeries
 
 __all__ = [
     "DriftPoint",
@@ -41,23 +41,33 @@ class DriftPoint:
     gap: bool = False   # True where a discarded interval reset the drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftSeries:
-    points: tuple[DriftPoint, ...]
+    """Drift per interval as columns; iteration yields :class:`DriftPoint` rows."""
+
+    index: np.ndarray
+    time_s: np.ndarray
+    d_s: np.ndarray
+    gap: np.ndarray
     base_s: float
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.index)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(DriftPoint, self.index.tolist(), self.time_s.tolist(),
+                   self.d_s.tolist(), self.gap.tolist())
+
+    @property
+    def points(self) -> tuple[DriftPoint, ...]:
+        return tuple(self)
 
     def drift_values(self) -> np.ndarray:
-        return np.array([p.d_s for p in self.points], dtype=np.float64)
+        return self.d_s
 
     @property
     def gap_count(self) -> int:
-        return sum(1 for p in self.points if p.gap)
+        return int(np.count_nonzero(self.gap))
 
 
 @dataclass(frozen=True)
@@ -94,12 +104,6 @@ class PhraseTemplate:
 
     def __len__(self) -> int:
         return len(self.slot_units)
-
-    def slot_of_unit(self, unit: int) -> int | None:
-        try:
-            return self.slot_units.index(unit)
-        except ValueError:
-            return None
 
     def slot_multiple(self, slot: int) -> int:
         """Unit span from this slot to the next (wrapping into the next phrase)."""
@@ -143,29 +147,25 @@ def compute_drift(series: IntervalSeries, base: float) -> DriftSeries:
 
     Each valid interval advances the drift by ``tau/multiple - base``;
     a discarded interval emits a gap point with the drift reset to zero.
+    Each gap-delimited run is summed left to right on its own.
     """
     if base <= 0:
         raise ParameterError("base unit must be positive")
     if not series.classified:
         raise ParameterError("classify the series before computing drift")
-    points: list[DriftPoint] = []
-    d = 0.0
-    for i, iv in enumerate(series):
-        end_time = iv.start_time_s + iv.tau_s
-        if not iv.valid:
-            d = 0.0
-            points.append(DriftPoint(index=i + 1, time_s=end_time, d_s=0.0, gap=True))
-            continue
-        d += iv.normalized_tau_s - base
-        points.append(DriftPoint(index=i + 1, time_s=end_time, d_s=d, gap=False))
-    return DriftSeries(points=tuple(points), base_s=base)
-
-
-def _is_inter_triplet_single(iv, onsets: OnsetSeries) -> bool:
-    """A single not bordered by a ghost note (ghosts split doubles in two)."""
-    a = onsets[iv.start_index]
-    b = onsets[iv.start_index + 1]
-    return a.label != "ghost" and b.label != "ghost"
+    gap = series.multiples() == 0
+    drift = np.zeros(len(series))
+    drift[~gap] = series.normalized_taus() - base
+    bounds = np.concatenate(([-1], np.flatnonzero(gap), [len(series)]))
+    for lo, hi in zip(bounds[:-1] + 1, bounds[1:]):
+        np.add.accumulate(drift[lo:hi], out=drift[lo:hi])
+    return DriftSeries(
+        index=np.arange(1, len(series) + 1),
+        time_s=series.start_times() + series.taus(),
+        d_s=drift,
+        gap=gap,
+        base_s=base,
+    )
 
 
 def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
@@ -176,20 +176,20 @@ def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
     """
     if not series.classified:
         raise ParameterError("classify the series before computing swing")
-    singles = [
-        iv.tau_s
-        for iv in series.of_class(BeatClass.SINGLE)
-        if _is_inter_triplet_single(iv, onsets)
-    ]
-    doubles = [iv.tau_s for iv in series.of_class(BeatClass.DOUBLE)]
-    if not singles:
+    taus, multiples = series.taus(), series.multiples()
+    ghost = onsets.label_codes() == LABELS.index("ghost")
+    is_single = multiples == 1
+    first = series.start_indices()[is_single]
+    singles = taus[is_single][~(ghost[first] | ghost[first + 1])]
+    doubles = taus[multiples == 2]
+    if not len(singles):
         raise EstimationError("swing ratio undefined: no inter-triplet singles")
-    if not doubles:
+    if not len(doubles):
         raise EstimationError("swing ratio undefined: no doubles")
-    triples = [iv.tau_s for iv in series.of_class(BeatClass.TRIPLE)]
+    triples = taus[multiples == 3]
     mean_single = float(np.mean(singles))
     mean_double = float(np.mean(doubles))
-    triple_term = float(np.mean(triples)) / mean_single if triples else None
+    triple_term = float(np.mean(triples)) / mean_single if len(triples) else None
     return SwingReport(
         swing_ratio=mean_double / mean_single,
         mean_inter_triplet_single_s=mean_single,
@@ -213,59 +213,61 @@ def _anchor_indices(onsets: OnsetSeries, sections: SectionMap | None) -> list[in
     return sorted(set(anchors))
 
 
-def _walk_units(
-    series: IntervalSeries,
-    onsets: OnsetSeries,
-    sections: SectionMap | None,
-) -> dict[int, tuple[int, int]]:
-    """Map onset index -> (anchor ordinal, metric unit position).
-
-    Each anchor restarts the unit counter at zero; a discarded interval loses
-    the grid until the next anchor.
-    """
-    anchors = _anchor_indices(onsets, sections)
-    next_of: dict[int, int] = {iv.start_index: i for i, iv in enumerate(series)}
-    units: dict[int, tuple[int, int]] = {}
-    for k, anchor in enumerate(anchors):
-        stop = anchors[k + 1] if k + 1 < len(anchors) else len(onsets)
-        u = 0
-        units[anchor] = (k, 0)
-        i = anchor
-        while i + 1 < stop:
-            iv_idx = next_of.get(i)
-            if iv_idx is None:
-                break
-            iv = series[iv_idx]
-            if not iv.valid:
-                break
-            u += iv.klass.multiple
-            units[i + 1] = (k, u)
-            i += 1
-    return units
-
-
-def _phrase_rows(
+def _phrase_grid(
     series: IntervalSeries,
     onsets: OnsetSeries,
     template: PhraseTemplate,
     sections: SectionMap | None,
-):
-    """Yield (phrase_key, slot -> onset_index, closing onset index) for every
-    phrase seen; the closer is slot 0 of the key's following phrase."""
-    units = _walk_units(series, onsets, sections)
-    phrases: dict[tuple[int, int], dict[int, int]] = {}
-    closers: dict[tuple[int, int], int] = {}
-    for onset_idx, (anchor, u) in units.items():
-        phrase_no, unit_in_phrase = divmod(u, template.units_per_phrase)
-        slot = template.slot_of_unit(unit_in_phrase)
-        if slot is None:
-            continue
-        key = (anchor, phrase_no)
-        phrases.setdefault(key, {})[slot] = onset_idx
-        if slot == 0 and phrase_no > 0:
-            closers[(anchor, phrase_no - 1)] = onset_idx
-    for key in sorted(phrases):
-        yield key, phrases[key], closers.get(key)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Onset index per (phrase, slot), -1 where no onset lands, and each
+    phrase's closer (slot 0 of the same anchor's next phrase) or -1.
+
+    ``series`` holds the classified intervals of ``onsets``. Each anchor
+    restarts a unit walk at zero; a discarded interval loses the grid until
+    the next anchor. Rows are the phrases the walk reaches, in order.
+    """
+    if not series.classified:
+        raise ParameterError("classify the series before computing phrase profiles")
+    n = len(onsets)
+    # unit span of the interval leaving each onset; 0 where none or discarded
+    step = np.zeros(n, dtype=np.int64)
+    step[series.start_indices()] = series.multiples()
+    units = np.cumsum(step) - step
+    breaks = np.cumsum(step == 0) - (step == 0)
+    is_anchor = np.zeros(n, dtype=bool)
+    is_anchor[_anchor_indices(onsets, sections)] = True
+    anchor = np.maximum.accumulate(np.where(is_anchor, np.arange(n), -1))
+    walked = (anchor >= 0) & (breaks == breaks[anchor])
+    phrase_no, unit_in_phrase = np.divmod(units - units[anchor], template.units_per_phrase)
+    slot_at = np.full(template.units_per_phrase, -1)
+    slot_at[list(template.slot_units)] = np.arange(len(template))
+    slot = slot_at[unit_in_phrase]
+    hit = np.flatnonzero(walked & (slot >= 0))
+    anchor, phrase_no, slot = anchor[hit], phrase_no[hit], slot[hit]
+    # hits come in (anchor, phrase) order, so each change of key opens a row
+    opens = (np.diff(anchor, prepend=-1) != 0) | (np.diff(phrase_no, prepend=-1) != 0)
+    grid = np.full((int(np.count_nonzero(opens)), len(template)), -1, dtype=np.int64)
+    grid[np.cumsum(opens) - 1, slot] = hit
+    anchor, phrase_no = anchor[opens], phrase_no[opens]
+    closer = np.full(len(grid), -1, dtype=np.int64)
+    succ = np.flatnonzero((anchor[1:] == anchor[:-1]) & (phrase_no[1:] == phrase_no[:-1] + 1))
+    closer[succ] = grid[succ + 1, 0]
+    return grid, closer
+
+
+def _slot_stats(per_slot) -> tuple[tuple, tuple, tuple]:
+    """Mean, std and count of each slot's values (a contiguous 1-D array in
+    phrase order, so numpy sums in a fixed order); None for an empty slot."""
+    mean, std, n = [], [], []
+    for vals in per_slot:
+        n.append(len(vals))
+        if len(vals):
+            mean.append(float(np.mean(vals)))
+            std.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
+        else:
+            mean.append(None)
+            std.append(None)
+    return tuple(mean), tuple(std), tuple(n)
 
 
 def phrase_interval_profile(
@@ -283,43 +285,23 @@ def phrase_interval_profile(
     base unit (phrase duration over units per phrase), in percent.
     """
     template = template or PhraseTemplate()
-    n_slots = len(template)
-    per_slot: list[list[float]] = [[] for _ in range(n_slots)]
-    per_slot_dev: list[list[float]] = [[] for _ in range(n_slots)]
-    times = onsets.times()
-    n_phrases = 0
-    for _, slots, closer in _phrase_rows(series, onsets, template, sections):
-        if closer is None or len(slots) != n_slots:
-            continue
-        n_phrases += 1
-        slot_times = [times[slots[s]] for s in range(n_slots)]
-        slot_times.append(times[closer])
-        phrase_base = (slot_times[-1] - slot_times[0]) / template.units_per_phrase
-        for s in range(n_slots):
-            tau = slot_times[s + 1] - slot_times[s]
-            normalized = tau / template.slot_multiple(s)
-            per_slot[s].append(tau)
-            per_slot_dev[s].append(100.0 * (normalized - phrase_base) / phrase_base)
-    mean, std, n, dev = [], [], [], []
-    for s in range(n_slots):
-        vals = per_slot[s]
-        n.append(len(vals))
-        if vals:
-            mean.append(float(np.mean(vals)))
-            std.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
-            dev.append(float(np.mean(per_slot_dev[s])))
-        else:
-            mean.append(None)
-            std.append(None)
-            dev.append(None)
+    grid, closer = _phrase_grid(series, onsets, template, sections)
+    complete = np.all(grid >= 0, axis=1) & (closer >= 0)
+    slot_times = onsets.times()[np.column_stack((grid[complete], closer[complete]))]
+    taus = np.diff(slot_times, axis=1)
+    phrase_base = ((slot_times[:, -1] - slot_times[:, 0]) / template.units_per_phrase)[:, None]
+    slot_multiples = np.array([template.slot_multiple(s) for s in range(len(template))])
+    deviation = 100.0 * (taus / slot_multiples - phrase_base) / phrase_base
+    mean, std, n = _slot_stats(np.ascontiguousarray(taus.T))
+    dev, _, _ = _slot_stats(np.ascontiguousarray(deviation.T))
     return PhraseProfile(
         kind="interval",
         template=template,
-        mean=tuple(mean),
-        std=tuple(std),
-        n=tuple(n),
-        deviation_pct=tuple(dev),
-        n_phrases=n_phrases,
+        mean=mean,
+        std=std,
+        n=n,
+        deviation_pct=dev,
+        n_phrases=int(np.count_nonzero(complete)),
     )
 
 
@@ -331,32 +313,17 @@ def phrase_amplitude_profile(
 ) -> PhraseProfile:
     """Per-slot amplitude statistics over all phrases, complete or not."""
     template = template or PhraseTemplate()
-    n_slots = len(template)
-    per_slot: list[list[float]] = [[] for _ in range(n_slots)]
+    grid, _ = _phrase_grid(series, onsets, template, sections)
     amps = onsets.amplitudes()
-    n_phrases = 0
-    for _, slots, _ in _phrase_rows(series, onsets, template, sections):
-        n_phrases += 1
-        for slot, onset_idx in slots.items():
-            per_slot[slot].append(float(amps[onset_idx]))
-    mean, std, n = [], [], []
-    for s in range(n_slots):
-        vals = per_slot[s]
-        n.append(len(vals))
-        if vals:
-            mean.append(float(np.mean(vals)))
-            std.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
-        else:
-            mean.append(None)
-            std.append(None)
+    mean, std, n = _slot_stats(amps[col[col >= 0]] for col in grid.T)
     return PhraseProfile(
         kind="amplitude",
         template=template,
-        mean=tuple(mean),
-        std=tuple(std),
-        n=tuple(n),
-        deviation_pct=tuple([None] * n_slots),
-        n_phrases=n_phrases,
+        mean=mean,
+        std=std,
+        n=n,
+        deviation_pct=(None,) * len(template),
+        n_phrases=len(grid),
     )
 
 
@@ -367,24 +334,22 @@ def write_drift_csv(path, drift: DriftSeries) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "time_s", "drift_s", "gap"])
-        for p in drift:
-            writer.writerow([p.index, f"{p.time_s:.6f}", f"{p.d_s:.9f}", int(p.gap)])
+        writer.writerows(
+            [i, f"{t:.6f}", f"{d:.9f}", int(g)]
+            for i, t, d, g in zip(drift.index.tolist(), drift.time_s.tolist(),
+                                  drift.d_s.tolist(), drift.gap.tolist())
+        )
+
+
+def _fixed(value: float | None, digits: int) -> str:
+    return "" if value is None else f"{value:.{digits}f}"
 
 
 def write_profile_csv(path, profile: PhraseProfile) -> None:
+    dev = profile.deviation_pct or (None,) * len(profile.template)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["position", "mean", "std", "n", "deviation_pct"])
         for s in range(len(profile.template)):
-            mean = profile.mean[s]
-            std = profile.std[s]
-            dev = profile.deviation_pct[s] if profile.deviation_pct else None
-            writer.writerow(
-                [
-                    s,
-                    "" if mean is None else f"{mean:.9f}",
-                    "" if std is None else f"{std:.9f}",
-                    profile.n[s],
-                    "" if dev is None else f"{dev:.6f}",
-                ]
-            )
+            writer.writerow([s, _fixed(profile.mean[s], 9), _fixed(profile.std[s], 9),
+                             profile.n[s], _fixed(dev[s], 6)])

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, FormatError, ParameterError
-from .onsets import OnsetSeries
+from .onsets import ColumnSeries, OnsetSeries
 
 __all__ = [
     "BeatClass",
@@ -43,7 +44,13 @@ class BeatClass(enum.Enum):
 
     @property
     def multiple(self) -> int | None:
-        return {"single": 1, "double": 2, "triple": 3}.get(self.value)
+        return _MULTIPLE.get(self)
+
+
+CLASSES = (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE)
+_MULTIPLE = {klass: m for m, klass in enumerate(CLASSES, start=1)}
+# class of multiple code m at m + 1: -1 unclassified, 0 discarded, 1-3 as CLASSES
+_CLASS_OF_CODE = (None, BeatClass.DISCARDED) + CLASSES
 
 
 @dataclass(frozen=True)
@@ -64,38 +71,77 @@ class Interval:
     valid: bool = True
 
     def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ParameterError("interval durations must be positive")
+        if not 0.0 < self.tau_s < math.inf:
+            raise ParameterError("interval durations must be positive and finite")
 
 
-@dataclass(frozen=True)
-class IntervalSeries:
-    intervals: tuple[Interval, ...]
+class IntervalSeries(ColumnSeries):
+    """Inter-onset intervals as columns: durations, start onset indices,
+    start times, and the class multiple (1/2/3 for single/double/triple, 0
+    discarded, -1 unclassified). Validity and normalized durations derive
+    from the multiple; rows are :class:`Interval`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    __slots__ = ()
+    _DTYPES = (np.float64, np.int64, np.float64, np.int8)
 
-    def __len__(self) -> int:
-        return len(self.intervals)
+    def __init__(self, intervals=()):
+        rows = tuple(intervals)
+        self._store(
+            [iv.tau_s for iv in rows],
+            [iv.start_index for iv in rows],
+            [iv.start_time_s for iv in rows],
+            [_CLASS_OF_CODE.index(iv.klass) - 1 for iv in rows],
+        )
 
-    def __iter__(self):
-        return iter(self.intervals)
+    @staticmethod
+    def _check(taus, start_indices, start_times, multiples) -> None:
+        if not np.all((taus > 0.0) & (taus < np.inf)):
+            raise ParameterError("interval durations must be positive and finite")
+        if not np.all((multiples >= -1) & (multiples <= 3)):
+            raise ParameterError("class multiples must lie in -1..3")
 
-    def __getitem__(self, i) -> Interval:
-        return self.intervals[i]
+    @staticmethod
+    def _row(tau: float, start: int, start_time: float, multiple: int) -> Interval:
+        return Interval(
+            tau_s=tau,
+            start_index=start,
+            start_time_s=start_time,
+            klass=_CLASS_OF_CODE[multiple + 1],
+            normalized_tau_s=tau / multiple if multiple > 0 else None,
+            valid=multiple != 0,
+        )
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(self)
 
     def taus(self) -> np.ndarray:
-        return np.array([iv.tau_s for iv in self.intervals], dtype=np.float64)
+        return self._cols[0]
+
+    def start_indices(self) -> np.ndarray:
+        return self._cols[1]
+
+    def start_times(self) -> np.ndarray:
+        return self._cols[2]
+
+    def multiples(self) -> np.ndarray:
+        return self._cols[3]
+
+    def normalized_taus(self) -> np.ndarray:
+        """Durations over class multiples of the classified, valid intervals."""
+        valid = self.multiples() > 0
+        return self.taus()[valid] / self.multiples()[valid]
 
     def valid_intervals(self) -> list[Interval]:
-        return [iv for iv in self.intervals if iv.valid]
+        return [iv for iv in self if iv.valid]
 
     def of_class(self, klass: BeatClass) -> list[Interval]:
-        return [iv for iv in self.intervals if iv.klass is klass]
+        return [iv for iv in self if iv.klass is klass]
 
     @property
     def classified(self) -> bool:
-        return all(iv.klass is not None for iv in self.intervals)
+        return bool(np.all(self.multiples() >= 0))
 
 
 @dataclass(frozen=True)
@@ -136,13 +182,8 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
     if len(onsets) < 2:
         raise ParameterError("need at least 2 onsets to form intervals")
     times = onsets.times()
-    taus = np.diff(times)
-    return IntervalSeries(
-        intervals=tuple(
-            Interval(tau_s=float(t), start_index=i, start_time_s=float(times[i]))
-            for i, t in enumerate(taus)
-        )
-    )
+    n = len(times) - 1
+    return IntervalSeries._of(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
 
 
 def _seed_from_minimum_mode(taus: np.ndarray, bin_ms: float = 4.0) -> float:
@@ -213,22 +254,10 @@ def classify_intervals(
     """
     if base <= 0:
         raise ParameterError("base unit must be positive")
-    out = []
-    for iv in series:
-        r = iv.tau_s / base
-        if r > max_multiple:
-            out.append(replace(iv, klass=BeatClass.DISCARDED, normalized_tau_s=None, valid=False))
-            continue
-        if r < 1.5:
-            klass = BeatClass.SINGLE
-        elif r < 2.5:
-            klass = BeatClass.DOUBLE
-        else:
-            klass = BeatClass.TRIPLE
-        out.append(
-            replace(iv, klass=klass, normalized_tau_s=iv.tau_s / klass.multiple, valid=True)
-        )
-    return IntervalSeries(intervals=tuple(out))
+    taus = series.taus()
+    multiples = np.digitize(taus / base, (1.5, 2.5)) + 1
+    multiples[taus / base > max_multiple] = 0
+    return IntervalSeries._of(taus, series.start_indices(), series.start_times(), multiples)
 
 
 def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:
@@ -241,8 +270,8 @@ def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:
     if not series.classified:
         raise ParameterError("classify the series before computing stats")
     out: dict = {}
-    for klass in (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE):
-        taus = np.array([iv.tau_s for iv in series.of_class(klass)])
+    for klass in CLASSES:
+        taus = series.taus()[series.multiples() == klass.multiple]
         if len(taus) == 0:
             out[klass.value] = {"count": 0}
             continue
@@ -261,7 +290,7 @@ def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:
             },
         }
     n_raw = len(series)
-    n_valid = len(series.valid_intervals())
+    n_valid = int(np.count_nonzero(series.multiples()))
     out["discarded"] = {"count": n_raw - n_valid}
     out["detection_rate"] = n_valid / n_raw if n_raw else 0.0
     return out

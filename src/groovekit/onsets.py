@@ -9,6 +9,7 @@ arrive as CSV files.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,42 +54,151 @@ class Onset:
             raise ParameterError(f"unknown onset label {self.label!r}")
         if self.source not in SOURCES:
             raise ParameterError(f"unknown onset source {self.source!r}")
+        if not math.isfinite(self.time_s):
+            raise ParameterError("onset time must be finite")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ParameterError("onset amplitude must lie in [0, 1]")
-        if self.uncertainty_ms < 0:
-            raise ParameterError("uncertainty_ms must be non-negative")
+        if not 0.0 <= self.uncertainty_ms < math.inf:
+            raise ParameterError("uncertainty_ms must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class OnsetSeries:
-    """Strictly time-ordered onsets with amplitudes and provenance."""
+_LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
+_SOURCE_CODES = {name: i for i, name in enumerate(SOURCES)}
 
-    onsets: tuple[Onset, ...]
 
-    def __post_init__(self):
-        onsets = tuple(self.onsets)
-        times = [o.time_s for o in onsets]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ParameterError("onset times must be strictly increasing")
-        object.__setattr__(self, "onsets", onsets)
+def _code(name: str, codes: dict[str, int], what: str) -> int:
+    try:
+        return codes[name]
+    except KeyError:
+        raise ParameterError(f"unknown onset {what} {name!r}") from None
+
+
+def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray, uncertainty_ms: np.ndarray):
+    """(row, problem) of the first row that breaks a column rule, or None."""
+    checks = (
+        (~np.isfinite(times), "onset time must be finite"),
+        (~((amplitudes >= 0.0) & (amplitudes <= 1.0)), "onset amplitude must lie in [0, 1]"),
+        (~((uncertainty_ms >= 0.0) & (uncertainty_ms < np.inf)),
+         "uncertainty_ms must be non-negative and finite"),
+        (np.concatenate(([False], np.diff(times) <= 0.0)),
+         "onset times must be strictly increasing"),
+    )
+    found = [(int(np.argmax(bad)), why) for bad, why in checks if bad.any()]
+    return min(found, key=lambda f: f[0], default=None)
+
+
+class ColumnSeries:
+    """Read-only, equal-length 1-D columns with row objects built on access.
+
+    Subclasses set ``_DTYPES`` (one per column) and provide ``_check``
+    (validates the converted columns) and ``_row`` (one row from the
+    columns' Python scalars).
+    """
+
+    __slots__ = ("_cols",)
+    _DTYPES: tuple = ()
+
+    @classmethod
+    def _of(cls, *cols):
+        series = cls.__new__(cls)
+        series._store(*cols)
+        return series
+
+    def _store(self, *cols) -> None:
+        cols = tuple(np.array(c, dtype=dtype) for c, dtype in zip(cols, self._DTYPES))
+        if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
+            raise ParameterError("columns must be 1-D and of equal length")
+        self._check(*cols)
+        for c in cols:
+            c.setflags(write=False)
+        self._cols = cols
 
     def __len__(self) -> int:
-        return len(self.onsets)
+        return len(self._cols[0])
 
     def __iter__(self):
-        return iter(self.onsets)
+        return map(self._row, *(c.tolist() for c in self._cols))
 
-    def __getitem__(self, i) -> Onset:
-        return self.onsets[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        k = range(len(self))[i]
+        return self._row(*(c[k].item() for c in self._cols))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._cols, other._cols))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(<{len(self)} rows>)"
+
+
+class OnsetSeries(ColumnSeries):
+    """Strictly time-ordered onsets with amplitudes and provenance.
+
+    Columns: times, amplitudes, label codes and source codes (indices into
+    ``LABELS``/``SOURCES``), uncertainties. Build from :class:`Onset` rows
+    with ``OnsetSeries(onsets=...)`` or from arrays with :meth:`from_columns`.
+    """
+
+    __slots__ = ()
+    _DTYPES = (np.float64, np.float64, np.int8, np.int8, np.float64)
+
+    def __init__(self, onsets=()):
+        onsets = tuple(onsets)
+        self._store(
+            [o.time_s for o in onsets],
+            [o.amplitude for o in onsets],
+            [_LABEL_CODES[o.label] for o in onsets],
+            [_SOURCE_CODES[o.source] for o in onsets],
+            [o.uncertainty_ms for o in onsets],
+        )
+
+    @classmethod
+    def from_columns(cls, times, amplitudes, labels=None, sources=None, uncertainty_ms=None):
+        """Series from per-onset arrays; ``labels``/``sources`` are names
+        (default unknown/auto), ``uncertainty_ms`` defaults to zero."""
+        n = len(times)
+        labels = ["unknown"] * n if labels is None else labels
+        sources = ["auto"] * n if sources is None else sources
+        return cls._of(
+            times,
+            amplitudes,
+            [_code(x, _LABEL_CODES, "label") for x in labels],
+            [_code(x, _SOURCE_CODES, "source") for x in sources],
+            np.zeros(n) if uncertainty_ms is None else uncertainty_ms,
+        )
+
+    @staticmethod
+    def _check(times, amplitudes, labels, sources, uncertainty_ms) -> None:
+        bad = _first_bad_row(times, amplitudes, uncertainty_ms)
+        if bad is not None:
+            raise ParameterError(f"onset {bad[0]}: {bad[1]}")
+
+    @staticmethod
+    def _row(time_s, amplitude, label, source, uncertainty_ms) -> Onset:
+        return Onset(time_s, amplitude, LABELS[label], SOURCES[source], uncertainty_ms)
+
+    @property
+    def onsets(self) -> tuple[Onset, ...]:
+        return tuple(self)
 
     def times(self) -> np.ndarray:
-        return np.array([o.time_s for o in self.onsets], dtype=np.float64)
+        return self._cols[0]
 
     def amplitudes(self) -> np.ndarray:
-        return np.array([o.amplitude for o in self.onsets], dtype=np.float64)
+        return self._cols[1]
+
+    def label_codes(self) -> np.ndarray:
+        """Index of each onset's label in ``LABELS``."""
+        return self._cols[2]
 
     def labels(self) -> list[str]:
-        return [o.label for o in self.onsets]
+        return [LABELS[c] for c in self._cols[2].tolist()]
+
+    def sources(self) -> list[str]:
+        return [SOURCES[c] for c in self._cols[3].tolist()]
 
 
 @dataclass(frozen=True)
@@ -152,21 +262,14 @@ def detect_onsets(
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
     peaks, _ = find_peaks(values, height=height, distance=distance)
 
-    out = []
-    for p in peaks:
-        unc = _peak_uncertainty_ms(values, int(p), env.sample_rate)
-        if unc > MAX_UNCERTAINTY_MS:
-            continue
-        out.append(
-            Onset(
-                time_s=p / env.sample_rate,
-                amplitude=float(values[p]),
-                label="unknown",
-                source="auto",
-                uncertainty_ms=unc,
-            )
-        )
-    return OnsetSeries(onsets=tuple(out))
+    unc = np.array(
+        [_peak_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64
+    )
+    keep = unc <= MAX_UNCERTAINTY_MS
+    peaks = peaks[keep]
+    return OnsetSeries.from_columns(
+        peaks / env.sample_rate, values[peaks], uncertainty_ms=unc[keep]
+    )
 
 
 def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeries:
@@ -179,21 +282,15 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
         raise ParameterError("window_ms must be positive")
     if len(series) <= 1:
         return series
-    window_s = window_ms * 1e-3
-    merged: list[Onset] = []
-    run_first = series[0]
-    run_amp = run_first.amplitude
-    prev_time = run_first.time_s
-    for onset in series.onsets[1:]:
-        if onset.time_s - prev_time < window_s:
-            run_amp = max(run_amp, onset.amplitude)
-        else:
-            merged.append(replace(run_first, amplitude=run_amp))
-            run_first = onset
-            run_amp = onset.amplitude
-        prev_time = onset.time_s
-    merged.append(replace(run_first, amplitude=run_amp))
-    return OnsetSeries(onsets=tuple(merged))
+    times, amplitudes, labels, sources, unc = series._cols
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(times) >= window_ms * 1e-3)))
+    return OnsetSeries._of(
+        times[starts],
+        np.maximum.reduceat(amplitudes, starts),
+        labels[starts],
+        sources[starts],
+        unc[starts],
+    )
 
 
 def _resolve_target(onsets: list[Onset], target_time_s: float) -> int | None:
@@ -226,7 +323,7 @@ def apply_edits(
     label unknown. An edit whose target resolves to no onset within 5 ms
     raises :class:`EditError` naming the edit index.
     """
-    onsets = list(series.onsets)
+    onsets = list(series)
     for idx, edit in enumerate(edits):
         if edit.kind == "add":
             onsets.append(
@@ -266,38 +363,43 @@ _EDIT_HEADER = ["kind", "target_time_s", "new_time_s", "label"]
 
 
 def write_onsets_csv(path, series: OnsetSeries) -> None:
+    times, amplitudes = series.times().tolist(), series.amplitudes().tolist()
+    rows = zip(times, amplitudes, series.labels(), series.sources())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ONSET_HEADER)
-        for i, onset in enumerate(series):
-            writer.writerow(
-                [i, f"{onset.time_s:.6f}", f"{onset.amplitude:.6f}", onset.label, onset.source]
-            )
+        writer.writerows(
+            [i, f"{t:.6f}", f"{a:.6f}", label, source]
+            for i, (t, a, label, source) in enumerate(rows)
+        )
 
 
 def read_onsets_csv(path) -> OnsetSeries:
+    """Parse an annotation CSV into columns; a malformed or non-finite
+    value raises :class:`FormatError` naming its line."""
+    lines, times, amplitudes, labels, sources = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _ONSET_HEADER:
             raise FormatError(f"bad annotation header in {path!r}: {header}")
-        onsets = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 _, time_s, amplitude, label, source = row
-                onsets.append(
-                    Onset(
-                        time_s=float(time_s),
-                        amplitude=float(amplitude),
-                        label=label,
-                        source=source,
-                    )
-                )
+                times.append(float(time_s))
+                amplitudes.append(float(amplitude))
+                labels.append(_code(label, _LABEL_CODES, "label"))
+                sources.append(_code(source, _SOURCE_CODES, "source"))
             except (ValueError, ParameterError) as exc:
                 raise FormatError(f"{path!s}:{lineno}: bad annotation row: {exc}") from exc
-    return OnsetSeries(onsets=tuple(onsets))
+            lines.append(lineno)
+    uncertainty_ms = np.zeros(len(times))
+    bad = _first_bad_row(np.array(times), np.array(amplitudes), uncertainty_ms)
+    if bad is not None:
+        raise FormatError(f"{path!s}:{lines[bad[0]]}: bad annotation row: {bad[1]}")
+    return OnsetSeries._of(times, amplitudes, labels, sources, uncertainty_ms)
 
 
 def write_edits_csv(path, edits: list[AnnotationEdit]) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import AudioClip
 from .errors import ParameterError
-from .onsets import Onset, OnsetSeries
+from .onsets import OnsetSeries
 
 __all__ = [
     "GrooveSpec",
@@ -193,12 +193,7 @@ def gen_shuffle_onsets(spec: GrooveSpec, seed: int = 0) -> tuple[OnsetSeries, Sh
     else:
         amps = np.array(amplitudes)
 
-    onsets = OnsetSeries(
-        onsets=tuple(
-            Onset(time_s=float(t), amplitude=float(a), label=lab, source="auto")
-            for t, a, lab in zip(times, amps, labels)
-        )
-    )
+    onsets = OnsetSeries.from_columns(times, amps, labels=labels)
     truth = ShuffleGroundTruth(
         nominal_times_s=nominal,
         unit_positions=units,
@@ -316,10 +311,11 @@ def render_clicks(
         raise ParameterError("sample_rate must be at least 8 kHz")
     if click_ms <= 0:
         raise ParameterError("click_ms must be positive")
-    if len(onsets) and onsets[0].time_s < 0:
+    times, amps = onsets.times(), onsets.amplitudes()
+    if len(times) and times[0] < 0:
         raise ParameterError("cannot render onsets before time zero")
     tail_s = 0.25
-    if len(onsets) == 0:
+    if len(times) == 0:
         return AudioClip(
             samples=np.zeros(int(round(tail_s * sample_rate))),
             sample_rate=sample_rate,
@@ -329,16 +325,15 @@ def render_clicks(
     decay = click_ms * 1e-3 / 3.0
     burst = np.cos(2.0 * np.pi * click_hz * t) * np.exp(-t / decay)
 
-    last = max(o.time_s for o in onsets)
-    total = int(round((last + tail_s) * sample_rate)) + click_len
+    total = int(round((float(times.max()) + tail_s) * sample_rate)) + click_len
     samples = np.zeros(total)
-    for o in onsets:
-        start = int(round(o.time_s * sample_rate))
-        samples[start : start + click_len] += o.amplitude * burst
+    for time_s, amplitude in zip(times.tolist(), amps.tolist()):
+        start = int(round(time_s * sample_rate))
+        samples[start : start + click_len] += amplitude * burst
 
     if noise_db is not None:
         rng = np.random.default_rng(seed)
-        peak = max(o.amplitude for o in onsets)
+        peak = float(amps.max())
         sigma = peak * 10.0 ** (noise_db / 20.0)
         samples = samples + rng.normal(0.0, sigma, size=total)
     return AudioClip(samples=samples, sample_rate=sample_rate)
