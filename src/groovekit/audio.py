@@ -128,6 +128,14 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
             f"cutoff_hz must be in (0, {nyquist:g}) for sample rate {clip.sample_rate:g}"
         )
     sos = signal.butter(order, cutoff_hz, btype="highpass", fs=clip.sample_rate, output="sos")
+    # sosfiltfilt pads each end by 3 * taps samples and needs more samples than that
+    taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
+    min_samples = 3 * taps + 1
+    if len(clip.samples) < min_samples:
+        raise ParameterError(
+            f"clip of {len(clip.samples)} samples is too short for the high-pass "
+            f"filter, which needs at least {min_samples}"
+        )
     filtered = signal.sosfiltfilt(sos, clip.samples)
     return AudioClip(
         samples=filtered,

@@ -151,6 +151,8 @@ class Section:
     tag: str = "other"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_time_s) and math.isfinite(self.end_time_s)):
+            raise ParameterError("section start and end must be finite")
         if self.end_time_s <= self.start_time_s:
             raise ParameterError("section end must exceed start")
         if self.tag not in ("A1-verse", "A2-prechorus", "B-chorus", "other"):

@@ -217,6 +217,10 @@ class AnnotationEdit:
     def __post_init__(self):
         if self.kind not in ("add", "remove", "move", "relabel"):
             raise ParameterError(f"unknown edit kind {self.kind!r}")
+        if not math.isfinite(self.target_time_s):
+            raise ParameterError("edit target_time_s must be finite")
+        if self.new_time_s is not None and not math.isfinite(self.new_time_s):
+            raise ParameterError("edit new_time_s must be finite")
         if self.kind == "move" and self.new_time_s is None:
             raise ParameterError("move edits need new_time_s")
         if self.kind == "relabel" and self.label is None:

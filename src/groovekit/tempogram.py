@@ -28,6 +28,9 @@ __all__ = [
     "write_tempogram_csv",
 ]
 
+# Novelty frames transformed per block: bounds the novelty stage's working memory.
+_BLOCK_FRAMES = 512
+
 
 @dataclass(frozen=True)
 class NoveltyCurve:
@@ -85,6 +88,13 @@ def novelty_curve(
     compressed as log(1 + compression * |X|), differenced along time,
     half-wave rectified, and summed over bins. The first frame's novelty
     is zero by definition.
+
+    Frames are strided views of the samples, not copies. They are
+    transformed in blocks of ``_BLOCK_FRAMES`` frames, and each block's
+    last compressed spectrum is carried into the next block's difference,
+    so the result is the same as transforming every frame at once. Working
+    memory is bounded by the block size (about 15 MB at the default
+    ``window``) plus the output array; it does not grow with clip length.
     """
     if window < 2 or hop < 1:
         raise ParameterError("window must be >= 2 and hop >= 1")
@@ -93,16 +103,18 @@ def novelty_curve(
     start_s = window / 2.0 / clip.sample_rate
     if len(x) < window:
         return NoveltyCurve(values=np.zeros(0), sample_rate=frame_rate, start_s=start_s)
-    n_frames = 1 + (len(x) - window) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     win = np.hanning(window)
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * win
-    mags = np.abs(np.fft.rfft(frames, axis=1))
     floor = 10.0 ** (min_db / 20.0)
-    compressed = np.log1p(compression * np.maximum(mags, floor))
-    flux = np.diff(compressed, axis=0)
-    novelty = np.sum(np.maximum(flux, 0.0), axis=1)
-    novelty = np.concatenate(([0.0], novelty))
+    novelty = np.zeros(len(frames))
+    carry = np.empty((0, window // 2 + 1))  # no spectrum precedes the first block
+    for start in range(0, len(frames), _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, len(frames))
+        mags = np.abs(np.fft.rfft(frames[start:stop] * win, axis=1))
+        compressed = np.log1p(compression * np.maximum(mags, floor))
+        flux = np.diff(np.concatenate((carry, compressed)), axis=0)
+        novelty[stop - len(flux):stop] = np.sum(np.maximum(flux, 0.0), axis=1)
+        carry = compressed[-1:]
     return NoveltyCurve(values=novelty, sample_rate=frame_rate, start_s=start_s)
 
 
@@ -119,13 +131,9 @@ def fourier_tempogram(novelty: NoveltyCurve, params: TempogramParams | None = No
             f"novelty of {len(values)} frames is shorter than the "
             f"{params.window_length}-frame tempogram window"
         )
-    n_frames = 1 + (len(values) - params.window_length) // params.hop
-    win = np.hanning(params.window_length)
-    idx = (
-        np.arange(params.window_length)[None, :]
-        + params.hop * np.arange(n_frames)[:, None]
-    )
-    frames = values[idx] * win
+    frames = np.lib.stride_tricks.sliding_window_view(values, params.window_length)[:: params.hop]
+    frames = frames * np.hanning(params.window_length)
+    n_frames = len(frames)
     spectra = np.abs(np.fft.rfft(frames, n=params.fft_length, axis=1))
     freqs = np.fft.rfftfreq(params.fft_length, d=1.0 / novelty.sample_rate)
     bpm = freqs * 60.0
@@ -192,15 +200,19 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None, octave_sigma: floa
 
 
 def write_tempogram_csv(path, tg: Tempogram) -> None:
-    """Long-form CSV: time_s,bpm,magnitude."""
-    import csv
+    """Long-form CSV: time_s,bpm,magnitude, one row per (frame, tempo) cell.
 
+    Each time and tempo is formatted once and each frame's rows are written
+    in one call. Rows end in ``\\r\\n``, as ``csv.writer`` ends them; no
+    field ever needs quoting.
+    """
+    tempo_fields = [f",{bpm:.4f}," for bpm in tg.tempi_bpm.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "bpm", "magnitude"])
-        for fi, t in enumerate(tg.times_s):
-            for bi, bpm in enumerate(tg.tempi_bpm):
-                writer.writerow([f"{t:.6f}", f"{bpm:.4f}", f"{tg.magnitude[fi, bi]:.9g}"])
+        fh.write("time_s,bpm,magnitude\r\n")
+        for t, mags in zip(tg.times_s.tolist(), tg.magnitude.tolist()):
+            time_field = f"{t:.6f}"
+            rows = [f"{time_field}{tempo}{m:.9g}\r\n" for tempo, m in zip(tempo_fields, mags)]
+            fh.write("".join(rows))
 
 
 def tempogram_summary(tg: Tempogram) -> dict:

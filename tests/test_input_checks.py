@@ -1,11 +1,23 @@
-"""Input checks at the edges: non-finite values and DFA scale ranges."""
+"""Input checks at the edges: non-finite values, DFA scale ranges and short audio."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from groovekit import FormatError, Interval, Onset, OnsetSeries, ParameterError, read_onsets_csv
+from groovekit import (
+    AnnotationEdit,
+    AudioClip,
+    FormatError,
+    Interval,
+    Onset,
+    OnsetSeries,
+    ParameterError,
+    Section,
+    highpass,
+    read_onsets_csv,
+)
 from groovekit.cli import main
 
 HEADER = "index,time_s,amplitude,label,source\n"
@@ -85,3 +97,60 @@ class TestDfaRangeFlags:
         err = capsys.readouterr().err
         assert "LO" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteSectionAndEditTimes:
+    @pytest.mark.parametrize("row", ["nan,1.0,other", "0.0,inf,other", "-inf,1.0,B-chorus"])
+    def test_analyze_sections_exit_2_names_line(self, tmp_path, capsys, row):
+        sections = tmp_path / "sections.csv"
+        sections.write_text("start_s,end_s,tag\n" + row + "\n")
+        path = _annotation(tmp_path, bad_row_at=-1)
+        code = main(["analyze", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--sections", str(sections)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{sections}:2: bad section row" in err and "finite" in err
+
+    @pytest.mark.parametrize("row", ["add,nan,,hihat", "move,0.5,inf,", "remove,-inf,,"])
+    def test_onsets_edits_exit_2_names_line(self, tmp_path, capsys, row):
+        edits = tmp_path / "edits.csv"
+        edits.write_text("kind,target_time_s,new_time_s,label\nadd,0.25,,hihat\n" + row + "\n")
+        wav = tmp_path / "clip.wav"
+        wavfile.write(wav, 44100, np.zeros(4410, dtype=np.float32))
+        code = main(["onsets", str(wav), "-o", str(tmp_path / "o.csv"), "--edits", str(edits)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{edits}:3: bad edit row" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rows_reject_non_finite(self, value):
+        with pytest.raises(ParameterError, match="finite"):
+            Section(value, 1.0, "other")
+        with pytest.raises(ParameterError, match="finite"):
+            Section(0.0, value, "other")
+        with pytest.raises(ParameterError, match="finite"):
+            AnnotationEdit("add", value)
+        with pytest.raises(ParameterError, match="finite"):
+            AnnotationEdit("move", 0.5, new_time_s=value)
+
+
+class TestShortAudio:
+    @pytest.mark.parametrize("n_samples", [0, 10, 15])
+    @pytest.mark.parametrize("command", ["analyze", "onsets"])
+    def test_too_short_for_highpass_exit_2(self, tmp_path, capsys, command, n_samples):
+        wav = tmp_path / "short.wav"
+        wavfile.write(wav, 44100, np.zeros(n_samples, dtype=np.float32))
+        out = ["--out-dir", str(tmp_path / "out")] if command == "analyze" else ["-o", str(tmp_path / "o.csv")]
+        code = main([command, str(wav), *out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"clip of {n_samples} samples" in err and "at least 16" in err
+
+    def test_shortest_accepted_clip(self):
+        clip = AudioClip(samples=np.zeros(16), sample_rate=44100.0)
+        assert len(highpass(clip).samples) == 16
+        with pytest.raises(ParameterError, match="clip of 15 samples"):
+            highpass(AudioClip(samples=np.zeros(15), sample_rate=44100.0))
