@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
-from scipy.io import wavfile
 
 from .errors import FormatError, ParameterError
 
@@ -91,6 +89,8 @@ def load_audio(path) -> AudioClip:
     FormatError
         If the container or sample encoding is unsupported.
     """
+    from scipy.io import wavfile  # local import; CSV analysis never loads scipy
+
     try:
         rate, data = wavfile.read(path)
     except OSError:
@@ -112,6 +112,8 @@ def load_audio(path) -> AudioClip:
 
 def save_audio(path, clip: AudioClip) -> None:
     """Write a clip as 32-bit float PCM WAV."""
+    from scipy.io import wavfile  # local import; CSV analysis never loads scipy
+
     wavfile.write(path, int(round(clip.sample_rate)), clip.samples.astype(np.float32))
 
 
@@ -122,6 +124,8 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     are not skewed by phase delay; effective magnitude response is the square
     of a single pass. Output length equals input length.
     """
+    from scipy import signal  # local import; CSV analysis never loads scipy
+
     nyquist = clip.sample_rate / 2.0
     if not 0 < cutoff_hz < nyquist:
         raise ParameterError(
@@ -151,8 +155,10 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
     is normalized to peak 1.0; an all-zero input yields an all-zero envelope
     flagged ``silent`` instead.
     """
-    if smoothing_ms <= 0:
-        raise ParameterError("smoothing_ms must be positive")
+    from scipy import signal  # local import; CSV analysis never loads scipy
+
+    if not 0 < smoothing_ms < np.inf:
+        raise ParameterError("smoothing_ms must be positive and finite")
     rectified = np.abs(clip.samples)
     # one-pole low-pass: y[n] = a*y[n-1] + (1-a)*x[n]
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,16 +38,26 @@ from .tempogram import TempogramParams, fourier_tempogram, novelty_curve, tempog
 __all__ = ["main"]
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cutoff-hz", type=float, default=1000.0,
+    parser.add_argument("--cutoff-hz", type=_finite_float, default=1000.0,
                         help="high-pass cutoff (default 1000)")
-    parser.add_argument("--threshold", type=float, default=0.1,
+    parser.add_argument("--threshold", type=_finite_float, default=0.1,
                         help="peak threshold as fraction of envelope peak (default 0.1)")
-    parser.add_argument("--refractory-ms", type=float, default=50.0,
+    parser.add_argument("--refractory-ms", type=_finite_float, default=50.0,
                         help="minimum onset separation (default 50)")
-    parser.add_argument("--merge-ms", type=float, default=3.0,
+    parser.add_argument("--merge-ms", type=_finite_float, default=3.0,
                         help="double-trigger merge window (default 3)")
-    parser.add_argument("--smoothing-ms", type=float, default=2.0,
+    parser.add_argument("--smoothing-ms", type=_finite_float, default=2.0,
                         help="envelope smoothing time constant (default 2)")
 
 
@@ -177,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run the full analysis pipeline")
     p_an.add_argument("input", help="audio file or annotation CSV")
     p_an.add_argument("--out-dir", default="groovekit-out", help="output directory")
-    p_an.add_argument("--bpm-hint", type=float, default=None)
-    p_an.add_argument("--max-multiple", type=float, default=3.5,
+    p_an.add_argument("--bpm-hint", type=_finite_float, default=None)
+    p_an.add_argument("--max-multiple", type=_finite_float, default=3.5,
                       help="discard intervals beyond this multiple of the base unit")
     p_an.add_argument("--phrase-len", type=int, default=16,
                       help="hi-hat positions per two-bar phrase (default 16)")
@@ -192,25 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sy = sub.add_parser("synth", help="generate ground-truth grooves or noise series")
     p_sy.add_argument("-o", "--output", required=True, help="annotation or series CSV to write")
-    p_sy.add_argument("--bpm", type=float, default=84.0)
-    p_sy.add_argument("--swing", type=float, default=2.0)
+    p_sy.add_argument("--bpm", type=_finite_float, default=84.0)
+    p_sy.add_argument("--swing", type=_finite_float, default=2.0)
     p_sy.add_argument("--bars", type=int, default=4)
-    p_sy.add_argument("--jitter-ms", type=float, default=0.0)
-    p_sy.add_argument("--lrc-beta", type=float, default=0.0)
-    p_sy.add_argument("--lrc-sigma-ms", type=float, default=0.0)
-    p_sy.add_argument("--ghost-prob", type=float, default=0.0)
-    p_sy.add_argument("--amplitude-jitter", type=float, default=0.0)
-    p_sy.add_argument("--ramp-bpm", type=float, default=None,
+    p_sy.add_argument("--jitter-ms", type=_finite_float, default=0.0)
+    p_sy.add_argument("--lrc-beta", type=_finite_float, default=0.0)
+    p_sy.add_argument("--lrc-sigma-ms", type=_finite_float, default=0.0)
+    p_sy.add_argument("--ghost-prob", type=_finite_float, default=0.0)
+    p_sy.add_argument("--amplitude-jitter", type=_finite_float, default=0.0)
+    p_sy.add_argument("--ramp-bpm", type=_finite_float, default=None,
                       help="linear tempo ramp target over the full length")
     p_sy.add_argument("--seed", type=int, default=0)
     p_sy.add_argument("--render", help="also render a click-track WAV here")
-    p_sy.add_argument("--sample-rate", type=float, default=44100.0)
-    p_sy.add_argument("--click-ms", type=float, default=3.0)
-    p_sy.add_argument("--noise-db", type=float, default=None,
+    p_sy.add_argument("--sample-rate", type=_finite_float, default=44100.0)
+    p_sy.add_argument("--click-ms", type=_finite_float, default=3.0)
+    p_sy.add_argument("--noise-db", type=_finite_float, default=None,
                       help="broadband noise level relative to click peak")
     p_sy.add_argument("--series-only", action="store_true",
                       help="emit a power-law noise series instead of a groove")
-    p_sy.add_argument("--beta", type=float, default=1.0, help="series spectral exponent")
+    p_sy.add_argument("--beta", type=_finite_float, default=1.0, help="series spectral exponent")
     p_sy.add_argument("-n", "--length", type=int, default=8192, help="series length")
     p_sy.set_defaults(func=_cmd_synth)
     return parser

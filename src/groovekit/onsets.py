@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .audio import EnvelopeSignal
 from .errors import EditError, FormatError, ParameterError
@@ -254,10 +253,12 @@ def detect_onsets(
     half the peak's width above 90% of its height; onsets beyond 5 ms
     uncertainty are discarded. A silent envelope yields an empty series.
     """
+    from scipy.signal import find_peaks  # local import; CSV analysis never loads scipy
+
     if not 0 < threshold < 1:
         raise ParameterError("threshold must lie in (0, 1)")
-    if refractory_ms <= 0:
-        raise ParameterError("refractory_ms must be positive")
+    if not 0 < refractory_ms < math.inf:
+        raise ParameterError("refractory_ms must be positive and finite")
     values = env.values
     if env.silent or len(values) < 3:
         return OnsetSeries(onsets=())
@@ -282,8 +283,8 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
     A run keeps its first member's time (the hit is annotated to the first
     trigger) and the maximum amplitude seen in the run.
     """
-    if window_ms <= 0:
-        raise ParameterError("window_ms must be positive")
+    if not 0 < window_ms < math.inf:
+        raise ParameterError("window_ms must be positive and finite")
     if len(series) <= 1:
         return series
     times, amplitudes, labels, sources, unc = series._cols

@@ -1,4 +1,5 @@
-"""Input checks at the edges: non-finite values, DFA scale ranges and short audio."""
+"""Input checks at the edges: non-finite values, DFA scale ranges, float flags
+and short audio."""
 
 import math
 
@@ -15,10 +16,15 @@ from groovekit import (
     OnsetSeries,
     ParameterError,
     Section,
+    detect_onsets,
+    envelope,
     highpass,
+    merge_close_onsets,
     read_onsets_csv,
 )
 from groovekit.cli import main
+
+from conftest import make_envelope, series_from_times
 
 HEADER = "index,time_s,amplitude,label,source\n"
 
@@ -154,3 +160,81 @@ class TestShortAudio:
         assert len(highpass(clip).samples) == 16
         with pytest.raises(ParameterError, match="clip of 15 samples"):
             highpass(AudioClip(samples=np.zeros(15), sample_rate=44100.0))
+
+
+DETECTION_FLAGS = ["--cutoff-hz", "--threshold", "--refractory-ms", "--merge-ms", "--smoothing-ms"]
+ANALYSIS_FLAGS = ["--bpm-hint", "--max-multiple"]
+# --click-ms nan used to raise a ValueError traceback, --jitter-ms nan gave an
+# unjittered groove and --beta nan a series of NaN samples
+SYNTH_FLAGS = ["--bpm", "--swing", "--jitter-ms", "--lrc-beta", "--lrc-sigma-ms", "--ghost-prob",
+               "--amplitude-jitter", "--ramp-bpm", "--sample-rate", "--click-ms", "--noise-db",
+               "--beta"]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestNonFiniteFlags:
+    """Non-finite float flags are usage errors (exit 2) naming the flag."""
+
+    def _assert_usage_error(self, capsys, argv, flag, written):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number" in err
+        assert "Traceback" not in err
+        assert not written.exists()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", DETECTION_FLAGS + ANALYSIS_FLAGS)
+    @pytest.mark.parametrize("suffix", [".csv", ".wav"])
+    def test_analyze(self, tmp_path, capsys, suffix, flag, value):
+        if suffix == ".csv":
+            path = _annotation(tmp_path, bad_row_at=-1)
+        else:
+            path = tmp_path / "clip.wav"
+            wavfile.write(path, 44100, np.zeros(4410, dtype=np.float32))
+        out = tmp_path / "out"
+        argv = ["analyze", str(path), "--out-dir", str(out), f"{flag}={value}"]
+        self._assert_usage_error(capsys, argv, flag, out)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", DETECTION_FLAGS)
+    def test_onsets(self, tmp_path, capsys, flag, value):
+        wav = tmp_path / "clip.wav"
+        wavfile.write(wav, 44100, np.zeros(4410, dtype=np.float32))
+        out = tmp_path / "o.csv"
+        argv = ["onsets", str(wav), "-o", str(out), f"{flag}={value}"]
+        self._assert_usage_error(capsys, argv, flag, out)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", SYNTH_FLAGS)
+    def test_synth(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g.csv"
+        argv = ["synth", "-o", str(out), "--render", str(tmp_path / "g.wav"), f"{flag}={value}"]
+        self._assert_usage_error(capsys, argv, flag, out)
+
+    def test_non_number_keeps_argparse_wording(self, tmp_path, capsys):
+        path = _annotation(tmp_path, bad_row_at=-1)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), "--bpm-hint", "fast"])
+        assert exc.value.code == 2
+        assert "argument --bpm-hint: invalid float value: 'fast'" in capsys.readouterr().err
+
+
+class TestNonFiniteDetectionParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_detect_onsets_refractory(self, value):
+        env = make_envelope([0.0, 1.0, 0.0, 0.5, 0.0])
+        with pytest.raises(ParameterError, match="refractory_ms"):
+            detect_onsets(env, refractory_ms=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_merge_close_onsets_window(self, value):
+        with pytest.raises(ParameterError, match="window_ms"):
+            merge_close_onsets(series_from_times([0.1, 0.2, 0.3]), window_ms=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_envelope_smoothing(self, value):
+        clip = AudioClip(samples=np.ones(64), sample_rate=44100.0)
+        with pytest.raises(ParameterError, match="smoothing_ms"):
+            envelope(clip, smoothing_ms=value)
