@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import dfa as dfa_mod
 from ._version import __version__
-from .errors import EstimationError, GrooveKitError
+from .errors import EstimationError, GrooveKitError, ParameterError
 from .groove import (
     DriftSeries,
     PhraseProfile,
@@ -62,6 +63,14 @@ class AnalysisParams:
     dfa_long: tuple[int, int] = dfa_mod.LONG_RANGE
     raw_intervals: bool = False
     histogram_bin_ms: float = 2.0
+
+    def __post_init__(self):
+        checked = {"max_multiple": self.max_multiple, "histogram_bin_ms": self.histogram_bin_ms}
+        if self.bpm_hint is not None:
+            checked["bpm_hint"] = self.bpm_hint
+        for name, value in checked.items():
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
     def to_dict(self) -> dict:
         return {

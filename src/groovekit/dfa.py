@@ -1,16 +1,16 @@
 """Detrended fluctuation analysis.
 
-The series is mean-centered and integrated into a profile; for each scale the
-profile is split into non-overlapping windows, an order-n polynomial trend is
-removed per window, and the square root of the mean residual variance gives
-the fluctuation function F(s). Scaling exponents are least-squares slopes of
-log F against log s, fitted globally, over short/long ranges, or in a sliding
-window for a scale-resolved alpha(s).
-
-Windows are tiled from both ends of the profile and their variances averaged,
-so no tail samples are dropped. The profile starts at an explicit zero, which
-makes it exactly antisymmetric under time reversal; reversing the input
-therefore swaps the two tiling passes and leaves every F(s) unchanged.
+The series is mean-centered and integrated into a profile that starts at an
+explicit zero, so it is antisymmetric under time reversal. For each scale the
+profile is cut into non-overlapping windows tiled from both ends, so no tail
+samples are dropped and reversing the input leaves F(s) unchanged. Both tilings
+are stacked as rows of one array and detrended by projection, with no solver:
+the Gram polynomials on the window positions give an orthonormal basis of the
+order-n trends once per scale. Each window's first sample is subtracted before
+projecting, so rounding follows the variation inside it, not its level. F(s)
+is the root mean residual variance. Scaling exponents are least-squares slopes
+of log F against log s: global, over short/long ranges, or in a sliding window
+for a scale-resolved alpha(s).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FitError, ParameterError
 
@@ -74,13 +75,14 @@ def default_scales(
     return np.unique(np.round(grid).astype(np.int64))
 
 
-def _pass_variances(profile: np.ndarray, s: int, vander: np.ndarray) -> np.ndarray:
-    """Residual variance of each non-overlapping window, tiled from index 0."""
-    n_win = len(profile) // s
-    blocks = profile[: n_win * s].reshape(n_win, s).T  # (s, n_win)
-    coef, *_ = np.linalg.lstsq(vander, blocks, rcond=None)
-    resid = blocks - vander @ coef
-    return np.mean(resid**2, axis=0)
+def _gram_basis(s: int, order: int) -> np.ndarray:
+    """(s, order + 1) orthonormal Gram polynomials from their three-term recurrence."""
+    t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
+    cols = [np.ones(s), t]
+    for k in range(1, order):
+        cols.append(t * cols[k] - k * k * (s * s - k * k) / (4.0 * (4 * k * k - 1)) * cols[k - 1])
+    basis = np.column_stack(cols[: order + 1])
+    return basis / np.linalg.norm(basis, axis=0)
 
 
 def dfa_fluctuation(
@@ -91,21 +93,23 @@ def dfa_fluctuation(
     """Fluctuation function F(s) over the given scales (exponents unset).
 
     A constant input has zero fluctuation everywhere and is flagged
-    degenerate. The series must be at least four times the largest scale, and
-    every scale must exceed ``detrend_order + 1`` so windows keep residual
-    degrees of freedom.
+    degenerate. The series must be finite and at least four times the largest
+    scale, and every scale must exceed ``detrend_order + 1`` so windows keep
+    residual degrees of freedom.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("series must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("series contains non-finite values")
     n = len(x)
     if scales is None:
         scales = default_scales(n)
     scales = np.unique(np.asarray(scales, dtype=np.int64))
     if len(scales) == 0:
         raise ParameterError("no scales given")
-    if int(scales[0]) < detrend_order + 2:
-        raise ParameterError(f"scales must be at least detrend_order + 2 = {detrend_order + 2}")
+    if detrend_order < 0 or int(scales[0]) < detrend_order + 2:
+        raise ParameterError(f"need detrend_order >= 0 and scales >= {detrend_order + 2}")
     if n < 4 * int(scales[-1]):
         raise ParameterError(
             f"series of length {n} is too short for scale {int(scales[-1])} (need 4x)"
@@ -120,15 +124,14 @@ def dfa_fluctuation(
         )
 
     profile = np.concatenate(([0.0], np.cumsum(x - np.mean(x))))
-    reversed_profile = profile[::-1]
     F = np.empty(len(scales), dtype=np.float64)
-    for i, s in enumerate(scales):
-        s = int(s)
-        positions = np.arange(s, dtype=np.float64)
-        vander = np.vander(positions, detrend_order + 1, increasing=True)
-        fwd = _pass_variances(profile, s, vander)
-        bwd = _pass_variances(reversed_profile, s, vander)
-        F[i] = np.sqrt((fwd.sum() + bwd.sum()) / (len(fwd) + len(bwd)))
+    for i, s in enumerate(scales.tolist()):
+        used = len(profile) // s * s
+        resid = np.concatenate((profile[:used], profile[::-1][:used])).reshape(-1, s)
+        resid -= resid[:, :1]
+        basis = _gram_basis(s, detrend_order)
+        resid -= (resid @ basis) @ basis.T
+        F[i] = np.sqrt(np.vdot(resid, resid) / resid.size)
     degenerate = bool(np.all(F == 0.0))
     return FluctuationResult(
         scales=scales, F=F, detrend_order=detrend_order, degenerate=degenerate
@@ -176,14 +179,12 @@ def local_alpha(
         raise FitError(f"need at least {width} scales for half_window={half_window}")
     if np.any(result.F <= 0.0):
         raise FitError("degenerate fluctuation values (F <= 0)")
-    log_s = np.log(result.scales.astype(np.float64))
-    log_f = np.log(result.F)
-    out = []
-    for c in range(half_window, n - half_window):
-        sl = slice(c - half_window, c + half_window + 1)
-        slope = np.polyfit(log_s[sl], log_f[sl], 1)[0]
-        out.append((int(result.scales[c]), float(slope)))
-    return tuple(out)
+    log_s = sliding_window_view(np.log(result.scales.astype(np.float64)), width)
+    log_f = sliding_window_view(np.log(result.F), width)
+    ds = log_s - log_s.mean(axis=1, keepdims=True)
+    df = log_f - log_f.mean(axis=1, keepdims=True)
+    slopes = np.sum(ds * df, axis=1) / np.sum(ds * ds, axis=1)
+    return tuple(zip(result.scales[half_window : n - half_window].tolist(), slopes.tolist()))
 
 
 def dfa_analyze(

@@ -72,14 +72,15 @@ class GrooveSpec:
     drift_profile: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.bpm <= 0:
-            raise ParameterError("bpm must be positive")
-        if self.swing_ratio <= 0:
-            raise ParameterError("swing_ratio must be positive")
+        if not 0 < self.bpm < math.inf:
+            raise ParameterError("bpm must be positive and finite")
+        if not 0 < self.swing_ratio < math.inf:
+            raise ParameterError("swing_ratio must be positive and finite")
         if self.bars < 1:
             raise ParameterError("bars must be at least 1")
-        if self.jitter_sigma_ms < 0 or self.lrc_sigma_ms < 0:
-            raise ParameterError("noise scales must be non-negative")
+        for name in ("jitter_sigma_ms", "lrc_sigma_ms", "amplitude_jitter"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.ghost_probability <= 1.0:
             raise ParameterError("ghost_probability must lie in [0, 1]")
         if not self.amplitude_pattern or any(
@@ -88,10 +89,10 @@ class GrooveSpec:
             raise ParameterError("amplitude_pattern values must lie in (0, 1]")
         if self.drift_profile is not None:
             bars = [b for b, _ in self.drift_profile]
-            if len(bars) < 2 or any(b2 <= b1 for b1, b2 in zip(bars, bars[1:])):
+            if len(bars) < 2 or any(not b1 < b2 < math.inf for b1, b2 in zip(bars, bars[1:])):
                 raise ParameterError("drift_profile needs strictly increasing bar positions")
-            if any(bpm <= 0 for _, bpm in self.drift_profile):
-                raise ParameterError("drift_profile tempi must be positive")
+            if any(not 0 < bpm < math.inf for _, bpm in self.drift_profile):
+                raise ParameterError("drift_profile tempi must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -307,10 +308,10 @@ def render_clicks(
     sum. ``noise_db`` adds broadband Gaussian noise with RMS that many dB
     below the loudest click peak.
     """
-    if sample_rate < 8000:
-        raise ParameterError("sample_rate must be at least 8 kHz")
-    if click_ms <= 0:
-        raise ParameterError("click_ms must be positive")
+    if not 8000 <= sample_rate < math.inf:
+        raise ParameterError("sample_rate must be at least 8 kHz and finite")
+    if not 0 < click_ms < math.inf:
+        raise ParameterError("click_ms must be positive and finite")
     times, amps = onsets.times(), onsets.amplitudes()
     if len(times) and times[0] < 0:
         raise ParameterError("cannot render onsets before time zero")

@@ -8,19 +8,26 @@ import pytest
 from scipy.io import wavfile
 
 from groovekit import (
+    AnalysisParams,
     AnnotationEdit,
     AudioClip,
     FormatError,
+    GrooveSpec,
     Interval,
     Onset,
     OnsetSeries,
     ParameterError,
     Section,
     detect_onsets,
+    dfa_analyze,
+    dfa_fluctuation,
     envelope,
+    gen_shuffle_onsets,
     highpass,
     merge_close_onsets,
     read_onsets_csv,
+    render_clicks,
+    run_analysis,
 )
 from groovekit.cli import main
 
@@ -238,3 +245,67 @@ class TestNonFiniteDetectionParameters:
         clip = AudioClip(samples=np.ones(64), sample_rate=44100.0)
         with pytest.raises(ParameterError, match="smoothing_ms"):
             envelope(clip, smoothing_ms=value)
+
+
+class TestNonFiniteLibraryInputs:
+    """Library entry points name the bad value instead of failing deep inside
+    (or, for DFA, returning an all-NaN F)."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dfa_rejects_non_finite_series(self, value):
+        x = np.random.default_rng(0).normal(size=256)
+        x[100] = value
+        with pytest.raises(ParameterError, match="non-finite"):
+            dfa_fluctuation(x)
+        with pytest.raises(ParameterError, match="non-finite"):
+            dfa_analyze(x)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -84.0])
+    @pytest.mark.parametrize("name", ["bpm_hint", "max_multiple", "histogram_bin_ms"])
+    def test_analysis_params_name_the_field(self, name, value):
+        onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))
+        with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
+            run_analysis(onsets, params=AnalysisParams(**{name: value}))
+
+    def test_analysis_params_accept_no_bpm_hint(self):
+        onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))
+        assert run_analysis(onsets, params=AnalysisParams(bpm_hint=None)).params.bpm_hint is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("name", ["bpm", "swing_ratio"])
+    def test_groove_spec_positive_fields(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
+            GrooveSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["jitter_sigma_ms", "lrc_sigma_ms", "amplitude_jitter"])
+    def test_groove_spec_noise_scales(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be non-negative and finite"):
+            GrooveSpec(**{name: value})
+
+    @pytest.mark.parametrize(
+        "profile, match",
+        [
+            (((0.0, math.nan), (4.0, 90.0)), "tempi"),
+            (((0.0, 84.0), (4.0, math.inf)), "tempi"),
+            (((math.nan, 84.0), (4.0, 90.0)), "bar positions"),
+            (((0.0, 84.0), (math.inf, 90.0)), "bar positions"),
+        ],
+    )
+    def test_groove_spec_drift_profile(self, profile, match):
+        with pytest.raises(ParameterError, match=match):
+            GrooveSpec(drift_profile=profile)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"click_ms": math.nan}, "click_ms"),
+            ({"click_ms": math.inf}, "click_ms"),
+            ({"sample_rate": math.nan}, "sample_rate"),
+            ({"sample_rate": math.inf}, "sample_rate"),
+        ],
+    )
+    def test_render_clicks(self, kwargs, match):
+        onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=1))
+        with pytest.raises(ParameterError, match=match):
+            render_clicks(onsets, **kwargs)
