@@ -7,7 +7,6 @@ reported number can be recomputed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dfa as dfa_mod
+from ._csvio import write_rows
 from ._version import __version__
 from .errors import EstimationError, GrooveKitError, ParameterError
 from .groove import (
@@ -271,22 +271,15 @@ def _atomic(path: Path, write_fn) -> None:
 
 def _write_dfa_csv(path, result: dfa_mod.FluctuationResult) -> None:
     local = dict(result.alpha_local)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "F", "alpha_local"])
-        for s, f in zip(result.scales, result.F):
-            a = local.get(int(s))
-            writer.writerow([int(s), f"{f:.9g}", "" if a is None else f"{a:.6f}"])
+    scales = result.scales.tolist()
+    alpha = ["" if local.get(s) is None else f"{local[s]:.6f}" for s in scales]
+    write_rows(path, ["s", "F", "alpha_local"], "%d,%.9g,%s\r\n", [scales, result.F, alpha])
 
 
 def _write_histogram_csv(path, hist: dict) -> None:
-    edges = hist["bin_edges_s"]
-    counts = hist["counts"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_ms", "bin_end_ms", "count"])
-        for lo, hi, c in zip(edges, edges[1:], counts):
-            writer.writerow([f"{lo * 1e3:.3f}", f"{hi * 1e3:.3f}", c])
+    edges_ms = np.array(hist["bin_edges_s"]) * 1e3
+    write_rows(path, ["bin_start_ms", "bin_end_ms", "count"], "%.3f,%.3f,%d\r\n",
+               [edges_ms[:-1], edges_ms[1:], hist["counts"]])
 
 
 def write_analysis_outputs(out_dir, result: AnalysisResult) -> Path:

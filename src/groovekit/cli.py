@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 degenerate analysis (e.g. too few onsets),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
+from ._csvio import write_rows
 from ._version import __version__
 from .analysis import AnalysisParams, DegenerateInputError, run_analysis, write_analysis_outputs
 from .audio import envelope, highpass, load_audio, save_audio
@@ -133,11 +133,7 @@ def _write_tempogram_outputs(out_dir: Path, clip) -> None:
 def _cmd_synth(args) -> int:
     if args.series_only:
         rows = gen_powerlaw_noise(args.beta, args.length, seed=args.seed)
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value"])
-            for v in rows:
-                writer.writerow([f"{v:.12g}"])
+        write_rows(args.output, ["value"], "%.12g\r\n", [rows])
         print(f"wrote {len(rows)} samples to {args.output}")
         return 0
     profile = None

@@ -9,11 +9,11 @@ musical units.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvio import write_rows
 from .errors import EstimationError, ParameterError
 from .intervals import IntervalSeries, SectionMap
 from .onsets import LABELS, OnsetSeries
@@ -331,14 +331,8 @@ def phrase_amplitude_profile(
 # CSV sidecars
 
 def write_drift_csv(path, drift: DriftSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "time_s", "drift_s", "gap"])
-        writer.writerows(
-            [i, f"{t:.6f}", f"{d:.9f}", int(g)]
-            for i, t, d, g in zip(drift.index.tolist(), drift.time_s.tolist(),
-                                  drift.d_s.tolist(), drift.gap.tolist())
-        )
+    write_rows(path, ["index", "time_s", "drift_s", "gap"], "%d,%.6f,%.9f,%d\r\n",
+               [drift.index, drift.time_s, drift.d_s, drift.gap])
 
 
 def _fixed(value: float | None, digits: int) -> str:
@@ -347,9 +341,10 @@ def _fixed(value: float | None, digits: int) -> str:
 
 def write_profile_csv(path, profile: PhraseProfile) -> None:
     dev = profile.deviation_pct or (None,) * len(profile.template)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "mean", "std", "n", "deviation_pct"])
-        for s in range(len(profile.template)):
-            writer.writerow([s, _fixed(profile.mean[s], 9), _fixed(profile.std[s], 9),
-                             profile.n[s], _fixed(dev[s], 6)])
+    write_rows(path, ["position", "mean", "std", "n", "deviation_pct"], "%d,%s,%s,%d,%s\r\n", [
+        range(len(profile.template)),
+        [_fixed(v, 9) for v in profile.mean],
+        [_fixed(v, 9) for v in profile.std],
+        profile.n,
+        [_fixed(v, 6) for v in dev],
+    ])

@@ -9,13 +9,13 @@ iteration recovers it from the data.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import read_rows, write_rows
 from .errors import EstimationError, FormatError, ParameterError
 from .onsets import ColumnSeries, OnsetSeries
 
@@ -305,26 +305,19 @@ _SECTION_HEADER = ["start_s", "end_s", "tag"]
 
 
 def write_sections_csv(path, sections: SectionMap) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SECTION_HEADER)
-        for s in sections:
-            writer.writerow([f"{s.start_time_s:.6f}", f"{s.end_time_s:.6f}", s.tag])
+    write_rows(path, _SECTION_HEADER, "%.6f,%.6f,%s\r\n", [
+        [s.start_time_s for s in sections],
+        [s.end_time_s for s in sections],
+        [s.tag for s in sections],
+    ])
 
 
 def read_sections_csv(path) -> SectionMap:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SECTION_HEADER:
-            raise FormatError(f"bad section header in {path!r}: {header}")
-        sections = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                start, end, tag = row
-                sections.append(Section(float(start), float(end), tag))
-            except (ValueError, ParameterError) as exc:
-                raise FormatError(f"{path!s}:{lineno}: bad section row: {exc}") from exc
+    sections = []
+    for lineno, row in read_rows(path, _SECTION_HEADER, "section"):
+        try:
+            start, end, tag = row
+            sections.append(Section(float(start), float(end), tag))
+        except (ValueError, ParameterError) as exc:
+            raise FormatError(f"{path!s}:{lineno}: bad section row: {exc}") from exc
     return SectionMap(sections=tuple(sections))

@@ -8,12 +8,12 @@ arrive as CSV files.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csvio import Irregular, field_blocks, quote, read_rows, write_rows
 from .audio import EnvelopeSignal
 from .errors import EditError, FormatError, ParameterError
 
@@ -368,38 +368,54 @@ _EDIT_HEADER = ["kind", "target_time_s", "new_time_s", "label"]
 
 
 def write_onsets_csv(path, series: OnsetSeries) -> None:
-    times, amplitudes = series.times().tolist(), series.amplitudes().tolist()
-    rows = zip(times, amplitudes, series.labels(), series.sources())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ONSET_HEADER)
-        writer.writerows(
-            [i, f"{t:.6f}", f"{a:.6f}", label, source]
-            for i, (t, a, label, source) in enumerate(rows)
-        )
+    times, amplitudes, labels, sources, _ = series._cols
+    write_rows(path, _ONSET_HEADER, "%d,%.6f,%.6f,%s,%s\r\n", [
+        range(len(series)),
+        times,
+        amplitudes,
+        np.array(LABELS, dtype=object)[labels],
+        np.array(SOURCES, dtype=object)[sources],
+    ])
 
 
 def read_onsets_csv(path) -> OnsetSeries:
     """Parse an annotation CSV into columns; a malformed or non-finite
-    value raises :class:`FormatError` naming its line."""
+    value raises :class:`FormatError` naming its line.
+
+    Plain files are read in blocks; anything else (quotes, blank lines, a
+    bad value) is re-read row by row, which names the bad line.
+    """
+    try:
+        return _read_onsets_blocks(path)
+    except (Irregular, ValueError, KeyError):
+        return _read_onsets_rows(path)
+
+
+def _read_onsets_blocks(path) -> OnsetSeries:
+    times, amplitudes, labels, sources = [], [], [], []
+    label_code, source_code = _LABEL_CODES.__getitem__, _SOURCE_CODES.__getitem__
+    for fields, n in field_blocks(path, _ONSET_HEADER):
+        times.append(np.fromiter(map(float, fields[1::5]), np.float64, n))
+        amplitudes.append(np.fromiter(map(float, fields[2::5]), np.float64, n))
+        labels.append(np.fromiter(map(label_code, fields[3::5]), np.int8, n))
+        sources.append(np.fromiter(map(source_code, fields[4::5]), np.int8, n))
+    columns = [np.concatenate(c) if c else np.zeros(0) for c in (times, amplitudes, labels, sources)]
+    # a row that breaks a column rule raises ParameterError, a ValueError
+    return OnsetSeries._of(*columns, np.zeros(len(columns[0])))
+
+
+def _read_onsets_rows(path) -> OnsetSeries:
     lines, times, amplitudes, labels, sources = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _ONSET_HEADER:
-            raise FormatError(f"bad annotation header in {path!r}: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                _, time_s, amplitude, label, source = row
-                times.append(float(time_s))
-                amplitudes.append(float(amplitude))
-                labels.append(_code(label, _LABEL_CODES, "label"))
-                sources.append(_code(source, _SOURCE_CODES, "source"))
-            except (ValueError, ParameterError) as exc:
-                raise FormatError(f"{path!s}:{lineno}: bad annotation row: {exc}") from exc
-            lines.append(lineno)
+    for lineno, row in read_rows(path, _ONSET_HEADER, "annotation"):
+        try:
+            _, time_s, amplitude, label, source = row
+            times.append(float(time_s))
+            amplitudes.append(float(amplitude))
+            labels.append(_code(label, _LABEL_CODES, "label"))
+            sources.append(_code(source, _SOURCE_CODES, "source"))
+        except (ValueError, ParameterError) as exc:
+            raise FormatError(f"{path!s}:{lineno}: bad annotation row: {exc}") from exc
+        lines.append(lineno)
     uncertainty_ms = np.zeros(len(times))
     bad = _first_bad_row(np.array(times), np.array(amplitudes), uncertainty_ms)
     if bad is not None:
@@ -408,40 +424,27 @@ def read_onsets_csv(path) -> OnsetSeries:
 
 
 def write_edits_csv(path, edits: list[AnnotationEdit]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_EDIT_HEADER)
-        for e in edits:
-            writer.writerow(
-                [
-                    e.kind,
-                    f"{e.target_time_s:.6f}",
-                    "" if e.new_time_s is None else f"{e.new_time_s:.6f}",
-                    e.label or "",
-                ]
-            )
+    write_rows(path, _EDIT_HEADER, "%s,%.6f,%s,%s\r\n", [
+        [e.kind for e in edits],
+        [e.target_time_s for e in edits],
+        ["" if e.new_time_s is None else f"{e.new_time_s:.6f}" for e in edits],
+        [quote(e.label or "") for e in edits],
+    ])
 
 
 def read_edits_csv(path) -> list[AnnotationEdit]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _EDIT_HEADER:
-            raise FormatError(f"bad edits header in {path!r}: {header}")
-        edits = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                kind, target, new_time, label = row
-                edits.append(
-                    AnnotationEdit(
-                        kind=kind,
-                        target_time_s=float(target),
-                        new_time_s=float(new_time) if new_time else None,
-                        label=label or None,
-                    )
+    edits = []
+    for lineno, row in read_rows(path, _EDIT_HEADER, "edits"):
+        try:
+            kind, target, new_time, label = row
+            edits.append(
+                AnnotationEdit(
+                    kind=kind,
+                    target_time_s=float(target),
+                    new_time_s=float(new_time) if new_time else None,
+                    label=label or None,
                 )
-            except (ValueError, ParameterError) as exc:
-                raise FormatError(f"{path!s}:{lineno}: bad edit row: {exc}") from exc
+            )
+        except (ValueError, ParameterError) as exc:
+            raise FormatError(f"{path!s}:{lineno}: bad edit row: {exc}") from exc
     return edits

@@ -38,6 +38,12 @@ GROUPS_PER_BAR = 4
 
 GHOST_AMPLITUDE = 0.15
 
+# Render limits, checked before anything is allocated: the highest sample
+# rate audio hardware offers, and the most samples a 32-bit float WAV's data
+# chunk (at most 2**32 - 1 bytes) can hold.
+MAX_SAMPLE_RATE = 768000.0
+MAX_RENDER_SAMPLES = (2**32 - 1) // 4
+
 
 def unit_duration_s(bpm: float) -> float:
     """Duration of one eighth-note-triplet unit at the given tempo."""
@@ -306,12 +312,24 @@ def render_clicks(
     onset time with peak amplitude equal to the onset amplitude; the high
     carrier keeps clicks intact through a 1 kHz high-pass. Overlapping bursts
     sum. ``noise_db`` adds broadband Gaussian noise with RMS that many dB
-    below the loudest click peak.
+    relative to the loudest click peak (negative is quieter). A sample rate
+    above ``MAX_SAMPLE_RATE``, a render longer than ``MAX_RENDER_SAMPLES`` or
+    a noise level that overflows raises :class:`ParameterError` before
+    anything is allocated.
     """
-    if not 8000 <= sample_rate < math.inf:
-        raise ParameterError("sample_rate must be at least 8 kHz and finite")
+    if not 8000 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise ParameterError(
+            f"sample_rate must lie in [8000, {MAX_SAMPLE_RATE:.0f}] Hz, got {sample_rate}"
+        )
     if not 0 < click_ms < math.inf:
         raise ParameterError("click_ms must be positive and finite")
+    if noise_db is not None:
+        try:
+            noise_gain = 10.0 ** (noise_db / 20.0)
+        except OverflowError:
+            noise_gain = math.inf
+        if not noise_gain < math.inf:
+            raise ParameterError(f"noise_db must give a finite noise level, got {noise_db}")
     times, amps = onsets.times(), onsets.amplitudes()
     if len(times) and times[0] < 0:
         raise ParameterError("cannot render onsets before time zero")
@@ -322,11 +340,15 @@ def render_clicks(
             sample_rate=sample_rate,
         )
     click_len = max(2, int(round(click_ms * 1e-3 * sample_rate)))
+    total = int(round((float(times.max()) + tail_s) * sample_rate)) + click_len
+    if total > MAX_RENDER_SAMPLES:
+        raise ParameterError(
+            f"render of {total} samples exceeds the {MAX_RENDER_SAMPLES} a float WAV holds"
+        )
     t = np.arange(click_len) / sample_rate
     decay = click_ms * 1e-3 / 3.0
     burst = np.cos(2.0 * np.pi * click_hz * t) * np.exp(-t / decay)
 
-    total = int(round((float(times.max()) + tail_s) * sample_rate)) + click_len
     samples = np.zeros(total)
     for time_s, amplitude in zip(times.tolist(), amps.tolist()):
         start = int(round(time_s * sample_rate))
@@ -335,6 +357,6 @@ def render_clicks(
     if noise_db is not None:
         rng = np.random.default_rng(seed)
         peak = float(amps.max())
-        sigma = peak * 10.0 ** (noise_db / 20.0)
+        sigma = peak * noise_gain
         samples = samples + rng.normal(0.0, sigma, size=total)
     return AudioClip(samples=samples, sample_rate=sample_rate)

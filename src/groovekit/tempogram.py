@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_rows
 from .audio import AudioClip
 from .errors import ParameterError
 
@@ -202,17 +203,16 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None, octave_sigma: floa
 def write_tempogram_csv(path, tg: Tempogram) -> None:
     """Long-form CSV: time_s,bpm,magnitude, one row per (frame, tempo) cell.
 
-    Each time and tempo is formatted once and each frame's rows are written
-    in one call. Rows end in ``\\r\\n``, as ``csv.writer`` ends them; no
-    field ever needs quoting.
+    Each time and tempo is formatted once; the cells' rows reference those
+    strings and are written in blocks.
     """
-    tempo_fields = [f",{bpm:.4f}," for bpm in tg.tempi_bpm.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("time_s,bpm,magnitude\r\n")
-        for t, mags in zip(tg.times_s.tolist(), tg.magnitude.tolist()):
-            time_field = f"{t:.6f}"
-            rows = [f"{time_field}{tempo}{m:.9g}\r\n" for tempo, m in zip(tempo_fields, mags)]
-            fh.write("".join(rows))
+    times = np.array([f"{t:.6f}" for t in tg.times_s.tolist()], dtype=object)
+    tempi = np.array([f"{bpm:.4f}" for bpm in tg.tempi_bpm.tolist()], dtype=object)
+    write_rows(path, ["time_s", "bpm", "magnitude"], "%s,%s,%.9g\r\n", [
+        np.repeat(times, len(tempi)),
+        np.tile(tempi, len(times)),
+        tg.magnitude.reshape(-1),
+    ])
 
 
 def tempogram_summary(tg: Tempogram) -> dict:

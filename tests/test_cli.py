@@ -204,3 +204,58 @@ class TestAnalyzeCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["dfa"]["amplitudes"]["s_ranges"]["alpha1"] == [4, 12]
         assert report["dfa"]["amplitudes"]["s_ranges"]["alpha2"] == [12, 64]
+
+
+class TestExitCodeContract:
+    """Bad input files and flag values exit 2 with one message, no traceback."""
+
+    NOT_UTF8 = b"\xff\xfe,1.0\r\n"
+
+    def assert_exit_2(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def groove(self, tmp_path):
+        path = tmp_path / "g.csv"
+        assert run_cli("synth", "-o", str(path), "--bars", "4") == 0
+        return path
+
+    def test_non_utf8_annotation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"index,time_s,amplitude,label,source\r\n0," + self.NOT_UTF8)
+        self.assert_exit_2(capsys, ["analyze", str(bad), "--out-dir", str(tmp_path / "o")],
+                           f"{bad}: not UTF-8 text")
+
+    def test_non_utf8_sections(self, tmp_path, capsys):
+        bad = tmp_path / "sections.csv"
+        bad.write_bytes(b"start_s,end_s,tag\r\n" + self.NOT_UTF8)
+        self.assert_exit_2(capsys, ["analyze", str(self.groove(tmp_path)), "--sections", str(bad),
+                                    "--out-dir", str(tmp_path / "o")], f"{bad}: not UTF-8 text")
+
+    def test_non_utf8_edits(self, tmp_path, capsys):
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth", "-o", str(tmp_path / "t.csv"), "--bars", "1",
+                       "--render", str(wav)) == 0
+        bad = tmp_path / "edits.csv"
+        bad.write_bytes(b"kind,target_time_s,new_time_s,label\r\nadd," + self.NOT_UTF8)
+        self.assert_exit_2(capsys, ["onsets", str(wav), "-o", str(tmp_path / "o.csv"),
+                                    "--edits", str(bad)], f"{bad}: not UTF-8 text")
+
+    def test_estimation_error_is_input_error(self, tmp_path, capsys):
+        # no interval survives a 1e-9 class cutoff: the flag value is the fault
+        self.assert_exit_2(capsys, ["analyze", str(self.groove(tmp_path)), "--max-multiple",
+                                    "1e-9", "--out-dir", str(tmp_path / "o")],
+                           "no intervals within the class cutoff")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise-db", "1e6"], "noise_db"),
+        (["--sample-rate", "1e12"], "sample_rate"),
+        (["--click-ms", "1e9"], "samples exceeds"),
+    ])
+    def test_synth_render_limits(self, tmp_path, capsys, flags, message):
+        # every value here is rejected before any sample buffer is allocated
+        self.assert_exit_2(capsys, ["synth", "-o", str(tmp_path / "g.csv"), "--bars", "2",
+                                    "--render", str(tmp_path / "r.wav"), *flags], message)
+        assert not (tmp_path / "r.wav").exists()

@@ -303,6 +303,11 @@ class TestNonFiniteLibraryInputs:
             ({"click_ms": math.inf}, "click_ms"),
             ({"sample_rate": math.nan}, "sample_rate"),
             ({"sample_rate": math.inf}, "sample_rate"),
+            ({"sample_rate": 1e12}, "sample_rate"),
+            ({"noise_db": math.nan}, "noise_db"),
+            ({"noise_db": 1e6}, "noise_db"),
+            ({"noise_db": 6200.0}, "noise_db"),
+            ({"click_ms": 1e9}, "samples exceeds"),
         ],
     )
     def test_render_clicks(self, kwargs, match):
