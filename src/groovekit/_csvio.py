@@ -57,6 +57,9 @@ def write_rows(path, header, fmt: str, columns) -> None:
 def read_rows(path, header: list[str], kind: str):
     """Yield ``(line number, fields)`` for each non-blank row after ``header``.
 
+    The line number is the file's physical line on which the row ends, so a
+    quoted field that spans lines does not shift the numbers after it.
+
     A different first row, text that is not UTF-8, or a row ``csv.reader``
     rejects raises :class:`FormatError` naming the file.
     """
@@ -66,9 +69,9 @@ def read_rows(path, header: list[str], kind: str):
             first = next(reader, None)
             if first != header:
                 raise FormatError(f"bad {kind} header in {path!r}: {first}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if row:
-                    yield lineno, row
+                    yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path!s}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

@@ -151,8 +151,7 @@ def _cmd_synth(args) -> int:
         drift_profile=profile,
     )
     series, _ = gen_shuffle_onsets(spec, seed=args.seed)
-    write_onsets_csv(args.output, series)
-    print(f"wrote {len(series)} onsets to {args.output}")
+    # render before writing anything, so a rejected render flag leaves no file
     if args.render:
         clip = render_clicks(
             series,
@@ -161,6 +160,9 @@ def _cmd_synth(args) -> int:
             noise_db=args.noise_db,
             seed=args.seed,
         )
+    write_onsets_csv(args.output, series)
+    print(f"wrote {len(series)} onsets to {args.output}")
+    if args.render:
         save_audio(args.render, clip)
         print(f"rendered {clip.duration_s:.2f} s of audio to {args.render}")
     return 0

@@ -37,6 +37,9 @@ __all__ = [
 # conventional short/long fit ranges for the scaling exponent
 SHORT_RANGE = (4, 16)
 LONG_RANGE = (16, 100)
+# default scale grid: smallest window, and windows per decade of scale
+MIN_SCALE = 4
+SCALES_PER_DECADE = 16
 
 
 @dataclass(frozen=True)
@@ -56,22 +59,17 @@ class FluctuationResult:
         object.__setattr__(self, "F", np.asarray(self.F, dtype=np.float64))
 
 
-def default_scales(
-    n: int,
-    s_min: int = 4,
-    s_max: int | None = None,
-    per_decade: int = 16,
-) -> np.ndarray:
-    """Geometrically spaced integer scales, about ``per_decade`` per decade,
-    spanning [s_min, n/4] by default."""
+def default_scales(n: int, s_max: int | None = None) -> np.ndarray:
+    """Geometrically spaced integer scales, about ``SCALES_PER_DECADE`` per
+    decade, spanning [MIN_SCALE, n/4] by default."""
     if s_max is None:
         s_max = n // 4
-    if s_max < s_min:
-        raise ParameterError(f"series too short for scales >= {s_min} (max is {s_max})")
-    if s_max == s_min:
-        return np.array([s_min], dtype=np.int64)
-    count = max(2, int(np.ceil(per_decade * np.log10(s_max / s_min))) + 1)
-    grid = np.geomspace(s_min, s_max, num=count)
+    if s_max < MIN_SCALE:
+        raise ParameterError(f"series too short for scales >= {MIN_SCALE} (max is {s_max})")
+    if s_max == MIN_SCALE:
+        return np.array([MIN_SCALE], dtype=np.int64)
+    count = max(2, int(np.ceil(SCALES_PER_DECADE * np.log10(s_max / MIN_SCALE))) + 1)
+    grid = np.geomspace(MIN_SCALE, s_max, num=count)
     return np.unique(np.round(grid).astype(np.int64))
 
 

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_MULTIPLE = 3.5
+# the base-unit fixed point stops once an update is below BASE_UNIT_TOL_S
+BASE_UNIT_TOL_S = 1e-4
+BASE_UNIT_MAX_ITER = 50
 
 
 class BeatClass(enum.Enum):
@@ -188,6 +191,16 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
     return IntervalSeries._of(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
 
 
+def _histogram(taus: np.ndarray, width_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and edges of bins ``width_s`` wide, the first edge on a multiple
+    of ``width_s`` at or below the shortest interval."""
+    lo = np.floor(taus.min() / width_s) * width_s
+    n_bins = max(1, int(np.ceil((taus.max() - lo) / width_s)) + 1)
+    edges = lo + width_s * np.arange(n_bins + 1)
+    counts, _ = np.histogram(taus, bins=edges)
+    return counts, edges
+
+
 def _seed_from_minimum_mode(taus: np.ndarray, bin_ms: float = 4.0) -> float:
     """Center of the lowest well-populated histogram bin.
 
@@ -195,10 +208,7 @@ def _seed_from_minimum_mode(taus: np.ndarray, bin_ms: float = 4.0) -> float:
     short outliers that fill no bin.
     """
     bin_s = bin_ms * 1e-3
-    lo = np.floor(taus.min() / bin_s) * bin_s
-    n_bins = max(1, int(np.ceil((taus.max() - lo) / bin_s)) + 1)
-    edges = lo + bin_s * np.arange(n_bins + 1)
-    counts, _ = np.histogram(taus, bins=edges)
+    counts, edges = _histogram(taus, bin_s)
     floor = max(1.0, 0.5 * counts.max())
     for i, c in enumerate(counts):
         if c >= floor:
@@ -210,8 +220,6 @@ def estimate_base_unit(
     series: IntervalSeries,
     hint_bpm: float | None = None,
     max_multiple: float = DEFAULT_MAX_MULTIPLE,
-    tol_s: float = 1e-4,
-    max_iter: int = 50,
 ) -> float:
     """Fixed-point estimate of the eighth-note-triplet duration.
 
@@ -230,17 +238,19 @@ def estimate_base_unit(
         base = 60.0 / (hint_bpm * 6.0)
     else:
         base = _seed_from_minimum_mode(taus)
-    for _ in range(max_iter):
+    for _ in range(BASE_UNIT_MAX_ITER):
         ratios = taus / base
         rounded = np.clip(np.round(ratios), 1, 3)
         keep = ratios <= max_multiple
         if not np.any(keep):
             raise EstimationError("no intervals within the class cutoff; base unit undefined")
         new_base = float(np.mean(taus[keep] / rounded[keep]))
-        if abs(new_base - base) < tol_s:
+        if abs(new_base - base) < BASE_UNIT_TOL_S:
             return new_base
         base = new_base
-    raise EstimationError(f"base-unit estimate did not converge in {max_iter} iterations")
+    raise EstimationError(
+        f"base-unit estimate did not converge in {BASE_UNIT_MAX_ITER} iterations"
+    )
 
 
 def classify_intervals(
@@ -277,11 +287,7 @@ def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:
         if len(taus) == 0:
             out[klass.value] = {"count": 0}
             continue
-        width = bin_width_ms * 1e-3
-        lo = np.floor(taus.min() / width) * width
-        n_bins = max(1, int(np.ceil((taus.max() - lo) / width)) + 1)
-        edges = lo + width * np.arange(n_bins + 1)
-        counts, _ = np.histogram(taus, bins=edges)
+        counts, edges = _histogram(taus, bin_width_ms * 1e-3)
         out[klass.value] = {
             "count": int(len(taus)),
             "mean_s": float(np.mean(taus)),

@@ -9,7 +9,8 @@ arrive as CSV files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,14 +299,24 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
     )
 
 
-def _resolve_target(onsets: list[Onset], target_time_s: float) -> int | None:
+def _nearest(times: list[float], target_time_s: float) -> int | None:
+    """Index of the first onset at the minimal distance from ``target_time_s``
+    if within ``EDIT_RESOLUTION_S`` (inclusive), else None. ``times`` is sorted:
+    on the left the first index at the nearest distance (equal times, or
+    distances equal after rounding) is taken, and it wins a tie with the right.
+    """
+    p = bisect_left(times, target_time_s)
     best = None
-    best_dist = EDIT_RESOLUTION_S
-    for i, onset in enumerate(onsets):
-        dist = abs(onset.time_s - target_time_s)
-        if dist <= best_dist:
-            if best is None or dist < best_dist:
-                best, best_dist = i, dist
+    if p > 0:
+        best = bisect_left(
+            times, times[p - 1] - target_time_s, 0, p, key=lambda t: t - target_time_s
+        )
+    if p < len(times) and (
+        best is None or abs(times[p] - target_time_s) < abs(times[best] - target_time_s)
+    ):
+        best = p
+    if best is None or abs(times[best] - target_time_s) > EDIT_RESOLUTION_S:
+        return None
     return best
 
 
@@ -322,42 +333,46 @@ def apply_edits(
     edits: list[AnnotationEdit],
     env: EnvelopeSignal | None = None,
 ) -> OnsetSeries:
-    """Apply ordered edits; the result is re-sorted.
+    """Apply ``edits`` in order, each to the result of those before it.
 
-    Added onsets read their amplitude from ``env`` when given, else 0 with
-    label unknown. An edit whose target resolves to no onset within 5 ms
-    raises :class:`EditError` naming the edit index.
+    Remove, move and relabel act on the first onset at the minimal distance
+    from the target, within 5 ms inclusive; an edit whose target resolves to
+    no onset raises :class:`EditError` naming the edit index. An added or
+    moved onset goes where a stable sort by time would put it. Added onsets
+    read their amplitude from ``env`` when given, else 0, and are labelled
+    unknown unless the edit names a label.
     """
-    onsets = list(series)
+    cols = [c.tolist() for c in series._cols]
+    times, labels = cols[0], cols[2]
     for idx, edit in enumerate(edits):
         if edit.kind == "add":
-            onsets.append(
-                Onset(
-                    time_s=edit.target_time_s,
-                    amplitude=_amplitude_at(env, edit.target_time_s),
-                    label=edit.label or "unknown",
-                    source="manual-add",
-                    uncertainty_ms=0.0,
+            t = edit.target_time_s
+            label = _code(edit.label or "unknown", _LABEL_CODES, "label")
+            amplitude = _amplitude_at(env, t)
+            if not 0.0 <= amplitude <= 1.0:
+                raise ParameterError("onset amplitude must lie in [0, 1]")
+            row = (t, amplitude, label, _SOURCE_CODES["manual-add"], 0.0)
+            k = bisect_right(times, t)
+        else:
+            target = _nearest(times, edit.target_time_s)
+            if target is None:
+                raise EditError(
+                    f"edit {idx} ({edit.kind}) has no onset within 5 ms of "
+                    f"{edit.target_time_s:.6f} s"
                 )
-            )
-            onsets.sort(key=lambda o: o.time_s)
-            continue
-        target = _resolve_target(onsets, edit.target_time_s)
-        if target is None:
-            raise EditError(
-                f"edit {idx} ({edit.kind}) has no onset within 5 ms of "
-                f"{edit.target_time_s:.6f} s"
-            )
-        if edit.kind == "remove":
-            del onsets[target]
-        elif edit.kind == "move":
-            onsets[target] = replace(
-                onsets[target], time_s=edit.new_time_s, source="manual-move"
-            )
-            onsets.sort(key=lambda o: o.time_s)
-        elif edit.kind == "relabel":
-            onsets[target] = replace(onsets[target], label=edit.label)
-    return OnsetSeries(onsets=tuple(onsets))
+            if edit.kind == "relabel":
+                labels[target] = _code(edit.label, _LABEL_CODES, "label")
+                continue
+            row = [c.pop(target) for c in cols]
+            if edit.kind == "remove":
+                continue
+            t = row[0] = edit.new_time_s
+            row[3] = _SOURCE_CODES["manual-move"]
+            # after equal times that preceded it, before those that followed
+            k = min(max(target, bisect_left(times, t)), bisect_right(times, t))
+        for c, value in zip(cols, row):
+            c.insert(k, value)
+    return OnsetSeries._of(*cols)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ GHOST_AMPLITUDE = 0.15
 # chunk (at most 2**32 - 1 bytes) can hold.
 MAX_SAMPLE_RATE = 768000.0
 MAX_RENDER_SAMPLES = (2**32 - 1) // 4
+# carrier of a rendered click, high enough to pass a 1 kHz high-pass intact
+CLICK_HZ = 6000.0
 
 
 def unit_duration_s(bpm: float) -> float:
@@ -303,12 +305,11 @@ def render_clicks(
     sample_rate: float = 44100.0,
     click_ms: float = 3.0,
     noise_db: float | None = None,
-    click_hz: float = 6000.0,
     seed: int = 0,
 ) -> AudioClip:
     """Render onsets as short high-frequency bursts, optionally over noise.
 
-    Each onset becomes a decaying ``click_hz`` tone burst starting at the
+    Each onset becomes a decaying ``CLICK_HZ`` tone burst starting at the
     onset time with peak amplitude equal to the onset amplitude; the high
     carrier keeps clicks intact through a 1 kHz high-pass. Overlapping bursts
     sum. ``noise_db`` adds broadband Gaussian noise with RMS that many dB
@@ -347,7 +348,7 @@ def render_clicks(
         )
     t = np.arange(click_len) / sample_rate
     decay = click_ms * 1e-3 / 3.0
-    burst = np.cos(2.0 * np.pi * click_hz * t) * np.exp(-t / decay)
+    burst = np.cos(2.0 * np.pi * CLICK_HZ * t) * np.exp(-t / decay)
 
     samples = np.zeros(total)
     for time_s, amplitude in zip(times.tolist(), amps.tolist()):

@@ -23,7 +23,6 @@ __all__ = [
     "Tempogram",
     "novelty_curve",
     "fourier_tempogram",
-    "cyclic_fold",
     "argmax_track",
     "tempogram_summary",
     "write_tempogram_csv",
@@ -31,6 +30,8 @@ __all__ = [
 
 # Novelty frames transformed per block: bounds the novelty stage's working memory.
 _BLOCK_FRAMES = 512
+# Width, in octaves, of argmax_track's preference for tempi near the reference.
+OCTAVE_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -151,39 +152,11 @@ def fourier_tempogram(novelty: NoveltyCurve, params: TempogramParams | None = No
     )
 
 
-def cyclic_fold(tg: Tempogram, ref_bpm: float | None = None, octave_divider: int = 60) -> Tempogram:
-    """Fold tempo octaves onto [ref_bpm, 2*ref_bpm).
-
-    The cyclic axis has ``octave_divider`` logarithmic classes; each class
-    sums the interpolated magnitude at every octave of its tempo that lies
-    inside the analyzed range.
-    """
-    if octave_divider < 1:
-        raise ParameterError("octave_divider must be positive")
-    ref = ref_bpm if ref_bpm is not None else tg.params.ref_bpm
-    classes = ref * 2.0 ** (np.arange(octave_divider) / octave_divider)
-    folded = np.zeros((len(tg.times_s), octave_divider))
-    lo, hi = tg.tempi_bpm[0], tg.tempi_bpm[-1]
-    for shift in range(-8, 9):
-        sampled = classes * 2.0**shift
-        inside = (sampled >= lo) & (sampled <= hi)
-        if not np.any(inside):
-            continue
-        for fi in range(len(tg.times_s)):
-            folded[fi, inside] += np.interp(sampled[inside], tg.tempi_bpm, tg.magnitude[fi])
-    return Tempogram(
-        times_s=tg.times_s,
-        tempi_bpm=classes,
-        magnitude=folded,
-        params=tg.params,
-    )
-
-
-def argmax_track(tg: Tempogram, ref_bpm: float | None = None, octave_sigma: float = 1.0) -> np.ndarray:
+def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
     """Per-frame tempo of maximal magnitude, in BPM.
 
     With a reference tempo, magnitudes are weighted by a log-normal bell
-    centered there (width ``octave_sigma`` octaves) so the metrical level
+    centered there (width ``OCTAVE_SIGMA`` octaves) so the metrical level
     nearest the reference wins over its octave partners. Frames with no
     energy report 0.
     """
@@ -192,7 +165,7 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None, octave_sigma: floa
     if ref and ref > 0:
         with np.errstate(divide="ignore"):
             logs = np.log2(np.maximum(tg.tempi_bpm, 1e-12) / ref)
-        mag = mag * np.exp(-0.5 * (logs / octave_sigma) ** 2)[None, :]
+        mag = mag * np.exp(-0.5 * (logs / OCTAVE_SIGMA) ** 2)[None, :]
     track = tg.tempi_bpm[np.argmax(mag, axis=1)]
     silent = np.max(tg.magnitude, axis=1) <= 0.0
     track = track.copy()

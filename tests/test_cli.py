@@ -259,3 +259,9 @@ class TestExitCodeContract:
         self.assert_exit_2(capsys, ["synth", "-o", str(tmp_path / "g.csv"), "--bars", "2",
                                     "--render", str(tmp_path / "r.wav"), *flags], message)
         assert not (tmp_path / "r.wav").exists()
+
+    def test_rejected_render_writes_no_annotation(self, tmp_path, capsys):
+        self.assert_exit_2(capsys, ["synth", "--bars", "2", "-o", str(tmp_path / "g.csv"),
+                                    "--render", str(tmp_path / "r.wav"), "--noise-db", "1e6"],
+                           "noise_db")
+        assert list(tmp_path.iterdir()) == []

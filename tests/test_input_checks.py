@@ -75,6 +75,13 @@ class TestNonFiniteRejected:
         with pytest.raises(FormatError, match=":3: bad annotation row: unknown onset label 'cow"):
             read_onsets_csv(path)
 
+    def test_line_named_after_multiline_quoted_field(self, tmp_path):
+        # the quoted index spans lines 2 and 3, so the bad label is on line 4
+        path = tmp_path / "ml.csv"
+        path.write_text(HEADER + '"0\n",0.100000,0.5,hihat,auto\n1,0.200000,0.5,cowbell,auto\n')
+        with pytest.raises(FormatError, match=r"ml\.csv:4: bad annotation row: unknown onset"):
+            read_onsets_csv(path)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rows_reject_non_finite(self, value):
         with pytest.raises(ParameterError):

@@ -8,7 +8,6 @@ from groovekit import (
     ParameterError,
     TempogramParams,
     argmax_track,
-    cyclic_fold,
     fourier_tempogram,
     novelty_curve,
     render_clicks,
@@ -139,15 +138,3 @@ class TestFourierTempogram:
         tg = fourier_tempogram(novelty_curve(clip), params)
         assert tg.tempi_bpm[0] >= 60.0
         assert tg.tempi_bpm[-1] <= 120.0
-
-
-class TestCyclicFold:
-    def test_folds_octaves_onto_reference_octave(self):
-        clip = click_clip(84.0, 45.0)
-        tg = fourier_tempogram(novelty_curve(clip))
-        folded = cyclic_fold(tg, ref_bpm=84.0, octave_divider=60)
-        assert len(folded.tempi_bpm) == 60
-        assert folded.tempi_bpm[0] == pytest.approx(84.0)
-        assert folded.tempi_bpm[-1] < 168.0
-        # the class containing 84 collects 84 + 168 energy and dominates
-        assert np.argmax(folded.magnitude.mean(axis=0)) == 0
