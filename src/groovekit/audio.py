@@ -95,13 +95,14 @@ def load_audio(path) -> AudioClip:
         rate, data = wavfile.read(path)
     except OSError:
         raise
-    except ValueError as exc:
+    except Exception as exc:  # a truncated or garbled header fails in many ways
         raise FormatError(f"unsupported or malformed audio file {path!r}: {exc}") from exc
 
     if data.dtype not in _PCM_SCALES:
         raise FormatError(f"unsupported sample encoding {data.dtype.name!r} in {path!r}")
 
-    samples = data.astype(np.float64) / _PCM_SCALES[data.dtype]
+    samples = data.astype(np.float64)
+    samples /= _PCM_SCALES[data.dtype]  # in place: one clip-sized buffer fewer
     if samples.ndim == 1:
         channels = 1
     else:
@@ -159,20 +160,19 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
 
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
-    rectified = np.abs(clip.samples)
-    # one-pole low-pass: y[n] = a*y[n-1] + (1-a)*x[n]
+    # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n]
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))
-    smoothed = signal.lfilter([1.0 - a], [1.0, -a], rectified)
+    smoothed = signal.lfilter([1.0 - a], [1.0, -a], np.abs(clip.samples))
     peak = float(np.max(smoothed)) if len(smoothed) else 0.0
     if peak <= 0.0:
         return EnvelopeSignal(
-            values=np.zeros_like(rectified),
+            values=np.zeros_like(smoothed),
             sample_rate=clip.sample_rate,
             source_max=0.0,
             silent=True,
         )
     return EnvelopeSignal(
-        values=smoothed / peak,
+        values=np.divide(smoothed, peak, out=smoothed),
         sample_rate=clip.sample_rate,
         source_max=peak,
         silent=False,

@@ -22,7 +22,7 @@ from ._csvio import write_rows
 from ._version import __version__
 from .analysis import AnalysisParams, DegenerateInputError, run_analysis, write_analysis_outputs
 from .audio import envelope, highpass, load_audio, save_audio
-from .errors import GrooveKitError
+from .errors import EditError, GrooveKitError
 from .intervals import read_sections_csv
 from .onsets import (
     apply_edits,
@@ -62,8 +62,7 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _detect_from_audio(clip, args) -> tuple:
-    filtered = highpass(clip, cutoff_hz=args.cutoff_hz)
-    env = envelope(filtered, smoothing_ms=args.smoothing_ms)
+    env = envelope(highpass(clip, cutoff_hz=args.cutoff_hz), smoothing_ms=args.smoothing_ms)
     series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
     series = merge_close_onsets(series, window_ms=args.merge_ms)
     return series, env
@@ -72,7 +71,11 @@ def _detect_from_audio(clip, args) -> tuple:
 def _cmd_onsets(args) -> int:
     series, env = _detect_from_audio(load_audio(args.audio), args)
     if args.edits:
-        series = apply_edits(series, read_edits_csv(args.edits), env=env)
+        edits = read_edits_csv(args.edits)
+        try:
+            series = apply_edits(series, edits, env=env)
+        except GrooveKitError as exc:
+            raise EditError(f"{args.edits}: {exc}") from exc
     write_onsets_csv(args.output, series)
     print(f"wrote {len(series)} onsets to {args.output}")
     return 0
@@ -90,12 +93,25 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_analyze(args) -> int:
     in_path = Path(args.input)
-    clip = None
     if in_path.suffix.lower() == ".csv":
-        series = read_onsets_csv(in_path)
+        report_path = _analyze_series(args, read_onsets_csv(in_path))
     else:
+        # local import; CSV analysis never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         clip = load_audio(args.input)
-        series = _detect_from_audio(clip, args)[0]
+        # The tempogram shares nothing with detection after loading, and the FFTs
+        # and filters of both release the GIL, so it runs on a second thread
+        # meanwhile. Its sidecars are still written after report.json.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tempogram = pool.submit(_tempogram, clip)
+            report_path = _analyze_series(args, _detect_from_audio(clip, args)[0])
+            _write_tempogram_outputs(Path(args.out_dir), tempogram.result())
+    print(f"wrote {report_path}")
+    return 0
+
+
+def _analyze_series(args, series) -> Path:
     sections = read_sections_csv(args.sections) if args.sections else None
     params = AnalysisParams(
         bpm_hint=args.bpm_hint,
@@ -108,22 +124,24 @@ def _cmd_analyze(args) -> int:
     result = run_analysis(
         series, params=params, sections=sections, input_descriptor=str(args.input)
     )
-    report_path = write_analysis_outputs(args.out_dir, result)
-    if clip is not None:
-        _write_tempogram_outputs(Path(args.out_dir), clip)
-    print(f"wrote {report_path}")
-    return 0
+    return write_analysis_outputs(args.out_dir, result)
 
 
-def _write_tempogram_outputs(out_dir: Path, clip) -> None:
-    """Tempogram sidecars for audio inputs; skipped when the clip is shorter
-    than one tempogram window."""
+def _tempogram(clip):
+    """Tempogram of the clip, or None when its novelty is shorter than one
+    tempogram window."""
     nov = novelty_curve(clip)
     params = TempogramParams()
     if len(nov) < params.window_length:
+        return None
+    return fourier_tempogram(nov, params)
+
+
+def _write_tempogram_outputs(out_dir: Path, tg) -> None:
+    """Tempogram sidecars for audio inputs; skipped when there is no tempogram."""
+    if tg is None:
         print("clip shorter than one tempogram window; skipping tempogram outputs")
         return
-    tg = fourier_tempogram(nov, params)
     write_tempogram_csv(out_dir / "tempogram.csv", tg)
     (out_dir / "tempogram.json").write_text(
         json.dumps(tempogram_summary(tg), indent=2) + "\n", encoding="utf-8"

@@ -266,7 +266,12 @@ def detect_onsets(
 
     height = threshold * float(np.max(values))
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
-    peaks, _ = find_peaks(values, height=height, distance=distance)
+    # Values below ``height`` can be neither a kept peak nor part of one's
+    # plateau, and a kept peak's neighbours stay strictly lower when zeroed, so
+    # the peaks are the same; find_peaks then scans far fewer local maxima.
+    peaks, _ = find_peaks(
+        np.where(values >= height, values, 0.0), height=height, distance=distance
+    )
 
     unc = np.array(
         [_peak_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64

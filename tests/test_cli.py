@@ -90,6 +90,23 @@ class TestOnsetsCommand:
         assert len(added) == 1
         assert added[0]["label"] == "snare"
 
+    @pytest.mark.parametrize("rows, message", [
+        ("add,5.0,,\nadd,5.0,,\n", "onset times must be strictly increasing"),
+        ("add,5.0,,xx\n", "unknown onset label 'xx'"),
+    ])
+    def test_edit_errors_name_the_edits_file(self, tmp_path, capsys, rows, message):
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth", "-o", str(tmp_path / "t.csv"), "--bars", "2",
+                       "--render", str(wav)) == 0
+        edits = tmp_path / "edits.csv"
+        edits.write_text("kind,target_time_s,new_time_s,label\n" + rows)
+        out = tmp_path / "onsets.csv"
+        assert run_cli("onsets", str(wav), "-o", str(out), "--edits", str(edits)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"groovekit: {edits}: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_metronomic_annotation(self, tmp_path):
