@@ -1,16 +1,13 @@
-"""CSV text in blocks: the one writer every sidecar uses, and the readers.
+"""CSV text in blocks: the one writer every sidecar uses, and the row reader.
 
 Writers format up to ``BLOCK_ROWS`` rows with a single ``%`` and write them
 with one call. Rows end in ``\\r\\n``, as ``csv.writer`` ends them; a
 free-text field goes through :func:`quote` first.
 
-Readers come in two kinds. :func:`read_rows` is the general row reader
-(``csv.reader``: quoted fields, and the line number of each row for the
-caller's error messages). :func:`field_blocks` is a fast path for files of
-plain fields: it reads about 64 KiB of lines at a time and splits each block
-once into a flat field list, and it gives up with :class:`Irregular` on
-anything the row reader would read differently, so its caller can re-read
-the file with :func:`read_rows`.
+:func:`read_rows` reads any CSV the ``csv`` module reads (quoted fields
+included) and numbers each row by its physical line for the caller's error
+messages. The annotation reader parses plain files with numpy's C
+``loadtxt`` first and re-reads anything it rejects with :func:`read_rows`.
 """
 
 from __future__ import annotations
@@ -20,11 +17,6 @@ import csv
 from .errors import FormatError
 
 BLOCK_ROWS = 4096
-READ_BLOCK_CHARS = 1 << 16
-
-
-class Irregular(Exception):
-    """The fast reader met text it leaves to the row reader."""
 
 
 def quote(text: str) -> str:
@@ -76,28 +68,3 @@ def read_rows(path, header: list[str], kind: str):
         raise FormatError(f"{path!s}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise FormatError(f"{path!s}:{reader.line_num}: bad {kind} row: {exc}") from None
-
-
-def field_blocks(path, header: list[str]):
-    """Yield ``(fields, rows)`` per block of the rows after ``header``.
-
-    ``fields`` is the block's flat field list, ``len(header)`` per row and
-    row-major; a block whose last line ends in a newline carries one extra
-    empty field at the end. Raises :class:`Irregular` on a different header,
-    a ``"``, a row of another width, or a blank line; those, and non-UTF-8
-    text, are the row reader's to report.
-    """
-    commas = len(header) - 1
-    with open(path, newline="", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\r\n") != ",".join(header):
-            raise Irregular
-        while lines := fh.readlines(READ_BLOCK_CHARS):
-            text = "".join(lines)
-            if '"' in text:
-                raise Irregular
-            if list(map(str.count, lines, [","] * len(lines))).count(commas) != len(lines):
-                raise Irregular
-            text = text.replace("\r\n", ",")
-            if "\r" in text or "\n" in text:
-                text = text.replace("\r", ",").replace("\n", ",")
-            yield text.split(","), len(lines)

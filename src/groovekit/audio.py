@@ -7,6 +7,7 @@ envelope that peak picking consumes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,16 @@ def load_audio(path) -> AudioClip:
         raise
     except Exception as exc:  # a truncated or garbled header fails in many ways
         raise FormatError(f"unsupported or malformed audio file {path!r}: {exc}") from exc
+    # wavfile only warns when the data stops short of the RIFF size, so compare
+    # them here; RF64 keeps its size elsewhere and sets 0xFFFFFFFF in its place
+    with open(path, "rb") as fh:
+        head, actual = fh.read(8), os.fstat(fh.fileno()).st_size
+    declared = int.from_bytes(head[4:8], "big" if head[:4] == b"RIFX" else "little")
+    if declared != 0xFFFFFFFF and declared + 8 > actual:
+        raise FormatError(
+            f"unsupported or malformed audio file {path!r}: file is truncated "
+            f"({actual} bytes; {declared + 8} expected from header)"
+        )
 
     if data.dtype not in _PCM_SCALES:
         raise FormatError(f"unsupported sample encoding {data.dtype.name!r} in {path!r}")

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._csvio import Irregular, field_blocks, quote, read_rows, write_rows
+from ._csvio import quote, read_rows, write_rows
 from .audio import EnvelopeSignal
 from .errors import EditError, FormatError, ParameterError
 
@@ -75,13 +76,14 @@ def _code(name: str, codes: dict[str, int], what: str) -> int:
 
 def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray, uncertainty_ms: np.ndarray):
     """(row, problem) of the first row that breaks a column rule, or None."""
+    with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check names that row
+        steps = np.diff(times)
     checks = (
         (~np.isfinite(times), "onset time must be finite"),
         (~((amplitudes >= 0.0) & (amplitudes <= 1.0)), "onset amplitude must lie in [0, 1]"),
         (~((uncertainty_ms >= 0.0) & (uncertainty_ms < np.inf)),
          "uncertainty_ms must be non-negative and finite"),
-        (np.concatenate(([False], np.diff(times) <= 0.0)),
-         "onset times must be strictly increasing"),
+        (np.concatenate(([False], steps <= 0.0)), "onset times must be strictly increasing"),
     )
     found = [(int(np.argmax(bad)), why) for bad, why in checks if bad.any()]
     return min(found, key=lambda f: f[0], default=None)
@@ -386,6 +388,13 @@ def apply_edits(
 _ONSET_HEADER = ["index", "time_s", "amplitude", "label", "source"]
 _EDIT_HEADER = ["kind", "target_time_s", "new_time_s", "label"]
 
+# One annotation row for numpy's reader. The integer index rejects any '"', so
+# a quoted field never reads as plain. Converters see the raw field, so times
+# and amplitudes go through ``float`` as in the row reader (numpy's own float
+# parser also strips \x1c-\x1f).
+_ONSET_ROW = np.dtype({"names": _ONSET_HEADER, "formats": ["i8", "f8", "f8", "i1", "i1"]})
+_ONSET_CONVERTERS = {1: float, 2: float, 3: _LABEL_CODES.__getitem__, 4: _SOURCE_CODES.__getitem__}
+
 
 def write_onsets_csv(path, series: OnsetSeries) -> None:
     times, amplitudes, labels, sources, _ = series._cols
@@ -402,26 +411,24 @@ def read_onsets_csv(path) -> OnsetSeries:
     """Parse an annotation CSV into columns; a malformed or non-finite
     value raises :class:`FormatError` naming its line.
 
-    Plain files are read in blocks; anything else (quotes, blank lines, a
-    bad value) is re-read row by row, which names the bad line.
+    Plain files are parsed by numpy's C reader; anything else (quotes, a
+    blank first row, a bad value) is re-read row by row, which names the bad
+    line.
     """
     try:
-        return _read_onsets_blocks(path)
-    except (Irregular, ValueError, KeyError):
-        return _read_onsets_rows(path)
-
-
-def _read_onsets_blocks(path) -> OnsetSeries:
-    times, amplitudes, labels, sources = [], [], [], []
-    label_code, source_code = _LABEL_CODES.__getitem__, _SOURCE_CODES.__getitem__
-    for fields, n in field_blocks(path, _ONSET_HEADER):
-        times.append(np.fromiter(map(float, fields[1::5]), np.float64, n))
-        amplitudes.append(np.fromiter(map(float, fields[2::5]), np.float64, n))
-        labels.append(np.fromiter(map(label_code, fields[3::5]), np.int8, n))
-        sources.append(np.fromiter(map(source_code, fields[4::5]), np.int8, n))
-    columns = [np.concatenate(c) if c else np.zeros(0) for c in (times, amplitudes, labels, sources)]
-    # a row that breaks a column rule raises ParameterError, a ValueError
-    return OnsetSeries._of(*columns, np.zeros(len(columns[0])))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, first = fh.readline(), fh.readline()
+            # loadtxt warns on a file with no data rows; the row reader does not
+            if header.rstrip("\r\n") == ",".join(_ONSET_HEADER) and first.rstrip("\r\n"):
+                rows = np.loadtxt(
+                    chain((first,), fh), dtype=_ONSET_ROW, delimiter=",", comments=None, ndmin=1,
+                    converters=_ONSET_CONVERTERS,
+                )
+                # a row that breaks a column rule raises ParameterError, a ValueError
+                return OnsetSeries._of(*(rows[k] for k in _ONSET_HEADER[1:]), np.zeros(len(rows)))
+    except (ValueError, KeyError):
+        pass
+    return _read_onsets_rows(path)
 
 
 def _read_onsets_rows(path) -> OnsetSeries:

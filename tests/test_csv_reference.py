@@ -23,7 +23,7 @@ from groovekit import (
     write_edits_csv,
     write_onsets_csv,
 )
-from groovekit._csvio import BLOCK_ROWS, READ_BLOCK_CHARS, field_blocks, write_rows
+from groovekit._csvio import BLOCK_ROWS, write_rows
 from groovekit.analysis import _write_dfa_csv, _write_histogram_csv
 from groovekit.cli import main
 from groovekit.dfa import FluctuationResult
@@ -281,6 +281,15 @@ READER_CASES = {
     "equal times": HEADER + "\r\n" + "0,0.5,0.5,hihat,auto\r\n1,0.5,0.5,hihat,auto\r\n",
     "NUL in index": HEADER + "\r\n" + "\x00,0.5,0.5,hihat,auto\r\n",
     "any index text": HEADER + "\r\n" + "a,0.5,0.5,hihat,auto\r\n,0.6,0.5,hihat,auto\r\n",
+    "trailing empty column": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hihat,auto,\r\n",
+    "NUL after label": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,ghost\x00,auto\r\n",
+    "source with suffix": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hihat,manual-moveX\r\n",
+    "hash in label": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hihat#x,auto\r\n",
+    "hash after source": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hihat,auto#1\r\n",
+    "whitespace first row": HEADER + "\r\n" + "   \r\n" + BODY,
+    "two inf times": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,inf,0.5,hihat,auto\r\n"
+    + "4,inf,0.5,hihat,auto\r\n",
+    "unit separator after time": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8\x1f,0.5,hihat,auto\r\n",
 }
 
 
@@ -293,7 +302,7 @@ def test_reader_matches_row_reader(tmp_path, name):
 
 def test_reader_reads_plain_files_in_blocks(tmp_path):
     path = tmp_path / "a.csv"
-    rows = 3 * READ_BLOCK_CHARS // 40
+    rows = 4915  # about 192 KiB
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(HEADER + "\r\n" + annotation(rows))
     kind, _ = assert_readers_agree(path)
@@ -305,9 +314,8 @@ def test_reader_reads_plain_files_in_blocks(tmp_path):
                                      "9,0.4,0.5,hihat,auto", "9,1.0,0.5,hihat"])
 def test_error_on_first_row_of_second_block(tmp_path, problem):
     path = tmp_path / "a.csv"
-    lines = annotation(3 * READ_BLOCK_CHARS // 40).splitlines(keepends=True)
-    path.write_text(HEADER + "\r\n" + "".join(lines), newline="")
-    first_block = next(field_blocks(path, HEADER.split(",")))[1]
+    lines = annotation(4915).splitlines(keepends=True)
+    first_block = 1620  # rows in the first 64 KiB
     lines[first_block] = problem + "\r\n"
     path.write_text(HEADER + "\r\n" + "".join(lines), newline="")
     kind, message = assert_readers_agree(path)

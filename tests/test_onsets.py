@@ -104,6 +104,17 @@ class TestMergeCloseOnsets:
         assert merged[0].time_s == pytest.approx(1.000)
         assert merged[0].amplitude == pytest.approx(0.5)
 
+    def test_merge_acts_after_detection_at_equal_windows(self):
+        # the refractory distance rounds to 132 samples (2.993 ms) at 44.1 kHz,
+        # so detection keeps peaks a 3.001 ms merge window then collapses
+        values = np.zeros(1000)
+        values[100:600:132] = 1.0
+        series = detect_onsets(make_envelope(values, sample_rate=44100.0), refractory_ms=3.001)
+        assert len(series) == 4
+        merged = merge_close_onsets(series, window_ms=3.001)
+        assert len(merged) == 1
+        assert merged[0].time_s == series[0].time_s
+
     @settings(max_examples=50, deadline=None)
     @given(
         times=st.lists(

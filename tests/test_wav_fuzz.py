@@ -77,10 +77,20 @@ def test_any_wav_bytes_exit_cleanly(raw, capsys):
             assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("keep", [20, 44])
-def test_truncated_header_is_format_error(tmp_path, capsys, keep):
+# wavfile only warns on a cut inside the data chunk, as it does outside tests
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@pytest.mark.parametrize("dtype, keep", [
     # a float WAV's header runs past 44 bytes, so both cuts land inside it
-    full = wav_bytes(np.float32, 1, 1000, 44100, seed=0, non_finite=False)
+    pytest.param(np.float32, 20, id="20"),
+    pytest.param(np.float32, 44, id="44"),
+    # an int16 WAV's header is 44 bytes: cut at its end, mid-data and one byte short
+    pytest.param(np.int16, 44, id="int16-44"),
+    pytest.param(np.int16, 1044, id="int16-mid-data"),
+    pytest.param(np.int16, 2043, id="int16-one-byte-short"),
+])
+def test_truncated_header_is_format_error(tmp_path, capsys, dtype, keep):
+    full = wav_bytes(dtype, 1, 1000, 44100, seed=0, non_finite=False)
+    assert keep < len(full)
     wav = tmp_path / "t.wav"
     wav.write_bytes(full[:keep])
     assert main(["analyze", str(wav), "--out-dir", str(tmp_path / "out")]) == 2
