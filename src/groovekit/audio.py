@@ -68,6 +68,10 @@ class EnvelopeSignal:
         return np.arange(len(self.values)) / self.sample_rate
 
 
+# samples per filter call in highpass and envelope: large enough that the
+# per-call overhead stays out of the timings, small beside any real clip
+_BLOCK = 1 << 18
+
 # scipy.io.wavfile dtypes and their full-scale divisors
 _PCM_SCALES = {
     np.dtype(np.int16): 32768.0,
@@ -92,22 +96,24 @@ def load_audio(path) -> AudioClip:
     """
     from scipy.io import wavfile  # local import; CSV analysis never loads scipy
 
+    # wavfile only warns, on stderr, when the data stops short of the RIFF size,
+    # so compare them first; RF64 keeps its size elsewhere and sets 0xFFFFFFFF
+    # in its place, and a cut inside these 8 bytes is left to wavfile
+    with open(path, "rb") as fh:
+        head, actual = fh.read(8), os.fstat(fh.fileno()).st_size
+    if len(head) == 8 and head[:4] in (b"RIFF", b"RIFX"):
+        declared = int.from_bytes(head[4:8], "big" if head[:4] == b"RIFX" else "little")
+        if declared != 0xFFFFFFFF and declared + 8 > actual:
+            raise FormatError(
+                f"unsupported or malformed audio file {path!r}: file is truncated "
+                f"({actual} bytes; {declared + 8} expected from header)"
+            )
     try:
         rate, data = wavfile.read(path)
     except OSError:
         raise
-    except Exception as exc:  # a truncated or garbled header fails in many ways
+    except Exception as exc:  # a garbled header fails in many ways
         raise FormatError(f"unsupported or malformed audio file {path!r}: {exc}") from exc
-    # wavfile only warns when the data stops short of the RIFF size, so compare
-    # them here; RF64 keeps its size elsewhere and sets 0xFFFFFFFF in its place
-    with open(path, "rb") as fh:
-        head, actual = fh.read(8), os.fstat(fh.fileno()).st_size
-    declared = int.from_bytes(head[4:8], "big" if head[:4] == b"RIFX" else "little")
-    if declared != 0xFFFFFFFF and declared + 8 > actual:
-        raise FormatError(
-            f"unsupported or malformed audio file {path!r}: file is truncated "
-            f"({actual} bytes; {declared + 8} expected from header)"
-        )
 
     if data.dtype not in _PCM_SCALES:
         raise FormatError(f"unsupported sample encoding {data.dtype.name!r} in {path!r}")
@@ -132,9 +138,13 @@ def save_audio(path, clip: AudioClip) -> None:
 def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> AudioClip:
     """Zero-phase Butterworth high-pass.
 
-    The filter runs forward and backward (``sosfiltfilt``) so onset timings
-    are not skewed by phase delay; effective magnitude response is the square
-    of a single pass. Output length equals input length.
+    The filter runs forward and backward so onset timings are not skewed by
+    phase delay; effective magnitude response is the square of a single pass.
+    Output length equals input length, and the output is byte for byte that
+    of ``scipy.signal.sosfiltfilt`` with its default odd padding. Both passes
+    run in place in one buffer of the padded length, a block at a time with
+    the filter state carried across blocks, so the call holds one clip-sized
+    buffer.
     """
     from scipy import signal  # local import; CSV analysis never loads scipy
 
@@ -144,17 +154,29 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
             f"cutoff_hz must be in (0, {nyquist:g}) for sample rate {clip.sample_rate:g}"
         )
     sos = signal.butter(order, cutoff_hz, btype="highpass", fs=clip.sample_rate, output="sos")
-    # sosfiltfilt pads each end by 3 * taps samples and needs more samples than that
+    # sosfiltfilt's default padding: 3 * taps samples at each end, fewer than the clip
     taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
-    min_samples = 3 * taps + 1
-    if len(clip.samples) < min_samples:
+    edge = 3 * taps
+    x = clip.samples
+    n = len(x)
+    if n < edge + 1:
         raise ParameterError(
-            f"clip of {len(clip.samples)} samples is too short for the high-pass "
-            f"filter, which needs at least {min_samples}"
+            f"clip of {n} samples is too short for the high-pass "
+            f"filter, which needs at least {edge + 1}"
         )
-    filtered = signal.sosfiltfilt(sos, clip.samples)
+    # scipy's odd extension (odd_ext) at each end
+    buf = np.empty(n + 2 * edge)
+    buf[:edge] = 2 * x[0] - x[edge:0:-1]
+    buf[edge:edge + n] = x
+    buf[edge + n:] = 2 * x[-1] - x[-2:-(edge + 2):-1]
+    zi_unit = signal.sosfilt_zi(sos)
+    for view in (buf, buf[::-1]):  # forward pass, then backward over its output
+        zi = zi_unit * view[0]
+        for start in range(0, len(view), _BLOCK):
+            block = view[start:start + _BLOCK]
+            block[...], zi = signal.sosfilt(sos, block, zi=zi)
     return AudioClip(
-        samples=filtered,
+        samples=buf[edge:edge + n],
         sample_rate=clip.sample_rate,
         channel_count_original=clip.channel_count_original,
     )
@@ -165,7 +187,9 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
 
     ``smoothing_ms`` is the time constant of the one-pole smoother. The result
     is normalized to peak 1.0; an all-zero input yields an all-zero envelope
-    flagged ``silent`` instead.
+    flagged ``silent`` instead. The clip is rectified and smoothed a block at
+    a time into the output array, the smoother's state carried across blocks,
+    so the call holds one clip-sized buffer.
     """
     from scipy import signal  # local import; CSV analysis never loads scipy
 
@@ -173,7 +197,12 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
         raise ParameterError("smoothing_ms must be positive and finite")
     # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n]
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))
-    smoothed = signal.lfilter([1.0 - a], [1.0, -a], np.abs(clip.samples))
+    x = clip.samples
+    smoothed = np.empty(len(x))
+    z = np.zeros(1)
+    for start in range(0, len(x), _BLOCK):
+        stop = start + _BLOCK
+        smoothed[start:stop], z = signal.lfilter([1.0 - a], [1.0, -a], np.abs(x[start:stop]), zi=z)
     peak = float(np.max(smoothed)) if len(smoothed) else 0.0
     if peak <= 0.0:
         return EnvelopeSignal(

@@ -7,6 +7,9 @@ of them that break the parser in many different ways.
 """
 
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from groovekit.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def wav_bytes(dtype, channels, n_samples, rate, seed, non_finite):
@@ -97,3 +102,19 @@ def test_truncated_header_is_format_error(tmp_path, capsys, dtype, keep):
     err = capsys.readouterr().err
     assert err.startswith(f"groovekit: unsupported or malformed audio file {str(wav)!r}")
     assert "Traceback" not in err
+
+
+def test_cut_inside_data_prints_one_error_line(tmp_path):
+    """A WAV cut inside its data chunk is rejected before scipy reads it, so
+    scipy's "Reached EOF prematurely" warning never reaches stderr."""
+    wav = tmp_path / "t.wav"
+    wav.write_bytes(wav_bytes(np.int16, 1, 1000, 44100, seed=0, non_finite=False)[:1000])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groovekit.cli", "analyze", str(wav), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("groovekit: "), proc.stderr
