@@ -5,8 +5,9 @@ with one call. Rows end in ``\\r\\n``, as ``csv.writer`` ends them; a
 free-text field goes through :func:`quote` first.
 
 :func:`read_rows` reads any CSV the ``csv`` module reads (quoted fields
-included) and numbers each row by its physical line for the caller's error
-messages. The annotation reader parses plain files with numpy's C
+included), parses each row with the caller's function, and reports a bad row
+as ``path:line: bad <kind> row: <problem>`` (:func:`row_error`), the line
+being physical. The annotation reader parses plain files with numpy's C
 ``loadtxt`` first and re-reads anything it rejects with :func:`read_rows`.
 """
 
@@ -46,14 +47,20 @@ def write_rows(path, header, fmt: str, columns) -> None:
             fh.write(fmt * m % tuple(flat))
 
 
-def read_rows(path, header: list[str], kind: str):
-    """Yield ``(line number, fields)`` for each non-blank row after ``header``.
+def row_error(path, line: int, kind: str, problem) -> FormatError:
+    """The error for a bad row: ``path:line: bad <kind> row: <problem>``."""
+    return FormatError(f"{path!s}:{line}: bad {kind} row: {problem}")
+
+
+def read_rows(path, header: list[str], kind: str, parse):
+    """Yield ``(line number, parse(fields))`` for each non-blank row after ``header``.
 
     The line number is the file's physical line on which the row ends, so a
     quoted field that spans lines does not shift the numbers after it.
 
-    A different first row, text that is not UTF-8, or a row ``csv.reader``
-    rejects raises :class:`FormatError` naming the file.
+    A different first row, text that is not UTF-8, a row ``csv.reader``
+    rejects, or a row on which ``parse`` raises :class:`ValueError` raises
+    :class:`FormatError` naming the file (and the line, for a row).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -61,10 +68,14 @@ def read_rows(path, header: list[str], kind: str):
             first = next(reader, None)
             if first != header:
                 raise FormatError(f"bad {kind} header in {path!r}: {first}")
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
+            for fields in reader:
+                if fields:
+                    try:
+                        value = parse(fields)
+                    except ValueError as exc:
+                        raise row_error(path, reader.line_num, kind, exc) from exc
+                    yield reader.line_num, value
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path!s}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise FormatError(f"{path!s}:{reader.line_num}: bad {kind} row: {exc}") from None
+        raise row_error(path, reader.line_num, kind, exc) from None

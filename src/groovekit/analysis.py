@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +72,6 @@ class AnalysisParams:
             if not 0 < value < math.inf:
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
 
-    def to_dict(self) -> dict:
-        return {
-            "bpm_hint": self.bpm_hint,
-            "max_multiple": self.max_multiple,
-            "phrase_positions": self.phrase_positions,
-            "dfa_short": list(self.dfa_short),
-            "dfa_long": list(self.dfa_long),
-            "raw_intervals": self.raw_intervals,
-            "histogram_bin_ms": self.histogram_bin_ms,
-        }
-
 
 @dataclass
 class AnalysisResult:
@@ -111,12 +100,12 @@ class AnalysisResult:
         report = {
             "input": self.input_descriptor,
             "tool_version": __version__,
-            "parameters": self.params.to_dict(),
+            "parameters": asdict(self.params),
             "onset_count": len(self.onsets),
             "interval_counts": counts,
             "detection_rate": self.stats["detection_rate"],
             "base_unit_ms": self.base_unit_s * 1e3,
-            "swing": None,
+            "swing": None if self.swing is None else asdict(self.swing),
             "drift": {
                 "max_abs_s": float(np.max(np.abs(drift_vals))) if len(drift_vals) else 0.0,
                 "final_s": float(drift_vals[-1]) if len(drift_vals) else 0.0,
@@ -128,16 +117,7 @@ class AnalysisResult:
                 "amplitude": _profile_dict(self.phrase_amplitude),
             },
         }
-        if self.swing is not None:
-            report["swing"] = {
-                "swing_ratio": self.swing.swing_ratio,
-                "mean_inter_triplet_single_s": self.swing.mean_inter_triplet_single_s,
-                "mean_double_s": self.swing.mean_double_s,
-                "ratio_triad": list(self.swing.ratio_triad),
-                "n_singles_used": self.swing.n_singles_used,
-                "n_doubles_used": self.swing.n_doubles_used,
-            }
-        elif self.swing_note:
+        if self.swing is None and self.swing_note:
             report["swing_note"] = self.swing_note
         for name, result in self.dfa_results.items():
             report["dfa"][name] = {

@@ -17,6 +17,11 @@ from .errors import FormatError, ParameterError
 __all__ = ["AudioClip", "EnvelopeSignal", "load_audio", "save_audio", "highpass", "envelope"]
 
 
+def _check_rate(sample_rate: float) -> None:
+    if not 0 < sample_rate < np.inf:
+        raise ParameterError(f"sample_rate must be positive and finite, got {sample_rate}")
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """Mono audio at full scale 1.0.
@@ -30,12 +35,12 @@ class AudioClip:
     channel_count_original: int = 1
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ParameterError("sample_rate must be positive")
+        _check_rate(self.sample_rate)
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ParameterError("AudioClip holds mono data; downmix before constructing")
-        if not np.all(np.isfinite(samples)):
+        # reductions, not a clip-sized mask; a NaN sample makes min() NaN
+        if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise ParameterError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
@@ -58,8 +63,10 @@ class EnvelopeSignal:
     silent: bool = False
 
     def __post_init__(self):
+        _check_rate(self.sample_rate)
         values = np.asarray(self.values, dtype=np.float64)
-        if np.any(values < 0):
+        # a reduction, not a clip-sized mask; fmin skips NaN, which detection rejects
+        if values.size and np.fmin.reduce(values, axis=None) < 0:
             raise ParameterError("envelope values must be non-negative")
         object.__setattr__(self, "values", values)
 
@@ -204,9 +211,9 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
         stop = start + _BLOCK
         smoothed[start:stop], z = signal.lfilter([1.0 - a], [1.0, -a], np.abs(x[start:stop]), zi=z)
     peak = float(np.max(smoothed)) if len(smoothed) else 0.0
-    if peak <= 0.0:
+    if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal(
-            values=np.zeros_like(smoothed),
+            values=smoothed,
             sample_rate=clip.sample_rate,
             source_max=0.0,
             silent=True,

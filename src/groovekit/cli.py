@@ -48,6 +48,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cutoff-hz", type=_finite_float, default=1000.0,
                         help="high-pass cutoff (default 1000)")
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy.add_argument("--amplitude-jitter", type=_finite_float, default=0.0)
     p_sy.add_argument("--ramp-bpm", type=_finite_float, default=None,
                       help="linear tempo ramp target over the full length")
-    p_sy.add_argument("--seed", type=int, default=0)
+    p_sy.add_argument("--seed", type=_seed, default=0)
     p_sy.add_argument("--render", help="also render a click-track WAV here")
     p_sy.add_argument("--sample-rate", type=_finite_float, default=44100.0)
     p_sy.add_argument("--click-ms", type=_finite_float, default=3.0)
@@ -253,6 +263,9 @@ def main(argv=None) -> int:
         return 1
     except (GrooveKitError, OSError) as exc:
         print(f"groovekit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"groovekit: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

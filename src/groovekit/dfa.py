@@ -66,8 +66,6 @@ def default_scales(n: int, s_max: int | None = None) -> np.ndarray:
         s_max = n // 4
     if s_max < MIN_SCALE:
         raise ParameterError(f"series too short for scales >= {MIN_SCALE} (max is {s_max})")
-    if s_max == MIN_SCALE:
-        return np.array([MIN_SCALE], dtype=np.int64)
     count = max(2, int(np.ceil(SCALES_PER_DECADE * np.log10(s_max / MIN_SCALE))) + 1)
     grid = np.geomspace(MIN_SCALE, s_max, num=count)
     return np.unique(np.round(grid).astype(np.int64))
@@ -211,12 +209,10 @@ def dfa_analyze(
     s_max = int(result.scales[-1])
     a1_range = (short_range[0], min(short_range[1], s_max))
     a2_range = (long_range[0], min(long_range[1], s_max))
-    alocal: tuple[tuple[int, float], ...] = ()
-    if len(result.scales) >= 2 * half_window + 1:
-        try:
-            alocal = local_alpha(result, half_window=half_window)
-        except FitError:
-            alocal = ()
+    try:
+        alocal = local_alpha(result, half_window=half_window)
+    except FitError:
+        alocal = ()
     return replace(
         result,
         alpha1=try_fit(*a1_range),

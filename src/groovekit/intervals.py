@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_rows, write_rows
-from .errors import EstimationError, FormatError, ParameterError
+from .errors import EstimationError, ParameterError
 from .onsets import ColumnSeries, OnsetSeries
 
 __all__ = [
@@ -37,6 +37,8 @@ DEFAULT_MAX_MULTIPLE = 3.5
 # the base-unit fixed point stops once an update is below BASE_UNIT_TOL_S
 BASE_UNIT_TOL_S = 1e-4
 BASE_UNIT_MAX_ITER = 50
+# histogram bin width for the base unit's starting guess (the singles' mode)
+SEED_BIN_S = 4e-3
 
 
 class BeatClass(enum.Enum):
@@ -201,18 +203,17 @@ def _histogram(taus: np.ndarray, width_s: float) -> tuple[np.ndarray, np.ndarray
     return counts, edges
 
 
-def _seed_from_minimum_mode(taus: np.ndarray, bin_ms: float = 4.0) -> float:
+def _seed_from_minimum_mode(taus: np.ndarray) -> float:
     """Center of the lowest well-populated histogram bin.
 
     Picks the shortest interval cluster (the singles) while ignoring stray
     short outliers that fill no bin.
     """
-    bin_s = bin_ms * 1e-3
-    counts, edges = _histogram(taus, bin_s)
+    counts, edges = _histogram(taus, SEED_BIN_S)
     floor = max(1.0, 0.5 * counts.max())
     for i, c in enumerate(counts):
         if c >= floor:
-            return float(edges[i] + 0.5 * bin_s)
+            return float(edges[i] + 0.5 * SEED_BIN_S)
     return float(np.median(taus))
 
 
@@ -318,12 +319,11 @@ def write_sections_csv(path, sections: SectionMap) -> None:
     ])
 
 
+def _parse_section_row(fields) -> Section:
+    start, end, tag = fields
+    return Section(float(start), float(end), tag)
+
+
 def read_sections_csv(path) -> SectionMap:
-    sections = []
-    for lineno, row in read_rows(path, _SECTION_HEADER, "section"):
-        try:
-            start, end, tag = row
-            sections.append(Section(float(start), float(end), tag))
-        except (ValueError, ParameterError) as exc:
-            raise FormatError(f"{path!s}:{lineno}: bad section row: {exc}") from exc
-    return SectionMap(sections=tuple(sections))
+    rows = read_rows(path, _SECTION_HEADER, "section", _parse_section_row)
+    return SectionMap(sections=tuple(section for _, section in rows))

@@ -15,9 +15,9 @@ from itertools import chain
 
 import numpy as np
 
-from ._csvio import quote, read_rows, write_rows
+from ._csvio import quote, read_rows, row_error, write_rows
 from .audio import EnvelopeSignal
-from .errors import EditError, FormatError, ParameterError
+from .errors import EditError, ParameterError
 
 __all__ = [
     "Onset",
@@ -266,7 +266,10 @@ def detect_onsets(
     if env.silent or len(values) < 3:
         return OnsetSeries(onsets=())
 
-    height = threshold * float(np.max(values))
+    peak = float(np.max(values))
+    if not math.isfinite(peak):
+        raise ParameterError("envelope values must be finite")
+    height = threshold * peak
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
     # Values below ``height`` can be neither a kept peak nor part of one's
     # plateau, and a kept peak's neighbours stay strictly lower when zeroed, so
@@ -431,22 +434,21 @@ def read_onsets_csv(path) -> OnsetSeries:
     return _read_onsets_rows(path)
 
 
+def _parse_onset_row(fields) -> tuple[float, float, int, int]:
+    _, time_s, amplitude, label, source = fields
+    return (float(time_s), float(amplitude),
+            _code(label, _LABEL_CODES, "label"), _code(source, _SOURCE_CODES, "source"))
+
+
 def _read_onsets_rows(path) -> OnsetSeries:
-    lines, times, amplitudes, labels, sources = [], [], [], [], []
-    for lineno, row in read_rows(path, _ONSET_HEADER, "annotation"):
-        try:
-            _, time_s, amplitude, label, source = row
-            times.append(float(time_s))
-            amplitudes.append(float(amplitude))
-            labels.append(_code(label, _LABEL_CODES, "label"))
-            sources.append(_code(source, _SOURCE_CODES, "source"))
-        except (ValueError, ParameterError) as exc:
-            raise FormatError(f"{path!s}:{lineno}: bad annotation row: {exc}") from exc
-        lines.append(lineno)
-    uncertainty_ms = np.zeros(len(times))
-    bad = _first_bad_row(np.array(times), np.array(amplitudes), uncertainty_ms)
+    rows = list(read_rows(path, _ONSET_HEADER, "annotation", _parse_onset_row))
+    times, amplitudes, labels, sources = np.array(
+        [values for _, values in rows], dtype=np.float64
+    ).reshape(-1, 4).T
+    uncertainty_ms = np.zeros(len(rows))
+    bad = _first_bad_row(times, amplitudes, uncertainty_ms)
     if bad is not None:
-        raise FormatError(f"{path!s}:{lines[bad[0]]}: bad annotation row: {bad[1]}")
+        raise row_error(path, rows[bad[0]][0], "annotation", bad[1])
     return OnsetSeries._of(times, amplitudes, labels, sources, uncertainty_ms)
 
 
@@ -459,19 +461,10 @@ def write_edits_csv(path, edits: list[AnnotationEdit]) -> None:
     ])
 
 
+def _parse_edit_row(fields) -> AnnotationEdit:
+    kind, target, new_time, label = fields
+    return AnnotationEdit(kind, float(target), float(new_time) if new_time else None, label or None)
+
+
 def read_edits_csv(path) -> list[AnnotationEdit]:
-    edits = []
-    for lineno, row in read_rows(path, _EDIT_HEADER, "edits"):
-        try:
-            kind, target, new_time, label = row
-            edits.append(
-                AnnotationEdit(
-                    kind=kind,
-                    target_time_s=float(target),
-                    new_time_s=float(new_time) if new_time else None,
-                    label=label or None,
-                )
-            )
-        except (ValueError, ParameterError) as exc:
-            raise FormatError(f"{path!s}:{lineno}: bad edit row: {exc}") from exc
-    return edits
+    return [edit for _, edit in read_rows(path, _EDIT_HEADER, "edit", _parse_edit_row)]

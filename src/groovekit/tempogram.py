@@ -9,7 +9,7 @@ argmax (with a soft preference for tempi near a reference) tracks the tempo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,9 +167,7 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
             logs = np.log2(np.maximum(tg.tempi_bpm, 1e-12) / ref)
         mag = mag * np.exp(-0.5 * (logs / OCTAVE_SIGMA) ** 2)[None, :]
     track = tg.tempi_bpm[np.argmax(mag, axis=1)]
-    silent = np.max(tg.magnitude, axis=1) <= 0.0
-    track = track.copy()
-    track[silent] = 0.0
+    track[np.max(tg.magnitude, axis=1) <= 0.0] = 0.0  # silent frames
     return track
 
 
@@ -192,14 +190,7 @@ def tempogram_summary(tg: Tempogram) -> dict:
     """JSON-ready summary: parameters plus the per-frame argmax tempo track."""
     track = argmax_track(tg)
     return {
-        "params": {
-            "window_length": tg.params.window_length,
-            "hop": tg.params.hop,
-            "fft_length": tg.params.fft_length,
-            "min_bpm": tg.params.min_bpm,
-            "max_bpm": tg.params.max_bpm,
-            "ref_bpm": tg.params.ref_bpm,
-        },
+        "params": asdict(tg.params),
         "track": [
             {"time_s": float(t), "bpm": float(b)} for t, b in zip(tg.times_s, track)
         ],

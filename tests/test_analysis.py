@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from groovekit import GrooveSpec, gen_shuffle_onsets
+from groovekit import GrooveSpec, TempogramParams, gen_shuffle_onsets
 from groovekit.analysis import (
     AnalysisParams,
     DegenerateInputError,
     run_analysis,
     write_analysis_outputs,
 )
+
+from groovekit.tempogram import Tempogram, tempogram_summary
 
 from conftest import series_from_times
 
@@ -79,3 +81,29 @@ class TestWriteOutputs:
         write_analysis_outputs(tmp_path / "out", result)
         header = (tmp_path / "out" / "dfa_intervals_all.csv").read_text().splitlines()[0]
         assert header == "s,F,alpha_local"
+
+
+class TestJsonSchema:
+    """The JSON blocks are written from their dataclasses, so a renamed or
+    reordered field would change the files; these key lists pin them."""
+
+    def test_block_keys_in_order(self, tmp_path):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=30, jitter_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=1)
+        path = write_analysis_outputs(tmp_path / "out", run_analysis(onsets))
+        report = json.loads(path.read_text())
+        assert list(report["parameters"]) == [
+            "bpm_hint", "max_multiple", "phrase_positions", "dfa_short", "dfa_long",
+            "raw_intervals", "histogram_bin_ms",
+        ]
+        assert report["parameters"]["dfa_short"] == [4, 16]
+        assert list(report["swing"]) == [
+            "swing_ratio", "mean_inter_triplet_single_s", "mean_double_s", "ratio_triad",
+            "n_singles_used", "n_doubles_used",
+        ]
+        tg = Tempogram(times_s=np.zeros(1), tempi_bpm=np.array([84.0]),
+                       magnitude=np.ones((1, 1)), params=TempogramParams())
+        summary = json.loads(json.dumps(tempogram_summary(tg)))
+        assert list(summary["params"]) == [
+            "window_length", "hop", "fft_length", "min_bpm", "max_bpm", "ref_bpm",
+        ]

@@ -11,6 +11,7 @@ from groovekit import (
     AnalysisParams,
     AnnotationEdit,
     AudioClip,
+    EnvelopeSignal,
     FormatError,
     GrooveSpec,
     Interval,
@@ -321,3 +322,72 @@ class TestNonFiniteLibraryInputs:
         onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=1))
         with pytest.raises(ParameterError, match=match):
             render_clicks(onsets, **kwargs)
+
+
+class TestAudioContainers:
+    """Sample rates and samples are checked where the data comes in."""
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -44100.0])
+    def test_sample_rate_positive_and_finite(self, rate):
+        with pytest.raises(ParameterError, match="sample_rate must be positive and finite"):
+            AudioClip(samples=np.zeros(64), sample_rate=rate)
+        with pytest.raises(ParameterError, match="sample_rate must be positive and finite"):
+            EnvelopeSignal(values=np.zeros(64), sample_rate=rate, source_max=0.0, silent=True)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 31, 63])
+    def test_clip_samples_finite(self, value, at):
+        samples = np.zeros(64)
+        samples[at] = value
+        with pytest.raises(ParameterError, match="samples must be finite"):
+            AudioClip(samples=samples, sample_rate=44100.0)
+
+    def test_empty_containers_accepted(self):
+        assert len(AudioClip(samples=np.zeros(0), sample_rate=8000.0).samples) == 0
+        env = EnvelopeSignal(values=np.zeros(0), sample_rate=8000.0, source_max=0.0, silent=True)
+        assert len(env.values) == 0
+
+    def test_envelope_negative_rejected_beside_nan(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            EnvelopeSignal(values=np.array([math.nan, -0.5, 1.0]), sample_rate=100.0,
+                           source_max=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_detect_onsets_rejects_non_finite_envelope(self, value):
+        values = np.array([0.0, 0.2, 1.0, 0.2, 0.0, 0.3, value, 0.3, 0.0])
+        env = EnvelopeSignal(values=values, sample_rate=1000.0, source_max=1.0)
+        with pytest.raises(ParameterError, match="envelope values must be finite"):
+            detect_onsets(env)
+
+
+class TestSynthContract:
+    """synth keeps exit 2 and one message line for a bad seed or a request
+    too large to allocate."""
+
+    @pytest.mark.parametrize("seed", ["-1", "-20261"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "-o", str(out), "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"groovekit synth: error: argument --seed: expected a non-negative integer, got '{seed}'"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # Each request is larger than any 64-bit user address space (57-bit
+    # paging included), so no machine can start to allocate it.
+    @pytest.mark.parametrize("argv", [
+        ["--bars", str(10**16)],
+        ["--series-only", "-n", str(10**17)],
+    ])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "-o", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("groovekit: out of memory: ")
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from groovekit import (
     AnnotationEdit,
     EditError,
+    FormatError,
     ParameterError,
     apply_edits,
     detect_onsets,
@@ -223,6 +224,20 @@ class TestCsvRoundTrip:
         path = tmp_path / "edits.csv"
         write_edits_csv(path, edits)
         assert read_edits_csv(path) == edits
+
+    @pytest.mark.parametrize("body, where", [
+        ("kind,target,new_time_s,label\r\nadd,1.0,,\r\n", "bad edit header in"),
+        ("kind,target_time_s,new_time_s,label\r\nadd,1.0,," + "x" * 200_000 + "\r\n",
+         "edits.csv:2: bad edit row: field larger"),  # csv.Error from the reader
+        ("kind,target_time_s,new_time_s,label\r\nadd,1.0,,\r\nadd,soon,,\r\n",
+         "edits.csv:3: bad edit row: could not convert"),
+    ], ids=["header", "csv-error", "value"])
+    def test_edits_errors_name_one_kind(self, tmp_path, body, where):
+        path = tmp_path / "edits.csv"
+        path.write_text(body, newline="")
+        with pytest.raises(FormatError, match=where) as exc:
+            read_edits_csv(path)
+        assert "bad edits" not in str(exc.value)
 
 
 class TestSyntheticPipeline:
