@@ -8,6 +8,8 @@ envelope that peak picking consumes.
 from __future__ import annotations
 
 import os
+import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,13 @@ class AudioClip:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
 
+    # the block-read interface of WavReader, so a filter can take either
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        return self.samples[start:stop]
+
 
 @dataclass(frozen=True)
 class EnvelopeSignal:
@@ -75,64 +84,257 @@ class EnvelopeSignal:
         return np.arange(len(self.values)) / self.sample_rate
 
 
-# samples per filter call in highpass and envelope: large enough that the
-# per-call overhead stays out of the timings, small beside any real clip
+# samples per filter call in highpass and envelope, and per block decoded by
+# WavReader: large enough that the per-call overhead stays out of the timings,
+# small beside any real clip
 _BLOCK = 1 << 18
 
-# scipy.io.wavfile dtypes and their full-scale divisors
+# full-scale divisors of the sample types a WAV may hold (scipy.io.wavfile's
+# dtypes for the same files); 24-bit PCM is placed left-justified in an int32
 _PCM_SCALES = {
     np.dtype(np.int16): 32768.0,
-    np.dtype(np.int32): 2147483648.0,  # 24-bit PCM arrives left-justified in int32
+    np.dtype(np.int32): 2147483648.0,
     np.dtype(np.float32): 1.0,
     np.dtype(np.float64): 1.0,
 }
+_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT, _WAVE_FORMAT_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# the 12 bytes after the format tag in a WAVE_FORMAT_EXTENSIBLE subformat GUID
+_GUID_TAIL = {
+    "little": b"\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71",
+    "big": b"\x00\x00\x00\x10\x80\x00\x00\xAA\x00\x38\x9B\x71",
+}
+
+
+class WavReader:
+    """A PCM or IEEE-float WAV file, opened for reading samples in blocks.
+
+    The header is parsed once, when the file is opened: RIFF (little-endian),
+    RIFX (big-endian) and RF64 containers; 16-, 24- and 32-bit PCM, 32- and
+    64-bit float, plain or WAVE_FORMAT_EXTENSIBLE; any number of channels.
+    Chunks other than ``fmt `` and ``data`` are skipped, odd-sized chunks are
+    followed by a pad byte, and the walk stops at the size the RIFF header
+    declares. ``read(start, stop)`` returns samples ``start..stop-1`` as
+    float64 at full scale 1.0, downmixed to mono by the per-sample mean, the
+    same values ``scipy.io.wavfile.read`` gives after the same scaling and
+    downmix. It decodes ``_BLOCK`` samples at a time and checks each block
+    for NaN and infinity. Reads are safe from several threads at once.
+
+    Use it as a context manager, or call :meth:`close`.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb", buffering=0)  # OSError when missing or unreadable
+        self._lock = threading.Lock()
+        try:
+            self._parse_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def _malformed(self, reason: str) -> FormatError:
+        return FormatError(f"unsupported or malformed audio file {self.path!r}: {reason}")
+
+    def _read_at(self, offset: int, size: int) -> bytes:
+        self._fh.seek(offset)
+        return self._fh.read(size)
+
+    def _parse_header(self) -> None:
+        file_size = os.fstat(self._fh.fileno()).st_size
+        head = self._read_at(0, 12)
+        kind = head[:4]
+        if kind not in (b"RIFF", b"RIFX", b"RF64"):
+            raise self._malformed(f"not a RIFF, RIFX or RF64 file (starts with {kind!r})")
+        if len(head) < 12:
+            raise self._malformed(f"file is truncated ({file_size} bytes; a WAV header needs 12)")
+        order = "big" if kind == b"RIFX" else "little"
+        end = int.from_bytes(head[4:8], order) + 8
+        if head[8:12] != b"WAVE":
+            raise self._malformed(f"RIFF form type is {head[8:12]!r}, not b'WAVE'")
+        pos, data_size = 12, None
+        if kind == b"RF64":  # the sizes live in a ds64 chunk; the 32-bit fields hold 0xFFFFFFFF
+            ds64 = self._read_at(12, 24)
+            if len(ds64) < 24 or ds64[:4] != b"ds64" or int.from_bytes(ds64[4:8], order) < 16:
+                raise self._malformed("RF64 file without a ds64 chunk")
+            end = int.from_bytes(ds64[8:16], order) + 8
+            data_size = int.from_bytes(ds64[16:24], order)
+            pos = 20 + int.from_bytes(ds64[4:8], order)
+        elif end == 0xFFFFFFFF + 8:  # a streaming writer that never went back to fill it in
+            end = file_size
+        if end > file_size:
+            raise self._malformed(
+                f"file is truncated ({file_size} bytes; {end} expected from header)"
+            )
+        fmt = data = None
+        while pos < end:
+            chunk = self._read_at(pos, 8)
+            if len(chunk) < 8:
+                raise self._malformed(f"file is truncated (chunk header at byte {pos})")
+            cid, size = chunk[:4], int.from_bytes(chunk[4:], order)
+            body = pos + 8
+            if cid == b"data" and data_size is not None:
+                size = data_size
+            if body + size > file_size:
+                if data is not None and cid not in (b"fmt ", b"data"):
+                    break  # a trailing chunk cut short; the samples are all there
+                raise self._malformed(
+                    f"file is truncated ({cid!r} chunk at byte {pos} needs {size} bytes, "
+                    f"{file_size - body} present)"
+                )
+            if cid == b"fmt ":
+                if fmt is not None:
+                    raise self._malformed("more than one fmt chunk")
+                fmt = self._parse_fmt(self._read_at(body, size), order)
+            elif cid == b"data":
+                if fmt is None:
+                    raise self._malformed("no fmt chunk before the data chunk")
+                if data is not None:
+                    raise self._malformed("more than one data chunk")
+                data = (body, size)
+            pos = body + size + (size & 1)
+        if data is None:
+            raise self._malformed("no data chunk")
+        self._layout(fmt, order, *data)
+
+    def _parse_fmt(self, raw: bytes, order: str) -> tuple:
+        if len(raw) < 16:
+            raise self._malformed(f"fmt chunk of {len(raw)} bytes; at least 16 expected")
+        tag, channels, rate, byte_rate, block_align, bits = struct.unpack(
+            (">" if order == "big" else "<") + "HHIIHH", raw[:16]
+        )
+        if tag == _WAVE_FORMAT_EXTENSIBLE and len(raw) >= 18:
+            if int.from_bytes(raw[16:18], order) < 22 or len(raw) < 40:
+                raise self._malformed("WAVE_FORMAT_EXTENSIBLE fmt chunk without its 22-byte extension")
+            guid = raw[24:40]
+            if guid[4:] == _GUID_TAIL[order]:
+                tag = int.from_bytes(guid[:4], order)
+        if tag not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
+            raise self._malformed(f"wave format {tag:#06x}; only PCM and IEEE float are supported")
+        if tag == _WAVE_FORMAT_PCM and byte_rate != rate * block_align:
+            raise self._malformed(
+                f"nAvgBytesPerSec must equal nSamplesPerSec * nBlockAlign, but the header "
+                f"has {byte_rate}, {rate} and {block_align}"
+            )
+        if channels == 0 or block_align < channels:
+            raise self._malformed(f"{channels} channels in blocks of {block_align} bytes")
+        if rate == 0:
+            raise self._malformed("sample rate 0")
+        return tag, channels, rate, block_align, bits
+
+    def _layout(self, fmt: tuple, order: str, offset: int, size: int) -> None:
+        """Sample type, frame count and data offset, as scipy.io.wavfile reads them."""
+        tag, channels, rate, block_align, bits = fmt
+        width = block_align // channels  # bytes per sample, whatever the bit depth says
+        prefix = ">" if order == "big" else "<"
+        if tag == _WAVE_FORMAT_PCM:
+            if 1 <= bits <= 8:
+                spec = "u1"  # 8-bit and narrower PCM is unsigned
+            elif width == 3:
+                spec = "i4"  # left-justified, below
+            elif width in (5, 6, 7):
+                spec = "i8"
+            elif bits <= 64:
+                spec = f"i{width}"
+            else:
+                raise self._malformed(f"{bits}-bit integer samples")
+        elif bits in (32, 64):
+            spec = f"f{width}"
+        else:
+            raise self._malformed(f"{bits}-bit floating-point samples")
+        try:
+            dtype = np.dtype(prefix + spec)
+        except TypeError:
+            raise self._malformed(f"no sample type of {width} bytes") from None
+        if dtype.newbyteorder("=") not in _PCM_SCALES:
+            raise FormatError(f"unsupported sample encoding {dtype.name!r} in {self.path!r}")
+        values = size // width
+        if (width == 3 and size % 3) or values % channels:
+            raise self._malformed(f"data chunk of {size} bytes is not whole {channels}-channel frames")
+        self.sample_rate = float(rate)
+        self.channel_count_original = channels
+        self._frames = values // channels
+        self._dtype, self._width, self._offset = dtype, width, offset
+        self._scale = _PCM_SCALES[dtype.newbyteorder("=")]
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples ``start..stop-1`` as float64, downmixed to mono.
+
+        Raises
+        ------
+        FormatError
+            If a sample is NaN or infinite, or the file has shrunk.
+        """
+        start, stop = max(0, start), min(stop, self._frames)
+        if stop - start <= _BLOCK:
+            return self._decode(start, max(start, stop))
+        out = np.empty(stop - start)
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            out[lo - start:hi - start] = self._decode(lo, hi)
+        return out
+
+    def _decode(self, start: int, stop: int) -> np.ndarray:
+        channels = self.channel_count_original
+        raw = np.empty((stop - start) * channels * self._width, dtype=np.uint8)
+        with self._lock:
+            self._fh.seek(self._offset + start * channels * self._width)
+            got = self._fh.readinto(raw)
+        if got != raw.size:
+            raise self._malformed("file is truncated (it changed while being read)")
+        if self._width == 3:  # scipy's layout: the 3 bytes at the top of an int32
+            wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+            (wide[:, :3] if self._dtype.byteorder == ">" else wide[:, 1:])[...] = raw.reshape(-1, 3)
+            raw = wide.reshape(-1)
+        samples = raw.view(self._dtype).astype(np.float64)
+        if self._scale != 1.0:  # x / 1.0 is x: float samples skip the pass
+            samples /= self._scale
+        if channels > 1:
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mean is reported below
+                samples = samples.reshape(-1, channels).mean(axis=1)
+        # reductions, not a block-sized mask; a NaN sample makes min() NaN
+        if self._dtype.kind == "f" and len(samples) and not (
+            np.isfinite(samples.min()) and np.isfinite(samples.max())
+        ):
+            at = start + int(np.flatnonzero(~np.isfinite(samples))[0])
+            raise FormatError(
+                f"samples must be finite in {self.path!r}: sample {at} is {samples[at - start]}"
+            )
+        return samples
 
 
 def load_audio(path) -> AudioClip:
     """Load a PCM WAV file as a mono, [-1, 1]-scaled clip.
 
-    Supports 16/24-bit integer and 32-bit float samples, 1-2 channels.
-    Multi-channel content is downmixed by per-sample arithmetic mean.
+    Supports 16/24/32-bit integer and 32/64-bit float samples (see
+    :class:`WavReader`). Multi-channel content is downmixed by per-sample
+    arithmetic mean.
 
     Raises
     ------
     OSError
         If the file does not exist or cannot be read.
     FormatError
-        If the container or sample encoding is unsupported.
+        If the container or sample encoding is unsupported, the file is
+        truncated, or a sample is NaN or infinite.
     """
-    from scipy.io import wavfile  # local import; CSV analysis never loads scipy
-
-    # wavfile only warns, on stderr, when the data stops short of the RIFF size,
-    # so compare them first; RF64 keeps its size elsewhere and sets 0xFFFFFFFF
-    # in its place, and a cut inside these 8 bytes is left to wavfile
-    with open(path, "rb") as fh:
-        head, actual = fh.read(8), os.fstat(fh.fileno()).st_size
-    if len(head) == 8 and head[:4] in (b"RIFF", b"RIFX"):
-        declared = int.from_bytes(head[4:8], "big" if head[:4] == b"RIFX" else "little")
-        if declared != 0xFFFFFFFF and declared + 8 > actual:
-            raise FormatError(
-                f"unsupported or malformed audio file {path!r}: file is truncated "
-                f"({actual} bytes; {declared + 8} expected from header)"
-            )
-    try:
-        rate, data = wavfile.read(path)
-    except OSError:
-        raise
-    except Exception as exc:  # a garbled header fails in many ways
-        raise FormatError(f"unsupported or malformed audio file {path!r}: {exc}") from exc
-
-    if data.dtype not in _PCM_SCALES:
-        raise FormatError(f"unsupported sample encoding {data.dtype.name!r} in {path!r}")
-
-    samples = data.astype(np.float64)
-    samples /= _PCM_SCALES[data.dtype]  # in place: one clip-sized buffer fewer
-    if samples.ndim == 1:
-        channels = 1
-    else:
-        channels = samples.shape[1]
-        samples = samples.mean(axis=1)
-    return AudioClip(samples=samples, sample_rate=float(rate), channel_count_original=channels)
+    with WavReader(path) as reader:
+        return AudioClip(
+            samples=reader.read(0, len(reader)),
+            sample_rate=reader.sample_rate,
+            channel_count_original=reader.channel_count_original,
+        )
 
 
 def save_audio(path, clip: AudioClip) -> None:
@@ -151,7 +353,9 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     of ``scipy.signal.sosfiltfilt`` with its default odd padding. Both passes
     run in place in one buffer of the padded length, a block at a time with
     the filter state carried across blocks, so the call holds one clip-sized
-    buffer.
+    buffer. ``clip`` may also be a :class:`WavReader`: the forward pass then
+    reads each block from the file just before filtering it, and no other
+    clip-sized array is built.
     """
     from scipy import signal  # local import; CSV analysis never loads scipy
 
@@ -164,8 +368,7 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     # sosfiltfilt's default padding: 3 * taps samples at each end, fewer than the clip
     taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
     edge = 3 * taps
-    x = clip.samples
-    n = len(x)
+    n = len(clip)
     if n < edge + 1:
         raise ParameterError(
             f"clip of {n} samples is too short for the high-pass "
@@ -173,15 +376,22 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
         )
     # scipy's odd extension (odd_ext) at each end
     buf = np.empty(n + 2 * edge)
-    buf[:edge] = 2 * x[0] - x[edge:0:-1]
-    buf[edge:edge + n] = x
-    buf[edge + n:] = 2 * x[-1] - x[-2:-(edge + 2):-1]
+    head, tail = clip.read(0, edge + 1), clip.read(n - edge - 1, n)
+    buf[:edge] = 2 * head[0] - head[edge:0:-1]
+    buf[edge + n:] = 2 * tail[-1] - tail[-2::-1]
     zi_unit = signal.sosfilt_zi(sos)
-    for view in (buf, buf[::-1]):  # forward pass, then backward over its output
-        zi = zi_unit * view[0]
-        for start in range(0, len(view), _BLOCK):
-            block = view[start:start + _BLOCK]
-            block[...], zi = signal.sosfilt(sos, block, zi=zi)
+    zi = zi_unit * buf[0]
+    for start in range(0, len(buf), _BLOCK):  # forward pass, filling the clip in as it goes
+        stop = min(start + _BLOCK, len(buf))
+        lo, hi = max(start, edge), min(stop, edge + n)
+        if lo < hi:
+            buf[lo:hi] = clip.read(lo - edge, hi - edge)
+        buf[start:stop], zi = signal.sosfilt(sos, buf[start:stop], zi=zi)
+    back = buf[::-1]  # backward pass over the forward output
+    zi = zi_unit * back[0]
+    for start in range(0, len(back), _BLOCK):
+        block = back[start:start + _BLOCK]
+        block[...], zi = signal.sosfilt(sos, block, zi=zi)
     return AudioClip(
         samples=buf[edge:edge + n],
         sample_rate=clip.sample_rate,
@@ -198,6 +408,12 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
     a time into the output array, the smoother's state carried across blocks,
     so the call holds one clip-sized buffer.
     """
+    return _envelope_into(clip, smoothing_ms, out=np.empty(len(clip.samples)))
+
+
+def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> EnvelopeSignal:
+    """:func:`envelope`, written into ``out``, which may be ``clip.samples``
+    itself: each block is read before its output is written."""
     from scipy import signal  # local import; CSV analysis never loads scipy
 
     if not 0 < smoothing_ms < np.inf:
@@ -205,21 +421,21 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
     # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n]
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))
     x = clip.samples
-    smoothed = np.empty(len(x))
     z = np.zeros(1)
     for start in range(0, len(x), _BLOCK):
         stop = start + _BLOCK
-        smoothed[start:stop], z = signal.lfilter([1.0 - a], [1.0, -a], np.abs(x[start:stop]), zi=z)
-    peak = float(np.max(smoothed)) if len(smoothed) else 0.0
+        rectified = np.abs(x[start:stop], out=out[start:stop])
+        out[start:stop], z = signal.lfilter([1.0 - a], [1.0, -a], rectified, zi=z)
+    peak = float(np.max(out)) if len(out) else 0.0
     if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal(
-            values=smoothed,
+            values=out,
             sample_rate=clip.sample_rate,
             source_max=0.0,
             silent=True,
         )
     return EnvelopeSignal(
-        values=np.divide(smoothed, peak, out=smoothed),
+        values=np.divide(out, peak, out=out),
         sample_rate=clip.sample_rate,
         source_max=peak,
         silent=False,

@@ -21,7 +21,9 @@ from pathlib import Path
 from ._csvio import write_rows
 from ._version import __version__
 from .analysis import AnalysisParams, DegenerateInputError, run_analysis, write_analysis_outputs
-from .audio import envelope, highpass, load_audio, save_audio
+# load_audio and envelope are not called here; they stay bound because
+# perfbench/tracer.py wraps every name of the analyze path in this module
+from .audio import WavReader, _envelope_into, envelope, highpass, load_audio, save_audio
 from .errors import EditError, GrooveKitError
 from .intervals import read_sections_csv
 from .onsets import (
@@ -71,15 +73,23 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
                         help="envelope smoothing time constant (default 2)")
 
 
-def _detect_from_audio(clip, args) -> tuple:
-    env = envelope(highpass(clip, cutoff_hz=args.cutoff_hz), smoothing_ms=args.smoothing_ms)
+def _detect_from_audio(source, args) -> tuple:
+    """Onsets and envelope of a WavReader or an AudioClip.
+
+    The high-pass buffer is the only clip-sized array: the high-pass fills it
+    from ``source`` block by block, and it is then rectified, smoothed and
+    normalized in place into the envelope that peak picking reads.
+    """
+    clip = highpass(source, cutoff_hz=args.cutoff_hz)
+    env = _envelope_into(clip, args.smoothing_ms, out=clip.samples)
     series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
     series = merge_close_onsets(series, window_ms=args.merge_ms)
     return series, env
 
 
 def _cmd_onsets(args) -> int:
-    series, env = _detect_from_audio(load_audio(args.audio), args)
+    with WavReader(args.audio) as reader:
+        series, env = _detect_from_audio(reader, args)
     if args.edits:
         edits = read_edits_csv(args.edits)
         try:
@@ -109,13 +119,13 @@ def _cmd_analyze(args) -> int:
         # local import; CSV analysis never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
-        clip = load_audio(args.input)
-        # The tempogram shares nothing with detection after loading, and the FFTs
-        # and filters of both release the GIL, so it runs on a second thread
-        # meanwhile. Its sidecars are still written after report.json.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            tempogram = pool.submit(_tempogram, clip)
-            report_path = _analyze_series(args, _detect_from_audio(clip, args)[0])
+        # The tempogram shares only the file with detection, and the FFTs and
+        # filters of both release the GIL, so it runs on a second thread
+        # meanwhile, reading its own blocks. Its sidecars are still written
+        # after report.json. The pool is joined before the file is closed.
+        with WavReader(args.input) as reader, ThreadPoolExecutor(max_workers=1) as pool:
+            tempogram = pool.submit(_tempogram, reader)
+            report_path = _analyze_series(args, _detect_from_audio(reader, args)[0])
             _write_tempogram_outputs(Path(args.out_dir), tempogram.result())
     print(f"wrote {report_path}")
     return 0
@@ -137,10 +147,10 @@ def _analyze_series(args, series) -> Path:
     return write_analysis_outputs(args.out_dir, result)
 
 
-def _tempogram(clip):
-    """Tempogram of the clip, or None when its novelty is shorter than one
-    tempogram window."""
-    nov = novelty_curve(clip)
+def _tempogram(source):
+    """Tempogram of a WavReader or an AudioClip, or None when its novelty is
+    shorter than one tempogram window."""
+    nov = novelty_curve(source)
     params = TempogramParams()
     if len(nov) < params.window_length:
         return None

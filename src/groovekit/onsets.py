@@ -37,6 +37,8 @@ SOURCES = ("auto", "manual-add", "manual-move")
 
 # onsets whose peak-width uncertainty exceeds this are dropped at detection
 MAX_UNCERTAINTY_MS = 5.0
+# envelope samples per find_peaks call in detect_onsets
+_PEAK_BLOCK = 1 << 18
 
 # window for resolving an edit's target time against existing onsets
 EDIT_RESOLUTION_S = 0.005
@@ -243,6 +245,71 @@ def _peak_uncertainty_ms(values: np.ndarray, peak: int, sample_rate: float) -> f
     return 0.5 * width_samples / sample_rate * 1e3
 
 
+def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
+    """The peaks of ``find_peaks(values, height=height)``, a block at a time.
+
+    Each block goes to ``find_peaks`` with its values below ``height`` zeroed:
+    they can be neither a peak nor part of one's plateau, and a peak's
+    neighbours stay strictly lower when zeroed, so the peaks are the same and
+    far fewer local maxima are scanned. A block ends, and the next one starts,
+    on a value that is below ``height`` or lower than the value before it.
+    Such a value is never a peak nor inside a plateau, so every peak has its
+    whole plateau and both neighbours inside one block. A run of
+    non-decreasing values above ``height`` that fills a block doubles the
+    block until a cut fits.
+    """
+    from scipy.signal import find_peaks  # local import; CSV analysis never loads scipy
+
+    found = []
+    start, size = 0, _PEAK_BLOCK
+    while True:
+        stop = min(start + size, len(values))
+        block = values[start:stop]
+        if stop < len(values):
+            cut = _last_cut(block, height)
+            if cut == 0:
+                size *= 2
+                continue
+            stop = start + cut + 1
+            block = block[:cut + 1]
+        found.append(find_peaks(np.where(block >= height, block, 0.0), height=height)[0] + start)
+        if stop == len(values):
+            return np.concatenate(found)
+        start, size = stop - 1, _PEAK_BLOCK
+
+
+def _last_cut(block: np.ndarray, height: float) -> int:
+    """Index of the last value of ``block[1:]`` that is below ``height`` or
+    lower than the value before it, or 0 when there is none. The block's
+    last 1024 values are searched first; a cut is nearly always there."""
+    for width in (min(1024, len(block)), len(block)):
+        tail = block[len(block) - width:]
+        ok = (tail[1:] < height) | (tail[1:] < tail[:-1])
+        if ok.any():
+            return len(block) - 1 - int(np.argmax(ok[::-1]))
+    return 0
+
+
+def _spaced(peaks: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
+    """Mask of the peaks ``find_peaks`` keeps for ``distance``: taken highest
+    first, in ``np.argsort``'s order as scipy takes them, each one removing
+    every peak closer than ``distance`` samples that is still kept."""
+    at = peaks.tolist()
+    keep = [True] * len(at)
+    for j in np.argsort(heights)[::-1].tolist():
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and at[j] - at[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(at) and at[k] - at[j] < distance:
+            keep[k] = False
+            k += 1
+    return np.array(keep, dtype=bool)
+
+
 def detect_onsets(
     env: EnvelopeSignal,
     threshold: float = 0.1,
@@ -255,9 +322,9 @@ def detect_onsets(
     spacing exactly. Each onset carries a timing uncertainty estimated as
     half the peak's width above 90% of its height; onsets beyond 5 ms
     uncertainty are discarded. A silent envelope yields an empty series.
+    The peaks are those of ``scipy.signal.find_peaks`` with the same height
+    and distance, found without a copy of the envelope.
     """
-    from scipy.signal import find_peaks  # local import; CSV analysis never loads scipy
-
     if not 0 < threshold < 1:
         raise ParameterError("threshold must lie in (0, 1)")
     if not 0 < refractory_ms < math.inf:
@@ -271,12 +338,8 @@ def detect_onsets(
         raise ParameterError("envelope values must be finite")
     height = threshold * peak
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
-    # Values below ``height`` can be neither a kept peak nor part of one's
-    # plateau, and a kept peak's neighbours stay strictly lower when zeroed, so
-    # the peaks are the same; find_peaks then scans far fewer local maxima.
-    peaks, _ = find_peaks(
-        np.where(values >= height, values, 0.0), height=height, distance=distance
-    )
+    peaks = _candidate_peaks(values, height)
+    peaks = peaks[_spaced(peaks, values[peaks], distance)]
 
     unc = np.array(
         [_peak_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64

@@ -91,28 +91,32 @@ def novelty_curve(
     half-wave rectified, and summed over bins. The first frame's novelty
     is zero by definition.
 
-    Frames are strided views of the samples, not copies. They are
-    transformed in blocks of ``_BLOCK_FRAMES`` frames, and each block's
-    last compressed spectrum is carried into the next block's difference,
-    so the result is the same as transforming every frame at once. Working
-    memory is bounded by the block size (about 15 MB at the default
-    ``window``) plus the output array; it does not grow with clip length.
+    Frames are strided views of the samples, not copies. They are read and
+    transformed in blocks of ``_BLOCK_FRAMES`` frames, and each block's last
+    compressed spectrum is carried into the next block's difference, so the
+    result is the same as transforming every frame at once. Working memory is
+    bounded by the block size (about 15 MB at the default ``window``) plus the
+    output array; it does not grow with clip length. ``clip`` may also be a
+    :class:`~groovekit.audio.WavReader`, which then supplies each block's
+    samples from the file.
     """
     if window < 2 or hop < 1:
         raise ParameterError("window must be >= 2 and hop >= 1")
-    x = clip.samples
+    n = len(clip)
     frame_rate = clip.sample_rate / hop
     start_s = window / 2.0 / clip.sample_rate
-    if len(x) < window:
+    if n < window:
         return NoveltyCurve(values=np.zeros(0), sample_rate=frame_rate, start_s=start_s)
-    frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
+    n_frames = 1 + (n - window) // hop
     win = np.hanning(window)
     floor = 10.0 ** (min_db / 20.0)
-    novelty = np.zeros(len(frames))
+    novelty = np.zeros(n_frames)
     carry = np.empty((0, window // 2 + 1))  # no spectrum precedes the first block
-    for start in range(0, len(frames), _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, len(frames))
-        mags = np.abs(np.fft.rfft(frames[start:stop] * win, axis=1))
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, n_frames)
+        samples = clip.read(start * hop, (stop - 1) * hop + window)
+        frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
+        mags = np.abs(np.fft.rfft(frames * win, axis=1))
         compressed = np.log1p(compression * np.maximum(mags, floor))
         flux = np.diff(np.concatenate((carry, compressed)), axis=0)
         novelty[stop - len(flux):stop] = np.sum(np.maximum(flux, 0.0), axis=1)

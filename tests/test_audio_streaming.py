@@ -5,15 +5,24 @@ pad length) and ``envelope`` the whole-clip ``lfilter`` of the rectified clip,
 byte for byte: at the shortest clip the filter accepts, on both sides of a
 block boundary, for every order and for awkward signals. Each must also
 allocate no more than one clip-sized buffer plus a few blocks.
+
+The CLI's fused path (``cli._detect_from_audio`` on a ``WavReader``) must give
+the bytes of the public composition on a loaded clip, for every sample
+encoding, and hold one clip-sized buffer with the tempogram thread running.
 """
 
+import argparse
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import signal
+from scipy.io import wavfile
 
-from groovekit.audio import _BLOCK, AudioClip, envelope, highpass
+from groovekit import cli
+from groovekit.audio import _BLOCK, AudioClip, WavReader, envelope, highpass, load_audio
+from groovekit.onsets import detect_onsets, merge_close_onsets
 
 B = _BLOCK
 
@@ -129,3 +138,81 @@ def test_traced_peak_is_one_clip_plus_blocks(stage):
     clip_bytes = clip.samples.nbytes
     # whole-clip scipy calls peak at 2-3 clips here
     assert peak < clip_bytes + 4 * 8 * B, peak / clip_bytes
+
+
+ARGS = argparse.Namespace(cutoff_hz=1000.0, smoothing_ms=2.0, threshold=0.1,
+                          refractory_ms=50.0, merge_ms=3.0)
+
+
+def _clicks(n, channels, seed):
+    """Clicks every 0.1 s at 44.1 kHz over quiet noise, in [-0.9, 0.9]."""
+    rng = np.random.default_rng(seed)
+    x = 0.01 * rng.uniform(-1.0, 1.0, (n, channels))
+    for at in range(1000, n, 4410):
+        x[at:at + 40] += rng.uniform(0.3, 0.85) * np.exp(-np.arange(40) / 8.0)[:, None]
+    return x[:, 0] if channels == 1 else x
+
+
+def _write_wav(path, encoding, x):
+    if encoding == "int24":  # scipy writes no 24-bit PCM; build it, low 3 bytes of each int32
+        values = np.round(x * (1 << 23)).astype("<i4")
+        data = values.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        channels = 1 if x.ndim == 1 else x.shape[1]
+        fmt = (b"\x01\x00" + channels.to_bytes(2, "little") + (44100).to_bytes(4, "little")
+               + (44100 * 3 * channels).to_bytes(4, "little") + (3 * channels).to_bytes(2, "little")
+               + (24).to_bytes(2, "little"))
+        body = b"WAVE" + b"fmt " + (16).to_bytes(4, "little") + fmt + b"data" + len(data).to_bytes(4, "little") + data
+        path.write_bytes(b"RIFF" + len(body).to_bytes(4, "little") + body + (b"\0" if len(data) % 2 else b""))
+        return
+    if np.dtype(encoding).kind == "i":
+        x = np.round(x * np.iinfo(encoding).max).astype(encoding)
+    wavfile.write(path, 44100, x.astype(encoding))
+
+
+@pytest.mark.parametrize("encoding", ["int16", "int24", "int32", "float32", "float64"])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("n", [B, 3 * B, 3 * B + 1])
+def test_fused_path_matches_public_composition(tmp_path, encoding, channels, n):
+    wav = tmp_path / "clip.wav"
+    _write_wav(wav, encoding, _clicks(n, channels, seed=n + channels))
+    with WavReader(str(wav)) as reader:
+        series, env = cli._detect_from_audio(reader, ARGS)
+    want_env = envelope(highpass(load_audio(wav), cutoff_hz=ARGS.cutoff_hz), smoothing_ms=ARGS.smoothing_ms)
+    want = merge_close_onsets(
+        detect_onsets(want_env, threshold=ARGS.threshold, refractory_ms=ARGS.refractory_ms),
+        window_ms=ARGS.merge_ms,
+    )
+    assert env.values.tobytes() == want_env.values.tobytes()
+    assert (env.sample_rate, env.source_max, env.silent) == (
+        want_env.sample_rate, want_env.source_max, want_env.silent)
+    assert len(series) > 10
+    for got_col, want_col in zip(series._cols, want._cols):
+        assert got_col.tobytes() == want_col.tobytes()
+
+
+def test_fused_path_and_tempogram_thread_hold_one_clip(tmp_path):
+    """About 8M samples (64 MB as float64). A front end that keeps the clip,
+    its high-passed copy and the envelope as separate arrays holds three."""
+    n = 8 * 1024 * 1024
+    wav = tmp_path / "long.wav"
+    _write_wav(wav, "float32", _clicks(n, 1, seed=1))
+    short = tmp_path / "short.wav"
+    _write_wav(short, "float32", _clicks(B, 1, seed=2))
+
+    def detect_beside_tempogram(path):
+        with WavReader(str(path)) as reader, ThreadPoolExecutor(max_workers=1) as pool:
+            tempogram = pool.submit(cli._tempogram, reader)
+            series, _ = cli._detect_from_audio(reader, ARGS)
+            tempogram.result()
+        return series
+
+    detect_beside_tempogram(short)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        series = detect_beside_tempogram(wav)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) > 1000
+    clip_bytes = 8 * n
+    assert peak < clip_bytes + 40e6, (peak - clip_bytes) / 1e6

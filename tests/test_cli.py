@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +284,41 @@ class TestExitCodeContract:
                                     "--render", str(tmp_path / "r.wav"), "--noise-db", "1e6"],
                            "noise_db")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTracedNames:
+    """perfbench/tracer.py times the pipeline by replacing names bound in
+    groovekit.cli and groovekit.analysis; Tracer.wrap raises AttributeError
+    when one is gone, and a stage called past its bound name is not timed."""
+
+    @staticmethod
+    def tracer_module():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_traced_name_is_bound(self):
+        import groovekit.analysis
+        import groovekit.cli
+
+        tracer = self.tracer_module()
+        for namespace, names in ((groovekit.cli, tracer.CLI_NAMES),
+                                 (groovekit.analysis, tracer.ANALYSIS_NAMES)):
+            missing = [attr for attr, _ in names if not callable(getattr(namespace, attr, None))]
+            assert missing == [], namespace.__name__
+
+    def test_audio_stages_called_through_cli_names(self, tmp_path, monkeypatch):
+        import groovekit.cli
+
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth", "-o", str(tmp_path / "g.csv"), "--bars", "24", "--render", str(wav)) == 0
+        calls = []
+        for attr in ("highpass", "detect_onsets", "merge_close_onsets", "novelty_curve"):
+            def counted(*args, _fn=getattr(groovekit.cli, attr), _attr=attr, **kwargs):
+                calls.append(_attr)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(groovekit.cli, attr, counted)
+        assert run_cli("analyze", str(wav), "--out-dir", str(tmp_path / "out")) == 0
+        assert sorted(calls) == ["detect_onsets", "highpass", "merge_close_onsets", "novelty_curve"]

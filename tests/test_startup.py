@@ -1,4 +1,5 @@
-"""Start-up cost: scipy and the thread pool load only on the audio path.
+"""Start-up cost: scipy and the thread pool load only on the audio path,
+and the audio path reads WAVs without ``scipy.io``.
 
 Importing scipy.signal takes over a second, several times a whole CSV
 analysis, so ``import groovekit`` and a CSV ``analyze`` must not load it, nor
@@ -53,6 +54,16 @@ def test_wav_analyze_loads_scipy_signal(tmp_path):
     result = _probe(["analyze", str(wav_path), "--out-dir", str(tmp_path / "out")])
     assert result["before"] == [] and result["rc"] == 0
     assert "scipy.signal" in result["after"]
+
+
+def test_wav_commands_load_no_scipy_io(tmp_path):
+    """groovekit reads WAVs itself; scipy.io is only for writing them."""
+    csv_path, wav_path = tmp_path / "groove.csv", tmp_path / "groove.wav"
+    assert main(["synth", "-o", str(csv_path), "--bars", "4", "--render", str(wav_path)]) == 0
+    for argv in (["analyze", str(wav_path), "--out-dir", str(tmp_path / "out")],
+                 ["onsets", str(wav_path), "-o", str(tmp_path / "onsets.csv")]):
+        result = _probe(argv, modules=("scipy.io", "scipy.io.wavfile"))
+        assert result == {"before": [], "rc": 0, "after": []}, argv[0]
 
 
 def test_csv_analyze_loads_no_thread_pool(tmp_path):
