@@ -98,6 +98,8 @@ _PCM_SCALES = {
     np.dtype(np.float64): 1.0,
 }
 _WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT, _WAVE_FORMAT_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# the largest size a RIFF header's 32-bit fields hold; save_audio writes RF64 past it
+_RIFF_MAX = 0xFFFFFFFF
 # the 12 bytes after the format tag in a WAVE_FORMAT_EXTENSIBLE subformat GUID
 _GUID_TAIL = {
     "little": b"\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71",
@@ -116,8 +118,9 @@ class WavReader:
     declares. ``read(start, stop)`` returns samples ``start..stop-1`` as
     float64 at full scale 1.0, downmixed to mono by the per-sample mean, the
     same values ``scipy.io.wavfile.read`` gives after the same scaling and
-    downmix. It decodes ``_BLOCK`` samples at a time and checks each block
-    for NaN and infinity. Reads are safe from several threads at once.
+    downmix. It decodes a read of up to two ``_BLOCK``-sample blocks in one
+    piece, a longer one a block at a time, and checks each piece for NaN and
+    infinity. Reads are safe from several threads at once.
 
     Use it as a context manager, or call :meth:`close`.
     """
@@ -277,7 +280,9 @@ class WavReader:
             If a sample is NaN or infinite, or the file has shrunk.
         """
         start, stop = max(0, start), min(stop, self._frames)
-        if stop - start <= _BLOCK:
+        # one piece up to two blocks, so a block plus a little overlap (the
+        # novelty curve's frames) is not decoded in two and copied
+        if stop - start <= 2 * _BLOCK:
             return self._decode(start, max(start, stop))
         out = np.empty(stop - start)
         for lo in range(start, stop, _BLOCK):
@@ -338,10 +343,29 @@ def load_audio(path) -> AudioClip:
 
 
 def save_audio(path, clip: AudioClip) -> None:
-    """Write a clip as 32-bit float PCM WAV."""
-    from scipy.io import wavfile  # local import; CSV analysis never loads scipy
+    """Write a clip as 32-bit float WAV.
 
-    wavfile.write(path, int(round(clip.sample_rate)), clip.samples.astype(np.float32))
+    The file is byte for byte what ``scipy.io.wavfile.write(path,
+    round(sample_rate), samples.astype(np.float32))`` writes: a RIFF header
+    (RF64 with a ``ds64`` chunk when the sizes pass 32 bits), an 18-byte
+    ``fmt `` chunk of IEEE float (format tag 3, cbSize 0), a ``fact`` chunk
+    holding the sample count, and ``data``. Samples are converted a block at
+    a time, so no float32 copy of the clip is built.
+    """
+    rate, frames = int(round(clip.sample_rate)), len(clip.samples)
+    size = 4 * frames
+    fmt = struct.pack("<HHIIHHH", _WAVE_FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"fact" + struct.pack("<II", 4, frames)
+    riff_size = 4 + len(chunks) + 8 + size
+    if riff_size <= _RIFF_MAX:
+        header = b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
+    else:
+        riff_size += 36  # the ds64 chunk
+        header = b"RF64\xff\xff\xff\xffWAVEds64" + struct.pack("<IQQQI", 28, riff_size, size, frames, 0)
+    with open(path, "wb") as fh:
+        fh.write(header + chunks + b"data" + struct.pack("<I", min(size, _RIFF_MAX)))
+        for start in range(0, frames, _BLOCK):
+            fh.write(clip.samples[start:start + _BLOCK].astype("<f4").data)
 
 
 def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> AudioClip:
@@ -357,14 +381,14 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     reads each block from the file just before filtering it, and no other
     clip-sized array is built.
     """
-    from scipy import signal  # local import; CSV analysis never loads scipy
+    from . import _signal  # local import; the CSV path never needs it
 
     nyquist = clip.sample_rate / 2.0
     if not 0 < cutoff_hz < nyquist:
         raise ParameterError(
             f"cutoff_hz must be in (0, {nyquist:g}) for sample rate {clip.sample_rate:g}"
         )
-    sos = signal.butter(order, cutoff_hz, btype="highpass", fs=clip.sample_rate, output="sos")
+    sos = _signal.butter_highpass_sos(order, cutoff_hz, clip.sample_rate)
     # sosfiltfilt's default padding: 3 * taps samples at each end, fewer than the clip
     taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
     edge = 3 * taps
@@ -379,19 +403,19 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     head, tail = clip.read(0, edge + 1), clip.read(n - edge - 1, n)
     buf[:edge] = 2 * head[0] - head[edge:0:-1]
     buf[edge + n:] = 2 * tail[-1] - tail[-2::-1]
-    zi_unit = signal.sosfilt_zi(sos)
+    zi_unit = _signal.sosfilt_zi(sos)
     zi = zi_unit * buf[0]
     for start in range(0, len(buf), _BLOCK):  # forward pass, filling the clip in as it goes
         stop = min(start + _BLOCK, len(buf))
         lo, hi = max(start, edge), min(stop, edge + n)
         if lo < hi:
             buf[lo:hi] = clip.read(lo - edge, hi - edge)
-        buf[start:stop], zi = signal.sosfilt(sos, buf[start:stop], zi=zi)
+        buf[start:stop], zi = _signal.sosfilt(sos, buf[start:stop], zi)
     back = buf[::-1]  # backward pass over the forward output
     zi = zi_unit * back[0]
     for start in range(0, len(back), _BLOCK):
         block = back[start:start + _BLOCK]
-        block[...], zi = signal.sosfilt(sos, block, zi=zi)
+        block[...], zi = _signal.sosfilt(sos, block, zi)
     return AudioClip(
         samples=buf[edge:edge + n],
         sample_rate=clip.sample_rate,
@@ -414,7 +438,7 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
 def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> EnvelopeSignal:
     """:func:`envelope`, written into ``out``, which may be ``clip.samples``
     itself: each block is read before its output is written."""
-    from scipy import signal  # local import; CSV analysis never loads scipy
+    from . import _signal  # local import; the CSV path never needs it
 
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
@@ -425,7 +449,7 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> Env
     for start in range(0, len(x), _BLOCK):
         stop = start + _BLOCK
         rectified = np.abs(x[start:stop], out=out[start:stop])
-        out[start:stop], z = signal.lfilter([1.0 - a], [1.0, -a], rectified, zi=z)
+        out[start:stop], z = _signal.lfilter([1.0 - a], [1.0, -a], rectified, z)
     peak = float(np.max(out)) if len(out) else 0.0
     if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal(

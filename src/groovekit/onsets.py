@@ -258,7 +258,7 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
     non-decreasing values above ``height`` that fills a block doubles the
     block until a cut fits.
     """
-    from scipy.signal import find_peaks  # local import; CSV analysis never loads scipy
+    from . import _signal  # local import; the CSV path never needs it
 
     found = []
     start, size = 0, _PEAK_BLOCK
@@ -272,7 +272,7 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
                 continue
             stop = start + cut + 1
             block = block[:cut + 1]
-        found.append(find_peaks(np.where(block >= height, block, 0.0), height=height)[0] + start)
+        found.append(_signal.find_peaks(np.where(block >= height, block, 0.0), height) + start)
         if stop == len(values):
             return np.concatenate(found)
         start, size = stop - 1, _PEAK_BLOCK

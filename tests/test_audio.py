@@ -13,6 +13,8 @@ from groovekit import (
     highpass,
     load_audio,
 )
+from groovekit import audio as audio_mod
+from groovekit.audio import _BLOCK, WavReader, save_audio
 
 
 def _rms(x):
@@ -80,6 +82,35 @@ class TestLoadAudio:
         wavfile.write(path, 8000, np.array([0, 255, 128], dtype=np.uint8))
         with pytest.raises(FormatError, match="uint8"):
             load_audio(path)
+
+
+class TestSaveAudio:
+    """groovekit's float32 writer against scipy.io.wavfile.write, byte for byte."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1001, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("rate", [8000.0, 22050.0, 44099.7, 44100.0, 96000.0, 192000.0])
+    def test_bytes_match_scipy(self, tmp_path, n, rate):
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        save_audio(ours, AudioClip(samples, rate))
+        wavfile.write(theirs, int(round(rate)), samples.astype(np.float32))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_rf64_past_the_riff_size_limit(self, tmp_path, monkeypatch):
+        """Past 32-bit sizes the header is RF64; scipy's layout, shown here
+        with the limit lowered so a small clip crosses it."""
+        samples = np.random.default_rng(5).uniform(-1.0, 1.0, 100)
+        path = tmp_path / "big.wav"
+        monkeypatch.setattr(audio_mod, "_RIFF_MAX", 400)
+        save_audio(path, AudioClip(samples, 44100.0))
+        raw = path.read_bytes()
+        assert raw[:16] == b"RF64\xff\xff\xff\xffWAVEds64"
+        assert int.from_bytes(raw[20:28], "little") == len(raw) - 8
+        want = samples.astype(np.float32).astype(np.float64)
+        with WavReader(path) as reader:
+            assert reader.read(0, len(reader)).tobytes() == want.tobytes()
+        rate, data = wavfile.read(path)
+        assert rate == 44100 and data.tobytes() == samples.astype(np.float32).tobytes()
 
 
 class TestHighpass:
