@@ -197,18 +197,32 @@ def bound() -> bool:
     return _kernels() is not None
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sosfilt(
+    sos: np.ndarray, x: np.ndarray, zi: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.signal.sosfilt(sos, x, zi=zi)`` for float64 1-D ``x`` and
-    ``zi`` of shape ``(sections, 2)``: the filtered copy and the final state."""
+    ``zi`` of shape ``(sections, 2)``: the filtered signal and the final
+    state. The signal is a new array, or ``out`` when given: a C-contiguous
+    float64 array of ``x``'s length, which may be ``x`` itself, filtered in
+    place."""
+    if out is not None and not out.flags.c_contiguous:  # the kernel would filter a reshaped copy
+        raise ValueError("out must be C-contiguous")
     kernels = _kernels()
     if kernels is None:
         from scipy import signal
 
-        return signal.sosfilt(sos, x, zi=zi)
-    y = np.array(x.reshape(1, -1), np.float64, order="C")  # filtered in place
+        y, zf = signal.sosfilt(sos, x, zi=zi)
+        if out is None:
+            return y, zf
+        out[...] = y
+        return out, zf
+    if out is None:
+        out = np.array(x, np.float64, order="C")
+    elif out is not x:
+        out[...] = x
     state = np.ascontiguousarray(np.array(zi, dtype=np.float64).reshape(1, -1, 2))
-    kernels[0](sos.astype(np.float64, copy=False), y, state)
-    return y.reshape(x.shape), state.reshape(zi.shape)
+    kernels[0](sos.astype(np.float64, copy=False), out.reshape(1, -1), state)
+    return out, state.reshape(zi.shape)
 
 
 def lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

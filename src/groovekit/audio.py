@@ -54,8 +54,21 @@ class AudioClip:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        return self.samples[start:stop]
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self.samples[start:stop]
+        out[...] = self.samples[start:stop]
+        return out
+
+    @classmethod
+    def _checked(cls, samples: np.ndarray, sample_rate: float, channel_count_original: int) -> AudioClip:
+        """A clip of float64 mono ``samples`` that the caller has already
+        checked finite, at a checked rate: built without scanning them again."""
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "samples", samples)
+        object.__setattr__(clip, "sample_rate", sample_rate)
+        object.__setattr__(clip, "channel_count_original", channel_count_original)
+        return clip
 
 
 @dataclass(frozen=True)
@@ -118,9 +131,9 @@ class WavReader:
     declares. ``read(start, stop)`` returns samples ``start..stop-1`` as
     float64 at full scale 1.0, downmixed to mono by the per-sample mean, the
     same values ``scipy.io.wavfile.read`` gives after the same scaling and
-    downmix. It decodes a read of up to two ``_BLOCK``-sample blocks in one
-    piece, a longer one a block at a time, and checks each piece for NaN and
-    infinity. Reads are safe from several threads at once.
+    downmix. It decodes them a ``_BLOCK``-sample piece at a time, into a new
+    array or straight into the caller's ``out``, and checks each piece for NaN
+    and infinity. Reads are safe from several threads at once.
 
     Use it as a context manager, or call :meth:`close`.
     """
@@ -271,8 +284,10 @@ class WavReader:
         self._dtype, self._width, self._offset = dtype, width, offset
         self._scale = _PCM_SCALES[dtype.newbyteorder("=")]
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Samples ``start..stop-1`` as float64, downmixed to mono.
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples ``start..stop-1`` as float64, downmixed to mono, in a new
+        array or decoded into ``out``: a float64 array of that many samples,
+        whose earlier contents are overwritten.
 
         Raises
         ------
@@ -280,17 +295,14 @@ class WavReader:
             If a sample is NaN or infinite, or the file has shrunk.
         """
         start, stop = max(0, start), min(stop, self._frames)
-        # one piece up to two blocks, so a block plus a little overlap (the
-        # novelty curve's frames) is not decoded in two and copied
-        if stop - start <= 2 * _BLOCK:
-            return self._decode(start, max(start, stop))
-        out = np.empty(stop - start)
+        if out is None:
+            out = np.empty(max(0, stop - start))
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
-            out[lo - start:hi - start] = self._decode(lo, hi)
+            self._decode(lo, hi, out[lo - start:hi - start])
         return out
 
-    def _decode(self, start: int, stop: int) -> np.ndarray:
+    def _decode(self, start: int, stop: int, out: np.ndarray) -> None:
         channels = self.channel_count_original
         raw = np.empty((stop - start) * channels * self._width, dtype=np.uint8)
         with self._lock:
@@ -302,21 +314,30 @@ class WavReader:
             wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
             (wide[:, :3] if self._dtype.byteorder == ">" else wide[:, 1:])[...] = raw.reshape(-1, 3)
             raw = wide.reshape(-1)
-        samples = raw.view(self._dtype).astype(np.float64)
+        if channels == 1:
+            out[...] = raw.view(self._dtype)
+            samples = out
+        else:
+            samples = raw.view(self._dtype).astype(np.float64)
         if self._scale != 1.0:  # x / 1.0 is x: float samples skip the pass
             samples /= self._scale
         if channels > 1:
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mean is reported below
-                samples = samples.reshape(-1, channels).mean(axis=1)
+                samples.reshape(-1, channels).mean(axis=1, out=out)
         # reductions, not a block-sized mask; a NaN sample makes min() NaN
-        if self._dtype.kind == "f" and len(samples) and not (
-            np.isfinite(samples.min()) and np.isfinite(samples.max())
+        if self._dtype.kind == "f" and len(out) and not (
+            np.isfinite(out.min()) and np.isfinite(out.max())
         ):
-            at = start + int(np.flatnonzero(~np.isfinite(samples))[0])
+            at = start + int(np.flatnonzero(~np.isfinite(out))[0])
             raise FormatError(
-                f"samples must be finite in {self.path!r}: sample {at} is {samples[at - start]}"
+                f"samples must be finite in {self.path!r}: sample {at} is {out[at - start]}"
             )
-        return samples
+
+
+def _of(source) -> str:
+    """Where a block source's samples come from, for an error message:
+    " of '<path>'" for a :class:`WavReader`, nothing for a clip."""
+    return f" of {source.path!r}" if isinstance(source, WavReader) else ""
 
 
 def load_audio(path) -> AudioClip:
@@ -378,8 +399,15 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     run in place in one buffer of the padded length, a block at a time with
     the filter state carried across blocks, so the call holds one clip-sized
     buffer. ``clip`` may also be a :class:`WavReader`: the forward pass then
-    reads each block from the file just before filtering it, and no other
-    clip-sized array is built.
+    decodes each block from the file straight into the buffer just before
+    filtering it, and no other clip-sized array is built.
+
+    Raises
+    ------
+    ParameterError
+        If the cutoff is not below the Nyquist rate, the clip is too short
+        for the filter's padding, or samples near the float64 limit make
+        the filter's output overflow.
     """
     from . import _signal  # local import; the CSV path never needs it
 
@@ -401,26 +429,31 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     # scipy's odd extension (odd_ext) at each end
     buf = np.empty(n + 2 * edge)
     head, tail = clip.read(0, edge + 1), clip.read(n - edge - 1, n)
-    buf[:edge] = 2 * head[0] - head[edge:0:-1]
-    buf[edge + n:] = 2 * tail[-1] - tail[-2::-1]
     zi_unit = _signal.sosfilt_zi(sos)
-    zi = zi_unit * buf[0]
-    for start in range(0, len(buf), _BLOCK):  # forward pass, filling the clip in as it goes
-        stop = min(start + _BLOCK, len(buf))
-        lo, hi = max(start, edge), min(stop, edge + n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        buf[:edge] = 2 * head[0] - head[edge:0:-1]
+        buf[edge + n:] = 2 * tail[-1] - tail[-2::-1]
+        zi = zi_unit * buf[0]
+    for start in range(0, len(buf), _BLOCK):  # forward pass, in place, reading the clip in as it goes
+        block = buf[start:start + _BLOCK]
+        lo, hi = max(start, edge), min(start + len(block), edge + n)
         if lo < hi:
-            buf[lo:hi] = clip.read(lo - edge, hi - edge)
-        buf[start:stop], zi = _signal.sosfilt(sos, buf[start:stop], zi)
-    back = buf[::-1]  # backward pass over the forward output
-    zi = zi_unit * back[0]
+            clip.read(lo - edge, hi - edge, out=buf[lo:hi])
+        _, zi = _signal.sosfilt(sos, block, zi, out=block)
+    # backward pass over the forward output, each reversed block through one
+    # contiguous scratch block; the clip's samples are checked while in cache
+    back, scratch = buf[::-1], np.empty(min(_BLOCK, len(buf)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zi = zi_unit * back[0]
     for start in range(0, len(back), _BLOCK):
         block = back[start:start + _BLOCK]
-        block[...], zi = _signal.sosfilt(sos, block, zi)
-    return AudioClip(
-        samples=buf[edge:edge + n],
-        sample_rate=clip.sample_rate,
-        channel_count_original=clip.channel_count_original,
-    )
+        block[...], zi = _signal.sosfilt(sos, block, zi, out=scratch[:len(block)])
+        lo, hi = max(len(buf) - start - len(block), edge), min(len(buf) - start, edge + n)
+        if lo < hi and not (np.isfinite(buf[lo:hi].min()) and np.isfinite(buf[lo:hi].max())):
+            raise ParameterError(
+                f"the samples{_of(clip)} overflow the high-pass filter: its output is not finite"
+            )
+    return AudioClip._checked(buf[edge:edge + n], clip.sample_rate, clip.channel_count_original)
 
 
 def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:

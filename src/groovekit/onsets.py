@@ -261,6 +261,10 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
     from . import _signal  # local import; the CSV path never needs it
 
     found = []
+    # the masked block, in one reused array: a fresh 2 MB array per block is
+    # mapped and paged in anew each time unless glibc's mmap threshold was
+    # raised by a larger freed array (27k page faults a call on a 5-minute clip)
+    scratch = np.empty(0)
     start, size = 0, _PEAK_BLOCK
     while True:
         stop = min(start + size, len(values))
@@ -272,7 +276,11 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
                 continue
             stop = start + cut + 1
             block = block[:cut + 1]
-        found.append(_signal.find_peaks(np.where(block >= height, block, 0.0), height) + start)
+        if len(scratch) < len(block):
+            scratch = np.empty(len(block))
+        # values below height zeroed; the values are finite, as detect_onsets checked
+        masked = np.multiply(block, block >= height, out=scratch[:len(block)])
+        found.append(_signal.find_peaks(masked, height) + start)
         if stop == len(values):
             return np.concatenate(found)
         start, size = stop - 1, _PEAK_BLOCK

@@ -9,6 +9,7 @@ allocate no more than one clip-sized buffer plus a few blocks.
 The CLI's fused path (``cli._detect_from_audio`` on a ``WavReader``) must give
 the bytes of the public composition on a loaded clip, for every sample
 encoding, and hold one clip-sized buffer with the tempogram thread running.
+The tempogram branch itself must hold its outputs and one small block.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from scipy.io import wavfile
 from groovekit import cli
 from groovekit.audio import _BLOCK, AudioClip, WavReader, envelope, highpass, load_audio
 from groovekit.onsets import detect_onsets, merge_close_onsets
+from groovekit.tempogram import novelty_curve
 
 B = _BLOCK
 
@@ -216,3 +218,28 @@ def test_fused_path_and_tempogram_thread_hold_one_clip(tmp_path):
     assert len(series) > 1000
     clip_bytes = 8 * n
     assert peak < clip_bytes + 40e6, (peak - clip_bytes) / 1e6
+
+
+def test_tempogram_branch_holds_its_outputs_and_one_small_block(tmp_path):
+    """The tempogram thread's work (novelty curve, then Fourier tempogram,
+    read from the file a block at a time) holds its output arrays and a
+    fixed working set under 2 MB (about 1.4 MB), the same at 45 s and at
+    90 s (45 and 106 tempogram frames, both more than one block)."""
+
+    def beyond_outputs(seconds):
+        wav = tmp_path / f"{seconds}.wav"
+        _write_wav(wav, "float32", _clicks(int(seconds * 44100), 1, seed=seconds))
+        with WavReader(str(wav)) as reader:
+            frames = len(novelty_curve(reader))  # also the first-call imports and caches
+            tracemalloc.start()
+            try:
+                tg = cli._tempogram(reader)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        outputs = 8 * frames + tg.magnitude.nbytes + tg.times_s.nbytes + tg.tempi_bpm.nbytes
+        return peak - outputs
+
+    short, long = beyond_outputs(45), beyond_outputs(90)
+    assert max(short, long) < 2e6, (short / 1e6, long / 1e6)
+    assert abs(long - short) < 0.1e6, (short / 1e6, long / 1e6)

@@ -16,7 +16,7 @@ import pytest
 from scipy import signal
 
 from groovekit import _signal
-from groovekit.audio import AudioClip, envelope, highpass
+from groovekit.audio import AudioClip, WavReader, envelope, highpass, save_audio
 from groovekit.onsets import detect_onsets
 
 RATES = (8000.0, 11025.0, 16000.0, 22050.0, 44099.7, 44100.0, 48000.0, 88200.0, 96000.0, 192000.0)
@@ -60,6 +60,26 @@ def test_sosfilt_matches_scipy_across_blocks(order):
     y_want, zi_want = signal.sosfilt(sos, back, zi=zi_want)
     assert _same(y_got, y_want) and _same(zi_got, zi_want)
     assert _same(x, _noise(5000, seed=order))
+
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_sosfilt_into_out_matches_scipy(order):
+    """In place, as the high-pass's forward pass filters its buffer, and
+    from a reversed view into a scratch block, as its backward pass does."""
+    sos = signal.butter(order, 1000.0, btype="highpass", fs=44100.0, output="sos")
+    x = _noise(5000, seed=order)
+    zi = signal.sosfilt_zi(sos) * x[0]
+    y_want, zf_want = signal.sosfilt(sos, x, zi=zi)
+    y = x.copy()
+    got, zf = _signal.sosfilt(sos, y, zi, out=y)
+    assert got is y and _same(y, y_want) and _same(zf, zf_want)
+    scratch = np.full(5000, np.nan)
+    got, zf = _signal.sosfilt(sos, x[::-1], zi, out=scratch)
+    y_want, zf_want = signal.sosfilt(sos, x[::-1], zi=zi)
+    assert got is scratch and _same(scratch, y_want) and _same(zf, zf_want)
+    assert _same(x, _noise(5000, seed=order))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _signal.sosfilt(sos, x[::2], zi, out=np.empty(10000)[::4])
 
 
 @pytest.mark.parametrize("smoothing_ms", [0.01, 2.0, 50.0])
@@ -118,20 +138,29 @@ def _missing_function(name):
 
 
 @pytest.mark.parametrize("unloadable", [_missing_module, _missing_function])
-def test_fallback_gives_the_bound_results(monkeypatch, unloadable):
+def test_fallback_gives_the_bound_results(monkeypatch, tmp_path, unloadable):
+    """On a clip, and on a WAV whose blocks the high-pass decodes straight
+    into its buffer and filters in place."""
     rng = np.random.default_rng(11)
     samples = 0.001 * rng.normal(size=3 * 44100)
     samples[::11025] += 0.9  # clicks the detector finds
     clip = AudioClip(samples, 44100.0)
+    wav = tmp_path / "clip.wav"
+    save_audio(wav, clip)
+
+    def results():
+        with WavReader(wav) as reader:
+            return _audio_results(clip) + _audio_results(reader)
+
     assert _signal.bound()
-    bound = _audio_results(clip)
+    bound = results()
     monkeypatch.setattr(_signal, "_load", unloadable)
     _signal._kernels.cache_clear()
     try:
         assert not _signal.bound()
-        fell_back = _audio_results(clip)
+        fell_back = results()
     finally:
         _signal._kernels.cache_clear()
-    assert len(bound[2]) == 12
-    for got, want in zip(fell_back, bound):
+    assert len(bound[2]) == 12 and len(bound[len(bound) // 2 + 2]) == 12
+    for got, want in zip(fell_back, bound, strict=True):
         assert _same(got, want)

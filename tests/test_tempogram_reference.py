@@ -117,6 +117,25 @@ class TestTempogramMatchesReference:
         assert tg.magnitude.tobytes() == spectra[:, keep].tobytes()
         assert len(tg.times_s) == 1 + (len(novelty) - params.window_length) // hop
 
+    @pytest.mark.parametrize(
+        "n_frames",
+        [1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1],
+    )
+    def test_blocks_match_one_transform(self, n_frames):
+        """Tempogram frames transformed a block at a time, only the kept bins
+        written, give the bytes of one transform of every frame."""
+        params = TempogramParams()
+        values = np.random.default_rng(n_frames).exponential(size=params.window_length + params.hop * (n_frames - 1))
+        novelty = NoveltyCurve(values=values, sample_rate=SR / 512)
+        tg = fourier_tempogram(novelty, params)
+        frames = np.lib.stride_tricks.sliding_window_view(values, params.window_length)[:: params.hop]
+        bpm = np.fft.rfftfreq(params.fft_length, d=1.0 / novelty.sample_rate) * 60.0
+        keep = (bpm >= params.min_bpm) & (bpm <= params.max_bpm)
+        want = np.abs(np.fft.rfft(frames * np.hanning(params.window_length), params.fft_length))[:, keep]
+        assert tg.magnitude.shape == (n_frames, np.count_nonzero(keep))
+        assert tg.magnitude.tobytes() == want.tobytes()
+        assert tg.tempi_bpm.tobytes() == bpm[keep].tobytes()
+
 
 class TestCsvMatchesReference:
     def _assert_same_bytes(self, tmp_path, tg):

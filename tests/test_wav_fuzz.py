@@ -115,3 +115,56 @@ def test_cut_inside_data_prints_one_error_line(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("groovekit: "), proc.stderr
+
+
+def _run_cli(tmp_path, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "groovekit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _huge_float_wav(path, n, peak):
+    """A float64 WAV of finite clicks over noise, scaled so its largest sample is ``peak``."""
+    rng = np.random.default_rng(5)
+    x = 0.01 * rng.uniform(-1.0, 1.0, n)
+    x[::11025] = rng.choice([-1.0, 1.0], len(x[::11025]))
+    wavfile.write(path, 44100, x * peak)
+
+
+def test_samples_that_overflow_the_highpass_print_one_error_line(tmp_path):
+    """Finite samples at +-1.7e308: the odd extension and the filter overflow.
+    Each command exits 2 with one line naming the file, and numpy prints no
+    RuntimeWarning."""
+    wav = tmp_path / "huge.wav"
+    _huge_float_wav(wav, 5000, 1.7e308)
+    for argv in (["analyze", str(wav), "--out-dir", str(tmp_path / "out")],
+                 ["onsets", str(wav), "-o", str(tmp_path / "onsets.csv")]):
+        proc = _run_cli(tmp_path, *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"groovekit: the samples of {str(wav)!r} overflow the high-pass filter: "
+            "its output is not finite"
+        ]
+
+
+@pytest.mark.parametrize("peak", [1e306, 1e307])
+def test_samples_that_overflow_the_novelty_spectrum_exit_2(tmp_path, peak):
+    """The high-pass passes samples this large, but the novelty curve's
+    spectrum overflows: analyze exits 2 with one line naming the file instead
+    of writing a tempogram of NaN (report.json, written first, stays, as
+    for any tempogram error), and numpy prints no RuntimeWarning."""
+    wav = tmp_path / "huge.wav"
+    _huge_float_wav(wav, 13 * 44100, peak)
+    out = tmp_path / "out"
+    proc = _run_cli(tmp_path, "analyze", str(wav), "--out-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(
+        f"groovekit: the samples of {str(wav)!r} overflow the novelty curve's spectrum"
+    )
+    assert (out / "report.json").exists()
+    assert not any(p.name.startswith("tempogram") for p in out.iterdir())
