@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +88,8 @@ class AnalysisResult:
     drift: DriftSeries
     phrase_interval: PhraseProfile
     phrase_amplitude: PhraseProfile
-    dfa_results: dict[str, dfa_mod.FluctuationResult] = field(default_factory=dict)
-    dfa_notes: dict[str, str] = field(default_factory=dict)
+    dfa_results: dict[str, dfa_mod.FluctuationResult]
+    dfa_notes: dict[str, str]
 
     def report_dict(self) -> dict:
         drift_vals = self.drift.drift_values()
@@ -127,22 +127,12 @@ class AnalysisResult:
                     "alpha1": list(result.alpha1_range),
                     "alpha2": list(result.alpha2_range),
                 },
-                "r_squared": _fit_r2(result),
+                "r_squared": {"alpha1": result.alpha1_r2, "alpha2": result.alpha2_r2},
                 "n_scales": int(len(result.scales)),
             }
         for name, note in self.dfa_notes.items():
             report["dfa"][name] = {"skipped": note}
         return report
-
-
-def _fit_r2(result: dfa_mod.FluctuationResult) -> dict:
-    out = {}
-    for key, rng in (("alpha1", result.alpha1_range), ("alpha2", result.alpha2_range)):
-        try:
-            out[key] = dfa_mod.fit_loglog(result, *rng)[2]
-        except GrooveKitError:
-            out[key] = None
-    return out
 
 
 def _profile_dict(profile: PhraseProfile) -> dict:
@@ -156,7 +146,9 @@ def _profile_dict(profile: PhraseProfile) -> dict:
     }
 
 
-def _dfa_series(result: AnalysisResult, params: AnalysisParams) -> dict[str, np.ndarray]:
+def _dfa_series(
+    series: IntervalSeries, onsets: OnsetSeries, params: AnalysisParams
+) -> dict[str, np.ndarray]:
     """Interval and amplitude sequences for DFA.
 
     The all-intervals series takes each interval's deviation from its own
@@ -165,7 +157,6 @@ def _dfa_series(result: AnalysisResult, params: AnalysisParams) -> dict[str, np.
     masquerade as anticorrelated noise. Per-class series are the raw
     durations; DFA's own mean subtraction centers them.
     """
-    series = result.series
     valid = series.multiples() != 0
     taus, multiples = series.taus()[valid], series.multiples()[valid]
     values = taus if params.raw_intervals else series.normalized_taus()
@@ -177,7 +168,7 @@ def _dfa_series(result: AnalysisResult, params: AnalysisParams) -> dict[str, np.
     out = {"intervals_all": values - class_mean[multiples]}
     for klass in CLASSES:
         out[f"intervals_{klass.value}s"] = taus[multiples == klass.multiple]
-    out["amplitudes"] = result.onsets.amplitudes()
+    out["amplitudes"] = onsets.amplitudes()
     return out
 
 
@@ -214,7 +205,15 @@ def run_analysis(
     phrase_iv = phrase_interval_profile(series, onsets, template=template, sections=sections)
     phrase_amp = phrase_amplitude_profile(series, onsets, template=template, sections=sections)
 
-    result = AnalysisResult(
+    dfa_results, dfa_notes = {}, {}
+    for name, values in _dfa_series(series, onsets, params).items():
+        if len(values) < MIN_DFA_LENGTH:
+            dfa_notes[name] = f"series too short for DFA ({len(values)} points)"
+        else:
+            dfa_results[name] = dfa_mod.dfa_analyze(
+                values, short_range=params.dfa_short, long_range=params.dfa_long
+            )
+    return AnalysisResult(
         input_descriptor=input_descriptor,
         params=params,
         onsets=onsets,
@@ -226,17 +225,9 @@ def run_analysis(
         drift=drift,
         phrase_interval=phrase_iv,
         phrase_amplitude=phrase_amp,
+        dfa_results=dfa_results,
+        dfa_notes=dfa_notes,
     )
-    for name, values in _dfa_series(result, params).items():
-        if len(values) < MIN_DFA_LENGTH:
-            result.dfa_notes[name] = f"series too short for DFA ({len(values)} points)"
-            continue
-        result.dfa_results[name] = dfa_mod.dfa_analyze(
-            values,
-            short_range=params.dfa_short,
-            long_range=params.dfa_long,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

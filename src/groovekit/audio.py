@@ -405,7 +405,8 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     Raises
     ------
     ParameterError
-        If the cutoff is not below the Nyquist rate, the clip is too short
+        If the cutoff is not below the Nyquist rate or so far below it
+        that the filter's initial state is singular, the clip is too short
         for the filter's padding, or samples near the float64 limit make
         the filter's output overflow.
     """
@@ -429,7 +430,14 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     # scipy's odd extension (odd_ext) at each end
     buf = np.empty(n + 2 * edge)
     head, tail = clip.read(0, edge + 1), clip.read(n - edge - 1, n)
-    zi_unit = _signal.sosfilt_zi(sos)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular state raises here
+            zi_unit = _signal.sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        raise ParameterError(
+            f"cutoff_hz {cutoff_hz:g} is too low for sample rate {clip.sample_rate:g}: "
+            "the high-pass filter's initial state is singular"
+        ) from None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         buf[:edge] = 2 * head[0] - head[edge:0:-1]
         buf[edge + n:] = 2 * tail[-1] - tail[-2::-1]

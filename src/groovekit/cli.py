@@ -20,7 +20,7 @@ from pathlib import Path
 
 from ._csvio import write_rows
 from ._version import __version__
-from .analysis import AnalysisParams, DegenerateInputError, run_analysis, write_analysis_outputs
+from .analysis import AnalysisParams, AnalysisResult, DegenerateInputError, run_analysis, write_analysis_outputs
 # load_audio and envelope are not called here; they stay bound because
 # perfbench/tracer.py wraps every name of the analyze path in this module
 from .audio import WavReader, _envelope_into, envelope, highpass, load_audio, save_audio
@@ -114,24 +114,28 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_analyze(args) -> int:
     in_path = Path(args.input)
     if in_path.suffix.lower() == ".csv":
-        report_path = _analyze_series(args, read_onsets_csv(in_path))
+        result = _analyze_series(args, read_onsets_csv(in_path))
+        report_path = write_analysis_outputs(args.out_dir, result)
     else:
         # local import; CSV analysis never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         # The tempogram shares only the file with detection, and the FFTs and
         # filters of both release the GIL, so it runs on a second thread
-        # meanwhile, reading its own blocks. Its sidecars are still written
-        # after report.json. The pool is joined before the file is closed.
+        # meanwhile, reading its own blocks. Its result is taken before any file
+        # is written, so an error in any stage leaves no output; its sidecars
+        # follow report.json. The pool is joined before the file is closed.
         with WavReader(args.input) as reader, ThreadPoolExecutor(max_workers=1) as pool:
             tempogram = pool.submit(_tempogram, reader)
-            report_path = _analyze_series(args, _detect_from_audio(reader, args)[0])
-            _write_tempogram_outputs(Path(args.out_dir), tempogram.result())
+            result = _analyze_series(args, _detect_from_audio(reader, args)[0])
+            tg = tempogram.result()
+            report_path = write_analysis_outputs(args.out_dir, result)
+            _write_tempogram_outputs(Path(args.out_dir), tg)
     print(f"wrote {report_path}")
     return 0
 
 
-def _analyze_series(args, series) -> Path:
+def _analyze_series(args, series) -> AnalysisResult:
     sections = read_sections_csv(args.sections) if args.sections else None
     params = AnalysisParams(
         bpm_hint=args.bpm_hint,
@@ -141,10 +145,7 @@ def _analyze_series(args, series) -> Path:
         dfa_long=args.dfa_long,
         raw_intervals=args.raw_intervals,
     )
-    result = run_analysis(
-        series, params=params, sections=sections, input_descriptor=str(args.input)
-    )
-    return write_analysis_outputs(args.out_dir, result)
+    return run_analysis(series, params=params, sections=sections, input_descriptor=str(args.input))
 
 
 def _tempogram(source):

@@ -15,7 +15,7 @@ for a scale-resolved alpha(s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +50,8 @@ class FluctuationResult:
     degenerate: bool = False
     alpha1: float | None = None
     alpha2: float | None = None
+    alpha1_r2: float | None = None
+    alpha2_r2: float | None = None
     alpha1_range: tuple[int, int] = SHORT_RANGE
     alpha2_range: tuple[int, int] = LONG_RANGE
     alpha_local: tuple[tuple[int, float], ...] = ()
@@ -191,33 +193,28 @@ def dfa_analyze(
     long_range: tuple[int, int] = LONG_RANGE,
     half_window: int = 2,
 ) -> FluctuationResult:
-    """Full analysis: F(s) plus fitted short/long exponents and alpha(s).
+    """Full analysis: F(s), short/long exponents with the r² of each fit, and alpha(s).
 
     Fit ranges are clipped to the available scales; a range left with fewer
-    than three scales yields a None exponent rather than an error.
+    than three scales yields a None exponent and r² rather than an error.
     """
     result = dfa_fluctuation(series, scales=scales, detrend_order=detrend_order)
     if result.degenerate:
         return result
-
-    def try_fit(lo: int, hi: int) -> float | None:
-        try:
-            return fit_alpha(result, lo, hi)
-        except FitError:
-            return None
-
     s_max = int(result.scales[-1])
-    a1_range = (short_range[0], min(short_range[1], s_max))
-    a2_range = (long_range[0], min(long_range[1], s_max))
+    ranges = [(lo, min(hi, s_max)) for lo, hi in (short_range, long_range)]
+    fits = []
+    for rng in ranges:
+        try:
+            fits.append(fit_loglog(result, *rng))
+        except FitError:
+            fits.append((None, None, None))
     try:
         alocal = local_alpha(result, half_window=half_window)
     except FitError:
         alocal = ()
-    return replace(
-        result,
-        alpha1=try_fit(*a1_range),
-        alpha2=try_fit(*a2_range),
-        alpha1_range=a1_range,
-        alpha2_range=a2_range,
-        alpha_local=alocal,
+    (a1, _, r1), (a2, _, r2) = fits
+    return FluctuationResult(
+        result.scales, result.F, detrend_order, alpha1=a1, alpha2=a2, alpha1_r2=r1,
+        alpha2_r2=r2, alpha1_range=ranges[0], alpha2_range=ranges[1], alpha_local=alocal,
     )

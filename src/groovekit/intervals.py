@@ -193,11 +193,27 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
     return IntervalSeries._of(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
 
 
+def _first_edge(taus: np.ndarray, width_s: float) -> float:
+    """The multiple of ``width_s`` at or below the shortest interval, once
+    every interval is known to be a finite number of bins long."""
+    if not taus.max() < np.finfo(np.float64).max * width_s:
+        raise EstimationError(
+            f"intervals up to {taus.max():g} s are too long to count in {width_s * 1e3:g} ms bins"
+        )
+    return np.floor(taus.min() / width_s) * width_s
+
+
 def _histogram(taus: np.ndarray, width_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and edges of bins ``width_s`` wide, the first edge on a multiple
-    of ``width_s`` at or below the shortest interval."""
-    lo = np.floor(taus.min() / width_s) * width_s
-    n_bins = max(1, int(np.ceil((taus.max() - lo) / width_s)) + 1)
+    """Counts and edges of bins ``width_s`` wide, the first edge at
+    :func:`_first_edge`."""
+    lo = _first_edge(taus, width_s)
+    span = np.ceil((taus.max() - lo) / width_s)
+    if not span < np.iinfo(np.intp).max // 8:  # more float64 edges than one array holds
+        raise EstimationError(
+            f"intervals spread over {taus.max() - taus.min():g} s need more "
+            f"{width_s * 1e3:g} ms histogram bins than an array can hold"
+        )
+    n_bins = max(1, int(span) + 1)
     edges = lo + width_s * np.arange(n_bins + 1)
     counts, _ = np.histogram(taus, bins=edges)
     return counts, edges
@@ -207,13 +223,20 @@ def _seed_from_minimum_mode(taus: np.ndarray) -> float:
     """Center of the lowest well-populated histogram bin.
 
     Picks the shortest interval cluster (the singles) while ignoring stray
-    short outliers that fill no bin.
+    short outliers that fill no bin. Only occupied bins are counted, each
+    value placed against the edges ``lo + w*k`` as :func:`_histogram` would
+    place it, so a long gap costs no memory.
     """
-    counts, edges = _histogram(taus, SEED_BIN_S)
-    floor = max(1.0, 0.5 * counts.max())
-    for i, c in enumerate(counts):
-        if c >= floor:
-            return float(edges[i] + 0.5 * SEED_BIN_S)
+    w = SEED_BIN_S
+    lo = _first_edge(taus, w)
+    k = np.floor((taus - lo) / w)
+    # the quotient can round one bin off either way; the edges decide
+    k -= lo + w * k > taus
+    k += lo + w * (k + 1) <= taus
+    bins, counts = np.unique(k[k >= 0], return_counts=True)
+    if len(counts):
+        first = np.argmax(counts >= max(1.0, 0.5 * counts.max()))
+        return float(lo + w * bins[first] + 0.5 * w)
     return float(np.median(taus))
 
 

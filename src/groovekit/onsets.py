@@ -345,7 +345,10 @@ def detect_onsets(
     if not math.isfinite(peak):
         raise ParameterError("envelope values must be finite")
     height = threshold * peak
-    distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
+    samples = refractory_ms * 1e-3 * env.sample_rate
+    if samples == math.inf:
+        raise ParameterError(f"refractory_ms {refractory_ms:g} overflows at sample rate {env.sample_rate:g}")
+    distance = max(1, int(round(samples)))
     peaks = _candidate_peaks(values, height)
     peaks = peaks[_spaced(peaks, values[peaks], distance)]
 

@@ -239,15 +239,22 @@ def gen_powerlaw_noise(
     m = int(oversample) * n
     freqs = np.fft.rfftfreq(m)
     amps = np.zeros_like(freqs)
-    amps[1:] = freqs[1:] ** (-beta / 2.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(freqs))
-    spectrum = amps * np.exp(1j * phases)
-    spectrum[0] = 0.0
-    if m % 2 == 0:
-        spectrum[-1] = amps[-1] * np.cos(phases[-1])
-    x = np.fft.irfft(spectrum, n=m)[:n]
-    x = x - np.mean(x)
-    sd = np.std(x)
+    # a steep exponent overflows the spectrum, its inverse or their spread, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps[1:] = freqs[1:] ** (-beta / 2.0)
+        spectrum = amps * np.exp(1j * phases)
+        spectrum[0] = 0.0
+        if m % 2 == 0:
+            spectrum[-1] = amps[-1] * np.cos(phases[-1])
+        x = np.fft.irfft(spectrum, n=m)[:n]
+        x = x - np.mean(x)
+        sd = np.std(x)
+    if not sd < np.inf:  # NaN too
+        raise ParameterError(
+            f"power-law exponent {beta:g} is too steep for a series of length {n}: "
+            "the synthesized values overflow"
+        )
     if sd > 0:
         x = x / sd
     return x

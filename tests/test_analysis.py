@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from groovekit import GrooveSpec, TempogramParams, gen_shuffle_onsets
+from groovekit import (
+    GrooveSpec,
+    TempogramParams,
+    gen_shuffle_onsets,
+    read_onsets_csv,
+    write_onsets_csv,
+)
+from groovekit import dfa as dfa_mod
 from groovekit.analysis import (
     AnalysisParams,
     DegenerateInputError,
@@ -11,6 +18,7 @@ from groovekit.analysis import (
     write_analysis_outputs,
 )
 
+from groovekit.cli import main
 from groovekit.tempogram import Tempogram, tempogram_summary
 
 from conftest import series_from_times
@@ -107,3 +115,31 @@ class TestJsonSchema:
         assert list(summary["params"]) == [
             "window_length", "hop", "fft_length", "min_bpm", "max_bpm", "ref_bpm",
         ]
+
+
+class TestOneFitPerExponent:
+    def test_fit_loglog_runs_once_per_exponent(self, tmp_path, monkeypatch):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=60, jitter_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=1)
+        path = tmp_path / "g.csv"
+        write_onsets_csv(path, onsets)
+        calls = []
+        fit_loglog = dfa_mod.fit_loglog
+
+        def counted(*args):
+            calls.append(args)
+            return fit_loglog(*args)
+
+        monkeypatch.setattr(dfa_mod, "fit_loglog", counted)
+        assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 8  # four long DFA series, two exponents each
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        result = run_analysis(read_onsets_csv(path))
+        assert list(result.dfa_results) == [
+            "intervals_all", "intervals_singles", "intervals_doubles", "amplitudes",
+        ]
+        assert list(result.dfa_notes) == ["intervals_triples"]
+        for name, res in result.dfa_results.items():
+            for key in ("alpha1", "alpha2"):
+                r2 = fit_loglog(res, *getattr(res, f"{key}_range"))[2]
+                assert report["dfa"][name]["r_squared"][key] == r2

@@ -2,7 +2,8 @@
 
 The outputs, stdout lines, exit codes and errors must be those of the serial
 pipeline: detection, analysis and report first, then the tempogram sidecars.
-Every call must also leave no thread behind.
+Every stage returns before any file is written, so a failed call writes
+nothing. Every call must also leave no thread behind.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from scipy.io import wavfile
 
 import groovekit.cli
-from groovekit.analysis import AnalysisParams, run_analysis, write_analysis_outputs
+from groovekit.analysis import AnalysisParams, DegenerateInputError, run_analysis, write_analysis_outputs
 from groovekit.audio import envelope, highpass, load_audio
 from groovekit.cli import main
 from groovekit.errors import ParameterError
@@ -98,9 +99,21 @@ def test_tempogram_error_surfaces_after_report(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "groovekit: novelty failed\n"
-    names = {p.name for p in out_dir.iterdir()}
-    assert "report.json" in names
-    assert not any(name.startswith("tempogram") for name in names)
+    assert not out_dir.exists()
+
+
+def test_analysis_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    wav = render(tmp_path, 24)
+    capsys.readouterr()
+
+    def failing_analysis(*args, **kwargs):
+        raise DegenerateInputError("analysis failed")
+
+    monkeypatch.setattr(groovekit.cli, "run_analysis", failing_analysis)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(wav), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "groovekit: analysis failed\n"
+    assert not out_dir.exists()
 
 
 def test_detection_error_writes_nothing(tmp_path, capsys):

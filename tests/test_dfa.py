@@ -213,6 +213,25 @@ class TestDfaAnalyze:
         assert result.degenerate
         assert result.alpha1 is None
 
+    def test_r_squared_kept_from_the_fit_of_each_exponent(self):
+        result = dfa_analyze(gen_powerlaw_noise(1.0, 4096, seed=2))
+        for alpha, r2, rng in ((result.alpha1, result.alpha1_r2, result.alpha1_range),
+                               (result.alpha2, result.alpha2_r2, result.alpha2_range)):
+            slope, _, expected = fit_loglog(result, *rng)
+            assert (alpha, r2) == (slope, expected)
+
+    @pytest.mark.parametrize("series", [np.zeros(256), np.full(300, -2.5)])
+    def test_r_squared_none_when_degenerate(self, series):
+        result = dfa_analyze(series)
+        assert result.degenerate
+        assert (result.alpha1_r2, result.alpha2_r2) == (None, None)
+
+    def test_r_squared_none_with_its_exponent(self):
+        # 64 points: the largest scale is 16, so the long range keeps one scale
+        result = dfa_analyze(gen_powerlaw_noise(1.0, 64, seed=2))
+        assert result.alpha1 is not None and result.alpha1_r2 is not None
+        assert result.alpha2 is None and result.alpha2_r2 is None
+
     def test_default_scale_grid(self):
         scales = default_scales(10_000)
         assert scales[0] == 4

@@ -170,6 +170,29 @@ class TestShortAudio:
         assert "Traceback" not in err
         assert f"clip of {n_samples} samples" in err and "at least 16" in err
 
+    # 6.3e-5 Hz and below at 44.1 kHz used to exit 1 with a LinAlgError
+    # traceback from the filter's initial state (4e-5 after a RuntimeWarning)
+    @pytest.mark.parametrize("cutoff", ["6.3e-5", "4e-5", "1e-300"])
+    @pytest.mark.parametrize("command", ["analyze", "onsets"])
+    def test_cutoff_too_low_exit_2(self, tmp_path, capsys, command, cutoff):
+        wav = tmp_path / "clip.wav"
+        wavfile.write(wav, 44100, np.zeros(4410, dtype=np.float32))
+        written = tmp_path / ("out" if command == "analyze" else "o.csv")
+        out = ["--out-dir" if command == "analyze" else "-o", str(written)]
+        code = main([command, str(wav), *out, "--cutoff-hz", cutoff])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"groovekit: cutoff_hz {float(cutoff):g} is too low for sample rate 44100: "
+            "the high-pass filter's initial state is singular"
+        ]
+        assert not written.exists()
+
+    def test_lowest_working_cutoffs_still_run(self):
+        clip = AudioClip(samples=np.zeros(4410), sample_rate=44100.0)
+        for cutoff in (8e-5, 1e-4):
+            assert len(highpass(clip, cutoff_hz=cutoff).samples) == 4410
+
     def test_shortest_accepted_clip(self):
         clip = AudioClip(samples=np.zeros(16), sample_rate=44100.0)
         assert len(highpass(clip).samples) == 16
@@ -242,6 +265,14 @@ class TestNonFiniteDetectionParameters:
         env = make_envelope([0.0, 1.0, 0.0, 0.5, 0.0])
         with pytest.raises(ParameterError, match="refractory_ms"):
             detect_onsets(env, refractory_ms=value)
+
+    def test_refractory_overflowing_in_samples(self):
+        # 1e307 ms at 44.1 kHz is more samples than a float holds; it used to
+        # raise an OverflowError traceback from int()
+        env = make_envelope([0.0, 1.0, 0.0, 0.5, 0.0], sample_rate=44100.0)
+        with pytest.raises(ParameterError, match="refractory_ms 1e\\+307 overflows at sample rate 44100"):
+            detect_onsets(env, refractory_ms=1e307)
+        assert len(detect_onsets(env, refractory_ms=1e300)) == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_merge_close_onsets_window(self, value):
@@ -377,6 +408,21 @@ class TestSynthContract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # both used to exit 0 (writing 64 NaN rows) or blame "onset 0" after
+    # two RuntimeWarnings
+    @pytest.mark.parametrize("argv, beta, n", [
+        (["--series-only", "--beta", "700", "-n", "64"], "700", 64),
+        (["--bars", "2", "--lrc-sigma-ms", "1", "--lrc-beta", "1e308"], "1e+308", 16),
+    ])
+    def test_steep_power_law_exit_2(self, tmp_path, capsys, argv, beta, n):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "-o", str(out), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"groovekit: power-law exponent {beta} is too steep for a series of length {n}: "
+            "the synthesized values overflow"
+        ]
+        assert not out.exists()
+
     # Each request is larger than any 64-bit user address space (57-bit
     # paging included), so no machine can start to allocate it.
     @pytest.mark.parametrize("argv", [
@@ -390,4 +436,23 @@ class TestSynthContract:
         assert len(err.splitlines()) == 1
         assert err.startswith("groovekit: out of memory: ")
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestHugeIntervals:
+    """Intervals too long to bin exit 2 with one line instead of a
+    ValueError traceback from the histogram."""
+
+    @pytest.mark.parametrize("n, spacing, message", [
+        (40, 1e300, "need more 2 ms histogram bins than an array can hold"),
+        (12, 1e306, "are too long to count in 4 ms bins"),
+    ])
+    def test_analyze_exit_2(self, tmp_path, capsys, n, spacing, message):
+        path = tmp_path / "far.csv"
+        path.write_text(HEADER + "".join(f"{i},{i * spacing!r},0.5,hihat,auto\n" for i in range(n)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("groovekit: intervals ")
+        assert message in err[0]
         assert not out.exists()

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -14,7 +16,13 @@ from groovekit import (
     interval_stats,
     intervals,
 )
-from groovekit.intervals import read_sections_csv, write_sections_csv
+from groovekit.intervals import (
+    SEED_BIN_S,
+    _histogram,
+    _seed_from_minimum_mode,
+    read_sections_csv,
+    write_sections_csv,
+)
 
 from conftest import series_from_times
 
@@ -90,6 +98,57 @@ class TestEstimateBaseUnit:
 
         with pytest.raises(ParameterError):
             estimate_base_unit(IntervalSeries(intervals=()))
+
+
+def _dense_seed(taus):
+    """The base-unit seed read off the full 4 ms histogram, every bin from
+    the shortest interval to the longest allocated."""
+    counts, edges = _histogram(taus, SEED_BIN_S)
+    floor = max(1.0, 0.5 * counts.max())
+    for i, c in enumerate(counts):
+        if c >= floor:
+            return float(edges[i] + 0.5 * SEED_BIN_S)
+    return float(np.median(taus))
+
+
+@st.composite
+def _seed_taus(draw):
+    """Intervals on, just beside and between the seed histogram's edges,
+    plus arbitrary ones among them."""
+    lo = np.floor(draw(st.floats(SEED_BIN_S, 1e4)) / SEED_BIN_S) * SEED_BIN_S
+    values = []
+    for k in draw(st.lists(st.integers(0, 3000), min_size=1, max_size=40)):
+        edge = lo + SEED_BIN_S * k
+        values.append(draw(st.sampled_from([
+            edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), edge + 0.5 * SEED_BIN_S,
+        ])))
+    values += draw(st.lists(st.floats(0.0, 3000 * SEED_BIN_S).map(lambda x: lo + x), max_size=10))
+    return np.array(values)
+
+
+class TestBaseUnitSeed:
+    @given(_seed_taus())
+    # (6.332 - 3.008) / 0.004 rounds up to 831, but edge 831 is above 6.332
+    @example(np.array([3.008] + [6.332] * 4))
+    @settings(max_examples=200, deadline=None)
+    def test_occupied_bins_give_the_dense_seed(self, taus):
+        assert _seed_from_minimum_mode(taus) == _dense_seed(taus)
+
+    def test_one_long_gap_costs_no_memory(self):
+        # 400 onsets 0.125 s apart with one 20,000 s gap: the dense seed
+        # histogram allocated about 120 MB for it
+        times = 0.125 * np.arange(400.0)
+        times[200:] += 20_000.0
+        series = intervals(series_from_times(times))
+        estimate_base_unit(series)  # first-call caches
+        tracemalloc.start()
+        try:
+            base = estimate_base_unit(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert base * 1e3 == pytest.approx(125.0)
 
 
 class TestClassifyIntervals:
