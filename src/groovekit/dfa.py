@@ -199,10 +199,11 @@ def dfa_analyze(
     than three scales yields a None exponent and r² rather than an error.
     """
     result = dfa_fluctuation(series, scales=scales, detrend_order=detrend_order)
-    if result.degenerate:
-        return result
     s_max = int(result.scales[-1])
     ranges = [(lo, min(hi, s_max)) for lo, hi in (short_range, long_range)]
+    if result.degenerate:
+        return FluctuationResult(result.scales, result.F, detrend_order, degenerate=True,
+                                 alpha1_range=ranges[0], alpha2_range=ranges[1])
     fits = []
     for rng in ranges:
         try:

@@ -19,7 +19,6 @@ from .intervals import IntervalSeries, SectionMap
 from .onsets import LABELS, OnsetSeries
 
 __all__ = [
-    "DriftPoint",
     "DriftSeries",
     "SwingReport",
     "PhraseTemplate",
@@ -33,34 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DriftPoint:
-    index: int          # interval count
-    time_s: float       # time of the onset closing the interval
-    d_s: float          # cumulative deviation from the metronome grid
-    gap: bool = False   # True where a discarded interval reset the drift
-
-
 @dataclass(frozen=True, eq=False)
 class DriftSeries:
-    """Drift per interval as columns; iteration yields :class:`DriftPoint` rows."""
+    """Drift per interval as columns."""
 
-    index: np.ndarray
-    time_s: np.ndarray
-    d_s: np.ndarray
-    gap: np.ndarray
+    index: np.ndarray   # interval count
+    time_s: np.ndarray  # time of the onset closing the interval
+    d_s: np.ndarray     # cumulative deviation from the metronome grid
+    gap: np.ndarray     # True where a discarded interval reset the drift
     base_s: float
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __iter__(self):
-        return map(DriftPoint, self.index.tolist(), self.time_s.tolist(),
-                   self.d_s.tolist(), self.gap.tolist())
-
-    @property
-    def points(self) -> tuple[DriftPoint, ...]:
-        return tuple(self)
 
     def drift_values(self) -> np.ndarray:
         return self.d_s

@@ -21,7 +21,6 @@ from .onsets import ColumnSeries, OnsetSeries
 
 __all__ = [
     "BeatClass",
-    "Interval",
     "IntervalSeries",
     "Section",
     "SectionMap",
@@ -54,50 +53,17 @@ class BeatClass(enum.Enum):
 
 CLASSES = (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE)
 _MULTIPLE = {klass: m for m, klass in enumerate(CLASSES, start=1)}
-# class of multiple code m at m + 1: -1 unclassified, 0 discarded, 1-3 as CLASSES
-_CLASS_OF_CODE = (None, BeatClass.DISCARDED) + CLASSES
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One inter-onset interval.
-
-    ``start_index`` points at the onset that opens the interval;
-    ``start_time_s`` is that onset's time. ``klass`` is None until
-    classification; discarded intervals have ``valid=False`` and no
-    normalized duration.
-    """
-
-    tau_s: float
-    start_index: int
-    start_time_s: float
-    klass: BeatClass | None = None
-    normalized_tau_s: float | None = None
-    valid: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.tau_s < math.inf:
-            raise ParameterError("interval durations must be positive and finite")
 
 
 class IntervalSeries(ColumnSeries):
-    """Inter-onset intervals as columns: durations, start onset indices,
-    start times, and the class multiple (1/2/3 for single/double/triple, 0
-    discarded, -1 unclassified). Validity and normalized durations derive
-    from the multiple; rows are :class:`Interval`.
+    """Inter-onset intervals as columns,
+    ``IntervalSeries(taus, start_indices, start_times, multiples)``: the
+    class multiple is 1/2/3 for single/double/triple, 0 discarded, -1
+    unclassified. Validity and normalized durations derive from it.
     """
 
     __slots__ = ()
     _DTYPES = (np.float64, np.int64, np.float64, np.int8)
-
-    def __init__(self, intervals=()):
-        rows = tuple(intervals)
-        self._store(
-            [iv.tau_s for iv in rows],
-            [iv.start_index for iv in rows],
-            [iv.start_time_s for iv in rows],
-            [_CLASS_OF_CODE.index(iv.klass) - 1 for iv in rows],
-        )
 
     @staticmethod
     def _check(taus, start_indices, start_times, multiples) -> None:
@@ -105,21 +71,6 @@ class IntervalSeries(ColumnSeries):
             raise ParameterError("interval durations must be positive and finite")
         if not np.all((multiples >= -1) & (multiples <= 3)):
             raise ParameterError("class multiples must lie in -1..3")
-
-    @staticmethod
-    def _row(tau: float, start: int, start_time: float, multiple: int) -> Interval:
-        return Interval(
-            tau_s=tau,
-            start_index=start,
-            start_time_s=start_time,
-            klass=_CLASS_OF_CODE[multiple + 1],
-            normalized_tau_s=tau / multiple if multiple > 0 else None,
-            valid=multiple != 0,
-        )
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(self)
 
     def taus(self) -> np.ndarray:
         return self._cols[0]
@@ -137,12 +88,6 @@ class IntervalSeries(ColumnSeries):
         """Durations over class multiples of the classified, valid intervals."""
         valid = self.multiples() > 0
         return self.taus()[valid] / self.multiples()[valid]
-
-    def valid_intervals(self) -> list[Interval]:
-        return [iv for iv in self if iv.valid]
-
-    def of_class(self, klass: BeatClass) -> list[Interval]:
-        return [iv for iv in self if iv.klass is klass]
 
     @property
     def classified(self) -> bool:
@@ -190,7 +135,7 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
         raise ParameterError("need at least 2 onsets to form intervals")
     times = onsets.times()
     n = len(times) - 1
-    return IntervalSeries._of(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
+    return IntervalSeries(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
 
 
 def _first_edge(taus: np.ndarray, width_s: float) -> float:
@@ -293,7 +238,7 @@ def classify_intervals(
     taus = series.taus()
     multiples = np.digitize(taus / base, (1.5, 2.5)) + 1
     multiples[taus / base > max_multiple] = 0
-    return IntervalSeries._of(taus, series.start_indices(), series.start_times(), multiples)
+    return IntervalSeries(taus, series.start_indices(), series.start_times(), multiples)
 
 
 def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:

@@ -9,6 +9,7 @@ arrive as CSV files.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -46,23 +47,20 @@ EDIT_RESOLUTION_S = 0.005
 
 @dataclass(frozen=True)
 class Onset:
+    """One onset as ``OnsetSeries.__getitem__`` returns it, read from
+    columns the series has already checked.
+
+    Series are built from columns only. This view stays because callers read
+    single onsets by index: the benchmark's input generator
+    (``perfbench/inputs.py``) reads ``onsets[len(onsets) - 1].time_s`` to
+    size its CSV workloads.
+    """
+
     time_s: float
     amplitude: float
-    label: str = "unknown"
-    source: str = "auto"
-    uncertainty_ms: float = 0.0
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ParameterError(f"unknown onset label {self.label!r}")
-        if self.source not in SOURCES:
-            raise ParameterError(f"unknown onset source {self.source!r}")
-        if not math.isfinite(self.time_s):
-            raise ParameterError("onset time must be finite")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ParameterError("onset amplitude must lie in [0, 1]")
-        if not 0.0 <= self.uncertainty_ms < math.inf:
-            raise ParameterError("uncertainty_ms must be non-negative and finite")
+    label: str
+    source: str
+    uncertainty_ms: float
 
 
 _LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
@@ -92,24 +90,17 @@ def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray, uncertainty_ms: np
 
 
 class ColumnSeries:
-    """Read-only, equal-length 1-D columns with row objects built on access.
+    """Read-only, equal-length 1-D columns, given to the constructor in order.
 
     Subclasses set ``_DTYPES`` (one per column) and provide ``_check``
-    (validates the converted columns) and ``_row`` (one row from the
-    columns' Python scalars).
+    (validates the converted columns).
     """
 
     __slots__ = ("_cols",)
     _DTYPES: tuple = ()
 
-    @classmethod
-    def _of(cls, *cols):
-        series = cls.__new__(cls)
-        series._store(*cols)
-        return series
-
-    def _store(self, *cols) -> None:
-        cols = tuple(np.array(c, dtype=dtype) for c, dtype in zip(cols, self._DTYPES))
+    def __init__(self, *cols):
+        cols = tuple(np.array(c, dtype=dtype) for c, dtype in zip(cols, self._DTYPES, strict=True))
         if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
             raise ParameterError("columns must be 1-D and of equal length")
         self._check(*cols)
@@ -119,15 +110,6 @@ class ColumnSeries:
 
     def __len__(self) -> int:
         return len(self._cols[0])
-
-    def __iter__(self):
-        return map(self._row, *(c.tolist() for c in self._cols))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        k = range(len(self))[i]
-        return self._row(*(c[k].item() for c in self._cols))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -141,23 +123,14 @@ class ColumnSeries:
 class OnsetSeries(ColumnSeries):
     """Strictly time-ordered onsets with amplitudes and provenance.
 
-    Columns: times, amplitudes, label codes and source codes (indices into
-    ``LABELS``/``SOURCES``), uncertainties. Build from :class:`Onset` rows
-    with ``OnsetSeries(onsets=...)`` or from arrays with :meth:`from_columns`.
+    ``OnsetSeries(times, amplitudes, label_codes, source_codes,
+    uncertainty_ms)``: the codes index ``LABELS``/``SOURCES``, and
+    :meth:`from_columns` takes the names instead. ``series[i]`` is the
+    :class:`Onset` at integer index ``i``.
     """
 
     __slots__ = ()
     _DTYPES = (np.float64, np.float64, np.int8, np.int8, np.float64)
-
-    def __init__(self, onsets=()):
-        onsets = tuple(onsets)
-        self._store(
-            [o.time_s for o in onsets],
-            [o.amplitude for o in onsets],
-            [_LABEL_CODES[o.label] for o in onsets],
-            [_SOURCE_CODES[o.source] for o in onsets],
-            [o.uncertainty_ms for o in onsets],
-        )
 
     @classmethod
     def from_columns(cls, times, amplitudes, labels=None, sources=None, uncertainty_ms=None):
@@ -166,7 +139,7 @@ class OnsetSeries(ColumnSeries):
         n = len(times)
         labels = ["unknown"] * n if labels is None else labels
         sources = ["auto"] * n if sources is None else sources
-        return cls._of(
+        return cls(
             times,
             amplitudes,
             [_code(x, _LABEL_CODES, "label") for x in labels],
@@ -179,14 +152,13 @@ class OnsetSeries(ColumnSeries):
         bad = _first_bad_row(times, amplitudes, uncertainty_ms)
         if bad is not None:
             raise ParameterError(f"onset {bad[0]}: {bad[1]}")
+        if np.any((labels < 0) | (labels >= len(LABELS)) | (sources < 0) | (sources >= len(SOURCES))):
+            raise ParameterError("label and source codes must index LABELS and SOURCES")
 
-    @staticmethod
-    def _row(time_s, amplitude, label, source, uncertainty_ms) -> Onset:
-        return Onset(time_s, amplitude, LABELS[label], SOURCES[source], uncertainty_ms)
-
-    @property
-    def onsets(self) -> tuple[Onset, ...]:
-        return tuple(self)
+    def __getitem__(self, i) -> Onset:
+        k = operator.index(i)  # an integer; negative counts from the end
+        time_s, amplitude, label, source, unc = (c[k].item() for c in self._cols)
+        return Onset(time_s, amplitude, LABELS[label], SOURCES[source], unc)
 
     def times(self) -> np.ndarray:
         return self._cols[0]
@@ -339,7 +311,7 @@ def detect_onsets(
         raise ParameterError("refractory_ms must be positive and finite")
     values = env.values
     if env.silent or len(values) < 3:
-        return OnsetSeries(onsets=())
+        return OnsetSeries((), (), (), (), ())
 
     peak = float(np.max(values))
     if not math.isfinite(peak):
@@ -374,7 +346,7 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
         return series
     times, amplitudes, labels, sources, unc = series._cols
     starts = np.flatnonzero(np.concatenate(([True], np.diff(times) >= window_ms * 1e-3)))
-    return OnsetSeries._of(
+    return OnsetSeries(
         times[starts],
         np.maximum.reduceat(amplitudes, starts),
         labels[starts],
@@ -456,7 +428,7 @@ def apply_edits(
             k = min(max(target, bisect_left(times, t)), bisect_right(times, t))
         for c, value in zip(cols, row):
             c.insert(k, value)
-    return OnsetSeries._of(*cols)
+    return OnsetSeries(*cols)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +474,7 @@ def read_onsets_csv(path) -> OnsetSeries:
                     converters=_ONSET_CONVERTERS,
                 )
                 # a row that breaks a column rule raises ParameterError, a ValueError
-                return OnsetSeries._of(*(rows[k] for k in _ONSET_HEADER[1:]), np.zeros(len(rows)))
+                return OnsetSeries(*(rows[k] for k in _ONSET_HEADER[1:]), np.zeros(len(rows)))
     except (ValueError, KeyError):
         pass
     return _read_onsets_rows(path)
@@ -523,7 +495,7 @@ def _read_onsets_rows(path) -> OnsetSeries:
     bad = _first_bad_row(times, amplitudes, uncertainty_ms)
     if bad is not None:
         raise row_error(path, rows[bad[0]][0], "annotation", bad[1])
-    return OnsetSeries._of(times, amplitudes, labels, sources, uncertainty_ms)
+    return OnsetSeries(times, amplitudes, labels, sources, uncertainty_ms)
 
 
 def write_edits_csv(path, edits: list[AnnotationEdit]) -> None:

@@ -255,9 +255,12 @@ def gen_powerlaw_noise(
             f"power-law exponent {beta:g} is too steep for a series of length {n}: "
             "the synthesized values overflow"
         )
-    if sd > 0:
-        x = x / sd
-    return x
+    if not np.sqrt(np.finfo(np.float64).tiny) < sd:  # squares below it are subnormal
+        raise ParameterError(
+            f"power-law exponent {beta:g} is too steep for a series of length {n}: "
+            "the synthesized values underflow"
+        )
+    return x / sd
 
 
 def gen_crossover_series(

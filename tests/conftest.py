@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groovekit import AudioClip, EnvelopeSignal, Onset, OnsetSeries
+from groovekit import AudioClip, EnvelopeSignal, OnsetSeries
 
 
 @pytest.fixture
@@ -27,11 +27,11 @@ def make_envelope(values, sample_rate=1000.0):
 
 def series_from_times(times, amplitudes=None, labels=None):
     n = len(times)
-    amplitudes = amplitudes if amplitudes is not None else [0.5] * n
-    labels = labels if labels is not None else ["unknown"] * n
-    return OnsetSeries(
-        onsets=tuple(
-            Onset(time_s=float(t), amplitude=float(a), label=lab)
-            for t, a, lab in zip(times, amplitudes, labels)
-        )
+    return OnsetSeries.from_columns(
+        times, [0.5] * n if amplitudes is None else amplitudes, labels=labels
     )
+
+
+def select_onsets(series, keep):
+    """The onsets of ``series`` where the boolean mask ``keep`` is true."""
+    return OnsetSeries(*(c[keep] for c in series._cols))

@@ -1,12 +1,13 @@
 """The columnar metrics against per-object loop references, compared exactly.
 
 The references below are the loop implementations the columnar code
-replaced: one ``Interval``/``DriftPoint`` object per step and dict-based
-phrase bookkeeping. Results must match with ``==``, not within a tolerance,
-because ``report.json`` and the sidecars are compared byte for byte.
+replaced: one row record per step (``IntervalRow``/``DriftRow``, read from
+the columns) and dict-based phrase bookkeeping. Results must match with
+``==``, not within a tolerance, because ``report.json`` and the sidecars are
+compared byte for byte.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from groovekit import (
     BeatClass,
     DriftSeries,
     GrooveSpec,
-    IntervalSeries,
     OnsetSeries,
     PhraseProfile,
     PhraseTemplate,
@@ -30,13 +30,55 @@ from groovekit import (
     phrase_interval_profile,
     swing_ratio,
 )
-from groovekit.groove import DriftPoint
 
-from conftest import series_from_times
+from conftest import select_onsets, series_from_times
 
 
 # ---------------------------------------------------------------------------
-# loop references
+# row records the loop references walk
+
+
+@dataclass(frozen=True)
+class IntervalRow:
+    tau_s: float
+    start_index: int
+    start_time_s: float
+    klass: BeatClass | None = None
+    normalized_tau_s: float | None = None
+    valid: bool = True
+
+
+@dataclass(frozen=True)
+class DriftRow:
+    index: int
+    time_s: float
+    d_s: float
+    gap: bool = False
+
+
+# class of each multiple code: -1 unclassified, 0 discarded, 1-3 single to triple
+_CLASS_OF_MULTIPLE = {
+    -1: None, 0: BeatClass.DISCARDED,
+    1: BeatClass.SINGLE, 2: BeatClass.DOUBLE, 3: BeatClass.TRIPLE,
+}
+
+
+def interval_rows(series):
+    cols = (series.taus(), series.start_indices(), series.start_times(), series.multiples())
+    return [
+        IntervalRow(tau, start, start_time, klass=_CLASS_OF_MULTIPLE[m],
+                    normalized_tau_s=tau / m if m > 0 else None, valid=m != 0)
+        for tau, start, start_time, m in zip(*(c.tolist() for c in cols))
+    ]
+
+
+def drift_rows(drift):
+    cols = (drift.index, drift.time_s, drift.d_s, drift.gap)
+    return [DriftRow(*row) for row in zip(*(c.tolist() for c in cols))]
+
+
+# ---------------------------------------------------------------------------
+# loop references (``series`` is a list of IntervalRow)
 
 
 def ref_classify(series, base, max_multiple=3.5):
@@ -63,20 +105,21 @@ def ref_drift(series, base):
         end_time = iv.start_time_s + iv.tau_s
         if not iv.valid:
             d = 0.0
-            points.append(DriftPoint(index=i + 1, time_s=end_time, d_s=0.0, gap=True))
+            points.append(DriftRow(index=i + 1, time_s=end_time, d_s=0.0, gap=True))
             continue
         d += iv.normalized_tau_s - base
-        points.append(DriftPoint(index=i + 1, time_s=end_time, d_s=d, gap=False))
+        points.append(DriftRow(index=i + 1, time_s=end_time, d_s=d, gap=False))
     return points
 
 
 def ref_swing_inputs(series, onsets):
     singles = [
         iv.tau_s
-        for iv in series.of_class(BeatClass.SINGLE)
-        if onsets[iv.start_index].label != "ghost" and onsets[iv.start_index + 1].label != "ghost"
+        for iv in series
+        if iv.klass is BeatClass.SINGLE
+        and onsets[iv.start_index].label != "ghost" and onsets[iv.start_index + 1].label != "ghost"
     ]
-    doubles = [iv.tau_s for iv in series.of_class(BeatClass.DOUBLE)]
+    doubles = [iv.tau_s for iv in series if iv.klass is BeatClass.DOUBLE]
     return singles, doubles
 
 
@@ -201,7 +244,7 @@ def _with_gaps(onsets, seed, n_cuts=12):
     keep = np.ones(len(onsets), dtype=bool)
     for start in rng.choice(np.arange(1, len(onsets) - 4), size=n_cuts, replace=False):
         keep[start:start + rng.integers(1, 4)] = False
-    return OnsetSeries(onsets=[o for o, k in zip(onsets, keep) if k])
+    return select_onsets(onsets, keep)
 
 
 def _three_sections(onsets):
@@ -253,19 +296,21 @@ def case(request):
 
 def test_classify_matches_loop(case):
     got = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    assert list(got) == ref_classify(case["raw"], case["base"], case["max_multiple"])
+    assert interval_rows(got) == ref_classify(
+        interval_rows(case["raw"]), case["base"], case["max_multiple"]
+    )
 
 
 def test_drift_matches_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
     drift = compute_drift(series, case["base"])
     assert isinstance(drift, DriftSeries)
-    assert list(drift) == ref_drift(series, case["base"])
+    assert drift_rows(drift) == ref_drift(interval_rows(series), case["base"])
 
 
 def test_swing_inputs_match_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    singles, doubles = ref_swing_inputs(series, case["onsets"])
+    singles, doubles = ref_swing_inputs(interval_rows(series), case["onsets"])
     if not singles or not doubles:
         return
     report = swing_ratio(series, case["onsets"])
@@ -276,7 +321,7 @@ def test_swing_inputs_match_loop(case):
 
 def test_phrase_profiles_match_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    args = (series, case["onsets"], case["template"], case["sections"])
+    args = (interval_rows(series), case["onsets"], case["template"], case["sections"])
     kwargs = {"template": case["template"], "sections": case["sections"]}
     onsets = case["onsets"]
     assert phrase_interval_profile(series, onsets, **kwargs) == ref_interval_profile(*args)
@@ -297,21 +342,30 @@ def test_cases_cover_gaps_sections_and_empty_profiles():
 
 
 class TestRowViews:
-    def test_rows_round_trip(self):
-        onsets = _groove(4, 0, ghost_probability=1.0)
-        again = OnsetSeries(onsets=tuple(onsets))
-        assert again == onsets
-        assert again.onsets == tuple(onsets)
-        assert onsets[-1] == onsets.onsets[-1]
-        assert onsets[2:5] == onsets.onsets[2:5]
-
-    def test_interval_rows_round_trip(self):
-        series = classify_intervals(intervals(_groove(4, 0)), 0.12)
-        assert IntervalSeries(intervals=series.intervals) == series
-        assert series[-1] == series.intervals[-1]
-        np.testing.assert_array_equal(
-            series.normalized_taus(), [iv.normalized_tau_s for iv in series.valid_intervals()]
+    def test_onset_fields_match_their_columns(self):
+        groove = _groove(4, 0, ghost_probability=1.0)
+        n = len(groove)
+        unc = np.linspace(0.0, 4.0, n)
+        sources = [("auto", "manual-add", "manual-move")[i % 3] for i in range(n)]
+        s = OnsetSeries.from_columns(
+            groove.times(), groove.amplitudes(), groove.labels(), sources, unc
         )
+        assert len(set(s.labels())) > 1
+        for i in range(n):
+            o = s[i]
+            assert (o.time_s, o.amplitude, o.label, o.source, o.uncertainty_ms) == (
+                s.times()[i], s.amplitudes()[i], s.labels()[i], sources[i], unc[i]
+            )
+            assert type(o.time_s) is float and type(o.label) is str
+
+    def test_last_onset_by_index(self):
+        onsets = _groove(4, 0)
+        assert onsets[len(onsets) - 1].time_s == onsets[-1].time_s == onsets.times()[-1]
+        assert onsets[-len(onsets)] == onsets[0]
+        with pytest.raises(IndexError):
+            onsets[len(onsets)]
+        with pytest.raises(IndexError):
+            onsets[-len(onsets) - 1]
 
     def test_columns_are_read_only(self):
         onsets = _groove(2, 0)

@@ -33,7 +33,7 @@ def ref_detect(env, threshold, refractory_ms):
     """(peak indices of plain find_peaks, the series built from them)."""
     values = env.values
     if env.silent or len(values) < 3:
-        return np.zeros(0, dtype=np.intp), OnsetSeries(onsets=())
+        return np.zeros(0, dtype=np.intp), OnsetSeries((), (), (), (), ())
     height = threshold * float(np.max(values))
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
     peaks, _ = find_peaks(values, height=height, distance=distance)

@@ -1,7 +1,8 @@
 """apply_edits against the row loop it replaced.
 
 The reference below is the original implementation: a list of frozen
-``Onset`` rows, a linear scan for each edit's target, ``dataclasses.replace``
+onset rows (``OnsetRow``, read from the series and checked as the original
+rows were), a linear scan for each edit's target, ``dataclasses.replace``
 for moves and relabels, and a full re-sort after every add or move. The
 columnar ``apply_edits`` must give the same columns (bytes and dtypes) after
 every edit, or raise the same exception with the same text at the same edit.
@@ -12,14 +13,35 @@ that are not strictly increasing.
 """
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
 
-from groovekit import AnnotationEdit, EnvelopeSignal, Onset, OnsetSeries, apply_edits
+from groovekit import AnnotationEdit, EnvelopeSignal, OnsetSeries, apply_edits
 from groovekit.errors import EditError, GrooveKitError, ParameterError
 from groovekit.onsets import EDIT_RESOLUTION_S, LABELS, SOURCES
+
+
+@dataclass(frozen=True)
+class OnsetRow:
+    time_s: float
+    amplitude: float
+    label: str
+    source: str
+    uncertainty_ms: float
+
+    def __post_init__(self):
+        if self.label not in LABELS:
+            raise ParameterError(f"unknown onset label {self.label!r}")
+        if self.source not in SOURCES:
+            raise ParameterError(f"unknown onset source {self.source!r}")
+        if not np.isfinite(self.time_s):
+            raise ParameterError("onset time must be finite")
+        if not 0.0 <= self.amplitude <= 1.0:
+            raise ParameterError("onset amplitude must lie in [0, 1]")
+        if not 0.0 <= self.uncertainty_ms < np.inf:
+            raise ParameterError("uncertainty_ms must be non-negative and finite")
 
 
 def _ref_resolve_target(onsets, target_time_s):
@@ -42,11 +64,11 @@ def _ref_amplitude_at(env, time_s):
 
 
 def ref_apply_edits(series, edits, env=None):
-    onsets = list(series)
+    onsets = [OnsetRow(*astuple(series[i])) for i in range(len(series))]
     for idx, edit in enumerate(edits):
         if edit.kind == "add":
             onsets.append(
-                Onset(
+                OnsetRow(
                     time_s=edit.target_time_s,
                     amplitude=_ref_amplitude_at(env, edit.target_time_s),
                     label=edit.label or "unknown",
@@ -71,7 +93,7 @@ def ref_apply_edits(series, edits, env=None):
             onsets.sort(key=lambda o: o.time_s)
         elif edit.kind == "relabel":
             onsets[target] = replace(onsets[target], label=edit.label)
-    return OnsetSeries(onsets=tuple(onsets))
+    return OnsetSeries.from_columns(*(list(zip(*map(astuple, onsets))) or [()] * 5))
 
 
 def _outcome(fn, series, edits, env):

@@ -18,9 +18,8 @@ from groovekit import (
     phrase_interval_profile,
     swing_ratio,
 )
-from groovekit.onsets import OnsetSeries
 
-from conftest import series_from_times
+from conftest import select_onsets, series_from_times
 
 
 def _classified(times, base=None):
@@ -48,13 +47,13 @@ class TestComputeDrift:
         taus = np.array(multiples) * 0.124
         series, _ = _classified(np.concatenate(([0.0], np.cumsum(taus))), base=0.120)
         drift = compute_drift(series, 0.120)
-        gap_points = [p for p in drift if p.gap]
+        gap_points = np.flatnonzero(drift.gap)
         assert len(gap_points) == 1
-        assert gap_points[0].d_s == 0.0
-        assert gap_points[0].index == 4
+        assert drift.d_s[gap_points[0]] == 0.0
+        assert drift.index[gap_points[0]] == 4
         # accumulation restarts after the gap
-        after = [p for p in drift if p.index > 4]
-        assert after[0].d_s == pytest.approx(0.124 - 0.120)
+        after = drift.d_s[drift.index > 4]
+        assert after[0] == pytest.approx(0.124 - 0.120)
 
     def test_per_step_increment_matches_normalized_deviation(self):
         rng = np.random.default_rng(4)
@@ -63,10 +62,10 @@ class TestComputeDrift:
         series, base = _classified(np.concatenate(([0.3], 0.3 + np.cumsum(taus))))
         drift = compute_drift(series, base)
         prev = 0.0
-        for point, iv in zip(drift, series):
-            assert iv.valid
-            assert point.d_s - prev == pytest.approx(iv.normalized_tau_s - base, abs=1e-9)
-            prev = point.d_s
+        for d, tau, m in zip(drift.d_s, series.taus(), series.multiples()):
+            assert m > 0
+            assert d - prev == pytest.approx(tau / m - base, abs=1e-9)
+            prev = d
 
     def test_telescoping_per_span(self):
         multiples = [1, 2, 1, 5, 2, 2, 1]
@@ -74,9 +73,10 @@ class TestComputeDrift:
         series, _ = _classified(np.concatenate(([0.0], np.cumsum(taus))), base=0.120)
         drift = compute_drift(series, 0.120)
         # final point of the second span
-        span = [iv for iv in series.intervals[4:] if iv.valid]
-        expected = sum(iv.normalized_tau_s for iv in span) - len(span) * 0.120
-        assert drift.points[-1].d_s == pytest.approx(expected, abs=1e-9)
+        taus, m = series.taus()[4:], series.multiples()[4:]
+        span = (taus[m > 0] / m[m > 0]).tolist()
+        expected = sum(span) - len(span) * 0.120
+        assert drift.d_s[-1] == pytest.approx(expected, abs=1e-9)
 
     def test_time_offset_invariance(self):
         taus = np.array([1, 2, 1, 2] * 10) * 0.125
@@ -143,7 +143,7 @@ class TestSwingRatio:
         # with intra-triplet halves excluded the programmed ratio is exact
         assert report.swing_ratio == pytest.approx(1.79, abs=1e-9)
         # sanity: including them would have biased the mean single short
-        all_singles = [iv.tau_s for iv in series.of_class(BeatClass.SINGLE)]
+        all_singles = series.taus()[series.multiples() == BeatClass.SINGLE.multiple]
         assert np.mean(all_singles) < report.mean_inter_triplet_single_s
 
     def test_triad_includes_triples_when_present(self):
@@ -233,11 +233,9 @@ class TestPhraseIntervalProfile:
         onsets, _ = gen_shuffle_onsets(spec, seed=0)
         # drop one note3 onset in the third phrase (bar 5): the two intervals
         # around it merge into a triple and the walk stays aligned
-        victims = [o for o in onsets]
-        del victims[4 * 8 + 3]
-        pruned = OnsetSeries(onsets=tuple(victims))
+        pruned = select_onsets(onsets, np.arange(len(onsets)) != 4 * 8 + 3)
         series, base = _classified(pruned.times())
-        assert len(series.of_class(BeatClass.TRIPLE)) == 1
+        assert np.count_nonzero(series.multiples() == BeatClass.TRIPLE.multiple) == 1
         profile = phrase_interval_profile(series, pruned)
         assert profile.n_phrases == 4  # 5 complete were possible, 1 lost
 
@@ -272,9 +270,7 @@ class TestPhraseAmplitudeProfile:
     def test_incomplete_phrases_still_counted(self):
         spec = GrooveSpec(bpm=84.0, swing_ratio=2.0, bars=8)
         onsets, _ = gen_shuffle_onsets(spec, seed=0)
-        victims = list(onsets)
-        del victims[10]
-        pruned = OnsetSeries(onsets=tuple(victims))
+        pruned = select_onsets(onsets, np.arange(len(onsets)) != 10)
         series, base = _classified(pruned.times())
         profile = phrase_amplitude_profile(series, pruned)
         assert min(profile.n) < max(profile.n)

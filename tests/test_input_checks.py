@@ -1,6 +1,7 @@
 """Input checks at the edges: non-finite values, DFA scale ranges, float flags
 and short audio."""
 
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,7 @@ from groovekit import (
     EnvelopeSignal,
     FormatError,
     GrooveSpec,
-    Interval,
-    Onset,
+    IntervalSeries,
     OnsetSeries,
     ParameterError,
     Section,
@@ -84,13 +84,16 @@ class TestNonFiniteRejected:
             read_onsets_csv(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rows_reject_non_finite(self, value):
-        with pytest.raises(ParameterError):
-            Onset(time_s=value, amplitude=0.5)
-        with pytest.raises(ParameterError):
-            Onset(time_s=1.0, amplitude=0.5, uncertainty_ms=value)
-        with pytest.raises(ParameterError):
-            Interval(tau_s=value, start_index=0, start_time_s=0.0)
+    def test_columns_reject_non_finite_uncertainty_and_tau(self, value):
+        with pytest.raises(ParameterError, match="onset 1: uncertainty_ms must be non-negative"):
+            OnsetSeries.from_columns([0.1, 0.2], [0.5, 0.5], uncertainty_ms=[0.0, value])
+        with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
+            IntervalSeries([0.1, value], [0, 1], [0.0, 0.1], [-1, -1])
+
+    @pytest.mark.parametrize("tau", [0.0, -0.0, -0.1])
+    def test_interval_columns_reject_non_positive_tau(self, tau):
+        with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
+            IntervalSeries([tau, 0.1], [0, 1], [0.0, 0.1], [-1, -1])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_columns_reject_non_finite(self, value):
@@ -106,6 +109,19 @@ class TestNonFiniteRejected:
         with pytest.raises(ParameterError, match="equal length"):
             OnsetSeries.from_columns([0.1, 0.2], [0.5])
 
+    @pytest.mark.parametrize(
+        "labels, sources", [([0, 4], [0, 0]), ([0, -1], [0, 0]), ([0, 0], [3, 0])]
+    )
+    def test_column_constructor_rejects_codes_out_of_range(self, labels, sources):
+        with pytest.raises(ParameterError, match="codes must index LABELS and SOURCES"):
+            OnsetSeries([0.1, 0.2], [0.5, 0.5], labels, sources, [0.0, 0.0])
+
+    def test_column_constructor_takes_one_array_per_column(self):
+        with pytest.raises(ValueError):
+            OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0], [0, 0])
+        with pytest.raises(ValueError):
+            IntervalSeries([0.1], [0], [0.0], [-1], [0])
+
 
 class TestDfaRangeFlags:
     @pytest.mark.parametrize("flag", ["--dfa-short", "--dfa-long"])
@@ -118,6 +134,28 @@ class TestDfaRangeFlags:
         err = capsys.readouterr().err
         assert "LO" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, short, long", [
+        ([], (4, 16), (16, 100)),
+        (["--dfa-short", "5:20", "--dfa-long", "10:20"], (5, 20), (10, 20)),
+    ])
+    def test_constant_series_reports_clipped_ranges(self, tmp_path, flags, short, long):
+        # 100 isochronous onsets at one amplitude: every DFA series is constant
+        path = tmp_path / "constant.csv"
+        rows = "".join(f"{i},{0.125 * i:.6f},0.5,hihat,auto\n" for i in range(100))
+        path.write_text(HEADER + rows)
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out-dir", str(out), *flags]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for name in ("intervals_all", "intervals_singles", "amplitudes"):
+            scales = np.loadtxt(out / f"dfa_{name}.csv", delimiter=",", skiprows=1, usecols=0)
+            s_max = int(scales[-1])
+            assert s_max < 30
+            assert report["dfa"][name]["s_ranges"] == {
+                "alpha1": [short[0], min(short[1], s_max)],
+                "alpha2": [long[0], min(long[1], s_max)],
+            }
+            assert report["dfa"][name]["alpha1"] is None and report["dfa"][name]["alpha2"] is None
 
 
 class TestNonFiniteSectionAndEditTimes:
@@ -420,6 +458,21 @@ class TestSynthContract:
         assert capsys.readouterr().err.splitlines() == [
             f"groovekit: power-law exponent {beta} is too steep for a series of length {n}: "
             "the synthesized values overflow"
+        ]
+        assert not out.exists()
+
+    # both used to exit 0: -1100 with values of ~1e-163 and a standard
+    # deviation of 0, -1e308 with a column of zeros
+    @pytest.mark.parametrize("argv, beta, n", [
+        (["--series-only", "--beta", "-1100", "-n", "64"], "-1100", 64),
+        (["--bars", "2", "--lrc-sigma-ms", "1", "--lrc-beta=-1e308"], "-1e+308", 16),
+    ])
+    def test_steep_negative_power_law_exit_2(self, tmp_path, capsys, argv, beta, n):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "-o", str(out), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"groovekit: power-law exponent {beta} is too steep for a series of length {n}: "
+            "the synthesized values underflow"
         ]
         assert not out.exists()
 

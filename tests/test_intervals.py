@@ -40,9 +40,9 @@ def _grid_series(multiples, base_s=0.120, jitter_s=0.0, seed=0):
 class TestIntervals:
     def test_differences(self):
         series = intervals(series_from_times([0.0, 0.128, 0.356]))
-        assert [iv.tau_s for iv in series] == pytest.approx([0.128, 0.228])
-        assert [iv.start_index for iv in series] == [0, 1]
-        assert series[1].start_time_s == pytest.approx(0.128)
+        assert series.taus() == pytest.approx([0.128, 0.228])
+        assert series.start_indices().tolist() == [0, 1]
+        assert series.start_times()[1] == pytest.approx(0.128)
         assert not series.classified
 
     def test_count_is_n_minus_one(self):
@@ -83,7 +83,7 @@ class TestEstimateBaseUnit:
         assert 0.114 <= base <= 0.128
         # stable under one more round of classification + re-estimate
         classified = classify_intervals(series, base)
-        normalized = [iv.normalized_tau_s for iv in classified.valid_intervals()]
+        normalized = classified.normalized_taus()
         assert np.mean(normalized) == pytest.approx(base, abs=1e-4)
 
     def test_jittered_grid_recovers_within_2ms(self):
@@ -97,7 +97,7 @@ class TestEstimateBaseUnit:
         from groovekit import IntervalSeries
 
         with pytest.raises(ParameterError):
-            estimate_base_unit(IntervalSeries(intervals=()))
+            estimate_base_unit(IntervalSeries((), (), (), ()))
 
 
 def _dense_seed(taus):
@@ -156,39 +156,35 @@ class TestClassifyIntervals:
         series = intervals(series_from_times([0.0, 0.128, 0.368, 0.728, 1.178]))
         # taus: 0.128 (r=1.05), 0.240 (r=1.97), 0.360 (r=2.95), 0.450 (r=3.69)
         out = classify_intervals(series, base=0.122)
-        klasses = [iv.klass for iv in out]
-        assert klasses == [
-            BeatClass.SINGLE,
-            BeatClass.DOUBLE,
-            BeatClass.TRIPLE,
-            BeatClass.DISCARDED,
-        ]
-        assert out[3].valid is False
-        assert out[3].normalized_tau_s is None
-        assert out[1].normalized_tau_s == pytest.approx(0.120)
-        assert out[2].normalized_tau_s == pytest.approx(0.120)
+        # single, double, triple, discarded
+        assert out.multiples().tolist() == [1, 2, 3, 0]
+        # the discarded interval has no normalized duration
+        assert len(out.normalized_taus()) == 3
+        assert out.normalized_taus()[1] == pytest.approx(0.120)
+        assert out.normalized_taus()[2] == pytest.approx(0.120)
 
     def test_bands_partition_with_no_overlap(self):
         base = 0.1
+        # multiple 1 single, 2 double, 3 triple, 0 discarded
         for r, expected in [
-            (0.4, BeatClass.SINGLE),
-            (1.49, BeatClass.SINGLE),
-            (1.5, BeatClass.DOUBLE),
-            (2.49, BeatClass.DOUBLE),
-            (2.5, BeatClass.TRIPLE),
-            (3.5, BeatClass.TRIPLE),
-            (3.51, BeatClass.DISCARDED),
+            (0.4, 1),
+            (1.49, 1),
+            (1.5, 2),
+            (2.49, 2),
+            (2.5, 3),
+            (3.5, 3),
+            (3.51, 0),
         ]:
             series = intervals(series_from_times([0.0, r * base, 10.0]))
             out = classify_intervals(series, base=base)
-            assert out[0].klass is expected, f"r={r}"
+            assert out.multiples()[0] == expected, f"r={r}"
 
     def test_custom_cutoff_multiple(self):
         series = intervals(series_from_times([0.0, 0.36, 1.0]))
         strict = classify_intervals(series, base=0.1, max_multiple=3.5)
-        assert strict[0].klass is BeatClass.DISCARDED
+        assert strict.multiples()[0] == 0  # discarded
         loose = classify_intervals(series, base=0.1, max_multiple=4.0)
-        assert loose[0].klass is BeatClass.TRIPLE
+        assert loose.multiples()[0] == BeatClass.TRIPLE.multiple
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
@@ -202,9 +198,9 @@ class TestClassifyIntervals:
         base = estimate_base_unit(base_series)
         scaled_base = estimate_base_unit(scaled_series)
         assert scaled_base == pytest.approx(scale * base, rel=1e-6)
-        k1 = [iv.klass for iv in classify_intervals(base_series, base)]
-        k2 = [iv.klass for iv in classify_intervals(scaled_series, scaled_base)]
-        assert k1 == k2
+        k1 = classify_intervals(base_series, base).multiples()
+        k2 = classify_intervals(scaled_series, scaled_base).multiples()
+        np.testing.assert_array_equal(k1, k2)
 
 
 class TestIntervalStats:
@@ -246,7 +242,7 @@ class TestIntervalStats:
         taus = rng.normal(0.128, 0.008, 800)
         series = classify_intervals(intervals(series_from_times(
             np.concatenate(([0.0], np.cumsum(taus))))), base=0.128)
-        singles = [iv.tau_s for iv in series.of_class(BeatClass.SINGLE)]
+        singles = series.taus()[series.multiples() == BeatClass.SINGLE.multiple]
         assert len(singles) >= 400
         assert abs(sps.skew(singles)) < 0.3
 

@@ -142,7 +142,8 @@ class TestApplyEdits:
     def test_add_into_empty(self):
         from groovekit import OnsetSeries
 
-        out = apply_edits(OnsetSeries(onsets=()), [AnnotationEdit(kind="add", target_time_s=3.5)])
+        empty = OnsetSeries((), (), (), (), ())
+        out = apply_edits(empty, [AnnotationEdit(kind="add", target_time_s=3.5)])
         assert len(out) == 1
         assert out[0].source == "manual-add"
         assert out[0].amplitude == 0.0
@@ -154,7 +155,7 @@ class TestApplyEdits:
         from groovekit import OnsetSeries
 
         out = apply_edits(
-            OnsetSeries(onsets=()),
+            OnsetSeries((), (), (), (), ()),
             [AnnotationEdit(kind="add", target_time_s=0.5, label="snare")],
             env=env,
         )

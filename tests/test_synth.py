@@ -202,7 +202,7 @@ class TestRenderClicks:
     def test_empty_onsets_silent_clip(self):
         from groovekit import OnsetSeries
 
-        clip = render_clicks(OnsetSeries(onsets=()))
+        clip = render_clicks(OnsetSeries((), (), (), (), ()))
         assert np.all(clip.samples == 0.0)
 
     def test_single_onset_recovered_through_pipeline(self):
@@ -220,9 +220,9 @@ class TestRenderClicks:
         assert np.max(np.abs(filtered.samples)) > 0.3
 
     def test_noise_floor_level(self):
-        from groovekit import OnsetSeries, Onset
+        from groovekit import OnsetSeries
 
-        series = OnsetSeries(onsets=(Onset(time_s=1.0, amplitude=1.0),))
+        series = OnsetSeries.from_columns([1.0], [1.0])
         clip = render_clicks(series, sample_rate=44100.0, noise_db=-30.0, seed=1)
         # far from the click the signal is pure noise at ~0.0316 rms
         tail = clip.samples[: int(0.5 * 44100)]

@@ -3,7 +3,6 @@ import pytest
 
 from groovekit import (
     AudioClip,
-    Onset,
     OnsetSeries,
     ParameterError,
     TempogramParams,
@@ -26,7 +25,7 @@ def click_series(bpm, t0, t1):
 
 def click_clip(bpm, duration_s, sr=44100.0):
     times, _ = click_series(bpm, 0.5, duration_s)
-    onsets = OnsetSeries(onsets=tuple(Onset(time_s=x, amplitude=0.9) for x in times))
+    onsets = OnsetSeries.from_columns(times, np.full(len(times), 0.9))
     return render_clicks(onsets, sample_rate=sr)
 
 
@@ -38,7 +37,7 @@ class TestNoveltyCurve:
         assert np.all(nov.values == 0.0)
 
     def test_isolated_click_single_peak_within_one_hop(self):
-        onsets = OnsetSeries(onsets=(Onset(time_s=0.5, amplitude=0.9),))
+        onsets = OnsetSeries.from_columns([0.5], [0.9])
         clip = render_clicks(onsets, sample_rate=44100.0)
         nov = novelty_curve(clip, hop=512)
         peak_time = nov.times_s()[np.argmax(nov.values)]
@@ -90,9 +89,7 @@ class TestFourierTempogram:
     def test_two_section_switch_within_two_frames(self):
         t1, t_end = click_series(82.0, 0.5, 40.0)
         t2, _ = click_series(87.0, t_end, 80.0)
-        onsets = OnsetSeries(
-            onsets=tuple(Onset(time_s=x, amplitude=0.9) for x in t1 + t2)
-        )
+        onsets = OnsetSeries.from_columns(t1 + t2, np.full(len(t1 + t2), 0.9))
         clip = render_clicks(onsets, sample_rate=44100.0)
         tg = fourier_tempogram(novelty_curve(clip))
         track = argmax_track(tg)
