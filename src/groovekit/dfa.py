@@ -4,18 +4,20 @@ The series is mean-centered and integrated into a profile that starts at an
 explicit zero, so it is antisymmetric under time reversal. For each scale the
 profile is cut into non-overlapping windows tiled from both ends, so no tail
 samples are dropped and reversing the input leaves F(s) unchanged. Both tilings
-are stacked as rows of one array and detrended by projection, with no solver:
-the Gram polynomials on the window positions give an orthonormal basis of the
-order-n trends once per scale. Each window's first sample is subtracted before
-projecting, so rounding follows the variation inside it, not its level. F(s)
-is the root mean residual variance. Scaling exponents are least-squares slopes
-of log F against log s: global, over short/long ranges, or in a sliding window
-for a scale-resolved alpha(s).
+are written, each window less its first sample, as the rows of one buffer
+allocated per call, and detrended by projection with no solver: the Gram
+polynomials on the window positions give an orthonormal basis of the order-n
+trends, built once per (scale, order) and kept read-only in a process-wide
+cache. Subtracting the first sample makes rounding follow the variation inside
+a window, not its level. F(s) is the root mean residual variance. Scaling
+exponents are least-squares slopes of log F against log s: global, over
+short/long ranges, or in a sliding window for a scale-resolved alpha(s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,14 +75,18 @@ def default_scales(n: int, s_max: int | None = None) -> np.ndarray:
     return np.unique(np.round(grid).astype(np.int64))
 
 
+@lru_cache(maxsize=256)
 def _gram_basis(s: int, order: int) -> np.ndarray:
-    """(s, order + 1) orthonormal Gram polynomials from their three-term recurrence."""
+    """(s, order + 1) orthonormal Gram polynomials from their three-term
+    recurrence; read-only, because every caller shares the cached array."""
     t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
     cols = [np.ones(s), t]
     for k in range(1, order):
         cols.append(t * cols[k] - k * k * (s * s - k * k) / (4.0 * (4 * k * k - 1)) * cols[k - 1])
     basis = np.column_stack(cols[: order + 1])
-    return basis / np.linalg.norm(basis, axis=0)
+    basis /= np.linalg.norm(basis, axis=0)
+    basis.flags.writeable = False
+    return basis
 
 
 def dfa_fluctuation(
@@ -122,11 +128,16 @@ def dfa_fluctuation(
         )
 
     profile = np.concatenate(([0.0], np.cumsum(x - np.mean(x))))
+    # rows of the forward tiling, then of the reversed one, each less its first sample
+    buf = np.empty(2 * len(profile), dtype=np.float64)
     F = np.empty(len(scales), dtype=np.float64)
     for i, s in enumerate(scales.tolist()):
-        used = len(profile) // s * s
-        resid = np.concatenate((profile[:used], profile[::-1][:used])).reshape(-1, s)
-        resid -= resid[:, :1]
+        m = len(profile) // s
+        resid = buf[: 2 * m * s].reshape(2 * m, s)
+        forward = profile[: m * s].reshape(m, s)
+        backward = profile[::-1][: m * s].reshape(m, s)
+        np.subtract(forward, forward[:, :1], out=resid[:m])
+        np.subtract(backward, backward[:, :1], out=resid[m:])
         basis = _gram_basis(s, detrend_order)
         resid -= (resid @ basis) @ basis.T
         F[i] = np.sqrt(np.vdot(resid, resid) / resid.size)

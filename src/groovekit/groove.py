@@ -151,6 +151,16 @@ def compute_drift(series: IntervalSeries, base: float) -> DriftSeries:
     )
 
 
+def _check_pairs(series: IntervalSeries, onsets: OnsetSeries) -> None:
+    """Every interval must run between two onsets of ``onsets``."""
+    starts = series.start_indices()
+    if len(starts) and (starts.min() < 0 or starts.max() + 1 >= len(onsets)):
+        raise ParameterError(
+            f"interval series does not match the onsets: its intervals span onsets "
+            f"{starts.min()}..{starts.max() + 1}, but there are {len(onsets)}"
+        )
+
+
 def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
     """Mean double over mean inter-triplet single, plus the 1 : d/s : t/s triad.
 
@@ -159,6 +169,7 @@ def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
     """
     if not series.classified:
         raise ParameterError("classify the series before computing swing")
+    _check_pairs(series, onsets)
     taus, multiples = series.taus(), series.multiples()
     ghost = onsets.label_codes() == LABELS.index("ghost")
     is_single = multiples == 1
@@ -211,6 +222,7 @@ def _phrase_grid(
     """
     if not series.classified:
         raise ParameterError("classify the series before computing phrase profiles")
+    _check_pairs(series, onsets)
     n = len(onsets)
     # unit span of the interval leaving each onset; 0 where none or discarded
     step = np.zeros(n, dtype=np.int64)

@@ -8,11 +8,11 @@ arrive as CSV files.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -437,12 +437,14 @@ def apply_edits(
 _ONSET_HEADER = ["index", "time_s", "amplitude", "label", "source"]
 _EDIT_HEADER = ["kind", "target_time_s", "new_time_s", "label"]
 
-# One annotation row for numpy's reader. The integer index rejects any '"', so
-# a quoted field never reads as plain. Converters see the raw field, so times
-# and amplitudes go through ``float`` as in the row reader (numpy's own float
-# parser also strips \x1c-\x1f).
-_ONSET_ROW = np.dtype({"names": _ONSET_HEADER, "formats": ["i8", "f8", "f8", "i1", "i1"]})
-_ONSET_CONVERTERS = {1: float, 2: float, 3: _LABEL_CODES.__getitem__, 4: _SOURCE_CODES.__getitem__}
+# One annotation row for numpy's reader, parsed with no converters. The integer
+# index rejects any '"', so a quoted field never reads as plain. Each text width
+# exceeds its longest name, so a longer value truncates to a non-name.
+_ONSET_ROW = np.dtype({"names": _ONSET_HEADER, "formats": ["i8", "f8", "f8", "S8", "S12"]})
+# numpy's float parser skips \x1c-\x1f as white space, which ``float`` rejects,
+# and its bytes fields drop trailing NULs: a file holding one goes to the row reader
+_ROW_READER_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SCAN_BLOCK = 1 << 16
 
 
 def write_onsets_csv(path, series: OnsetSeries) -> None:
@@ -461,23 +463,50 @@ def read_onsets_csv(path) -> OnsetSeries:
     value raises :class:`FormatError` naming its line.
 
     Plain files are parsed by numpy's C reader; anything else (quotes, a
-    blank first row, a bad value) is re-read row by row, which names the bad
-    line.
+    blank first row, a bad value, a byte numpy reads differently from
+    ``float``) is re-read row by row, which names the bad line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, first = fh.readline(), fh.readline()
-            # loadtxt warns on a file with no data rows; the row reader does not
-            if header.rstrip("\r\n") == ",".join(_ONSET_HEADER) and first.rstrip("\r\n"):
-                rows = np.loadtxt(
-                    chain((first,), fh), dtype=_ONSET_ROW, delimiter=",", comments=None, ndmin=1,
-                    converters=_ONSET_CONVERTERS,
-                )
-                # a row that breaks a column rule raises ParameterError, a ValueError
-                return OnsetSeries(*(rows[k] for k in _ONSET_HEADER[1:]), np.zeros(len(rows)))
-    except (ValueError, KeyError):
+        with open(path, "rb") as raw:
+            if _plain_bytes(raw):
+                raw.seek(0)
+                with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+                    return _read_onsets_plain(fh)
+    except ValueError:
         pass
     return _read_onsets_rows(path)
+
+
+def _plain_bytes(raw) -> bool:
+    """Whether no block of the file holds a byte of ``_ROW_READER_BYTES``."""
+    block = bytearray(_SCAN_BLOCK)
+    while n := raw.readinto(block):
+        if any(block.find(b, 0, n) >= 0 for b in _ROW_READER_BYTES):
+            return False
+    return True
+
+
+def _read_onsets_plain(fh) -> OnsetSeries:
+    """The series in a plain annotation file; ValueError sends it to the row reader."""
+    if fh.readline().rstrip("\r\n") != ",".join(_ONSET_HEADER):
+        raise ValueError("not the annotation header")
+    start = fh.tell()
+    # loadtxt warns on a file with no data rows; the row reader does not
+    if not fh.readline().rstrip("\r\n"):
+        raise ValueError("blank first row")
+    fh.seek(start)
+    rows = np.loadtxt(fh, dtype=_ONSET_ROW, delimiter=",", comments=None, ndmin=1)
+    codes = []
+    for field, names in (("label", LABELS), ("source", SOURCES)):
+        col = rows[field]
+        code = np.full(len(rows), -1, dtype=np.int8)
+        for k, name in enumerate(names):
+            code[col == name.encode()] = k
+        if np.any(code < 0):
+            raise ValueError(f"unknown onset {field}")
+        codes.append(code)
+    # a row that breaks a column rule raises ParameterError, a ValueError
+    return OnsetSeries(rows["time_s"], rows["amplitude"], *codes, np.zeros(len(rows)))
 
 
 def _parse_onset_row(fields) -> tuple[float, float, int, int]:

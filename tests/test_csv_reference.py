@@ -290,6 +290,19 @@ READER_CASES = {
     "two inf times": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,inf,0.5,hihat,auto\r\n"
     + "4,inf,0.5,hihat,auto\r\n",
     "unit separator after time": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8\x1f,0.5,hihat,auto\r\n",
+    # numpy's float parser skips \x1c-\x1f, float() does not
+    "file separator before amplitude": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,\x1c0.5,hihat,auto\r\n",
+    "group separator after amplitude": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5\x1d,hihat,auto\r\n",
+    "record separator after amplitude": HEADER + "\r\n" + "".join(ROWS[:3])
+    + "3,0.8,0.5\x1e,hihat,auto\r\n",
+    "NUL inside label": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hi\x00hat,auto\r\n",
+    # longer than the fast path's 8-byte label field, with a valid name as prefix
+    "label longer than its field": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hihatXXXX,auto\r\n",
+    "non-Latin-1 label": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,\u0168ihat,auto\r\n",
+    "Latin-1 label": HEADER + "\r\n" + "".join(ROWS[:3]) + "3,0.8,0.5,hih\xe2t,auto\r\n",
+    # longer than the fast path's 12-byte source field, with a valid name as prefix
+    "source longer than its field": HEADER + "\r\n" + "".join(ROWS[:3])
+    + "3,0.8,0.5,hihat,manual-moveXY\r\n",
 }
 
 

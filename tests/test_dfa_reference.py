@@ -192,3 +192,76 @@ def test_negative_detrend_order_rejected():
     x = np.random.default_rng(0).normal(size=256)
     with pytest.raises(ParameterError, match="detrend_order >= 0"):
         dfa_fluctuation(x, scales=[4, 8, 16], detrend_order=-1)
+
+
+# ---------------------------------------------------------------------------
+# the kernel bit for bit: one reused buffer and cached bases against the
+# concatenating kernel they replaced
+
+
+def _concat_gram_basis(s, order):
+    t = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
+    cols = [np.ones(s), t]
+    for k in range(1, order):
+        cols.append(t * cols[k] - k * k * (s * s - k * k) / (4.0 * (4 * k * k - 1)) * cols[k - 1])
+    basis = np.column_stack(cols[: order + 1])
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def concat_fluctuation(series, scales, order):
+    """The kernel as it was: a fresh (2m, s) array per scale and a fresh basis."""
+    profile = _profile(series)
+    F = np.empty(len(scales), dtype=np.float64)
+    for i, s in enumerate(scales):
+        used = len(profile) // s * s
+        resid = np.concatenate((profile[:used], profile[::-1][:used])).reshape(-1, s)
+        resid -= resid[:, :1]
+        basis = _concat_gram_basis(s, order)
+        resid -= (resid @ basis) @ basis.T
+        F[i] = np.sqrt(np.vdot(resid, resid) / resid.size)
+    return F
+
+
+BIT_CASES = {
+    # profile length 18: 2 and 3 divide it, 4 does not
+    "white_17": (_white(17, 10), [2, 3, 4]),
+    # profile length 30: 5 and 6 divide it, 7 does not
+    "brownian_29": (np.cumsum(_white(29, 11)), [5, 6, 7]),
+    "white_530_default_grid": (_white(530, 12), default_scales(530).tolist()),
+    # profile length 1024: the powers of two divide it, the odd scales do not
+    "offset_1023": (_white(1023, 13) + 1e6, [4, 5, 8, 16, 31, 32, 64, 127, 128, 255]),
+    "brownian_26417_default_grid": (np.cumsum(_white(26_417, 14)), default_scales(26_417).tolist()),
+    "white_26417_default_grid": (_white(26_417, 15), default_scales(26_417).tolist()),
+}
+
+
+@pytest.mark.parametrize("case, order", [
+    (case, order) for case in sorted(BIT_CASES) for order in range(4)
+    if max(BIT_CASES[case][1]) >= order + 2  # at n = 17 no scale leaves order 3 a residual
+])
+def test_fluctuation_bit_for_bit_with_concatenating_kernel(case, order):
+    x, scales = BIT_CASES[case]
+    scales = [s for s in scales if s >= order + 2]
+    got = dfa_fluctuation(x, scales=scales, detrend_order=order).F
+    assert np.array_equal(got, concat_fluctuation(x, scales, order))
+
+
+def test_cached_basis_is_read_only():
+    basis = _gram_basis(16, 1)
+    assert basis is _gram_basis(16, 1)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fluctuation_same_with_cold_and_warm_cache(order):
+    x, other = np.cumsum(_white(5_000, 16)), _white(6_000, 17)
+    scales = default_scales(len(x))
+    _gram_basis.cache_clear()
+    cold = dfa_fluctuation(x, scales=scales, detrend_order=order).F
+    _gram_basis.cache_clear()
+    dfa_fluctuation(other, scales=scales, detrend_order=order)  # warms every scale of x
+    assert _gram_basis.cache_info().currsize == len(scales)
+    warm = dfa_fluctuation(x, scales=scales, detrend_order=order).F
+    assert _gram_basis.cache_info().hits >= len(scales)
+    assert np.array_equal(cold, warm)

@@ -6,6 +6,8 @@ from groovekit import (
     BeatClass,
     EstimationError,
     GrooveSpec,
+    IntervalSeries,
+    ParameterError,
     PhraseTemplate,
     Section,
     SectionMap,
@@ -306,3 +308,21 @@ class TestSectionAnchoring:
         profile = phrase_interval_profile(series, onsets, sections=sections)
         # each 4-bar block contributes one complete phrase (second lacks closer)
         assert profile.n_phrases == 2
+
+
+class TestIntervalsMustMatchOnsets:
+    """An interval series built for other onsets is an input error, not an IndexError."""
+
+    ONSETS = series_from_times([0.0, 0.1, 0.2], amplitudes=[0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("func", [swing_ratio, phrase_interval_profile, phrase_amplitude_profile])
+    @pytest.mark.parametrize("start", [2, 5, -1])
+    def test_start_index_outside_onsets(self, func, start):
+        series = IntervalSeries([0.1], [start], [0.0], [1])
+        with pytest.raises(ParameterError, match="does not match the onsets"):
+            func(series, self.ONSETS)
+
+    def test_last_interval_inside_onsets(self):
+        series = IntervalSeries([0.1, 0.1], [0, 1], [0.0, 0.1], [1, 1])
+        assert phrase_interval_profile(series, self.ONSETS).n_phrases == 0
+        assert phrase_amplitude_profile(series, self.ONSETS).n == (1, 1) + (0,) * 14
