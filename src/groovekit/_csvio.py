@@ -1,8 +1,18 @@
 """CSV text in blocks: the one writer every sidecar uses, and the row reader.
 
-Writers format up to ``BLOCK_ROWS`` rows with a single ``%`` and write them
-with one call. Rows end in ``\\r\\n``, as ``csv.writer`` ends them; a
-free-text field goes through :func:`quote` first.
+:func:`write_rows` writes up to ``BLOCK_ROWS`` rows with one call. Rows end
+in ``\\r\\n``, as ``csv.writer`` ends them; a free-text field goes through
+:func:`quote` first. When every conversion of the row format is ``%d`` or
+``%.Nf``, a block is encoded in numpy, byte for byte as ``%`` writes it and
+with no Python object per value: the literal text and each field's bytes go
+into one byte matrix with a row per CSV row, four digits per table lookup
+and NUL before a number's first digit; one ``bytes.translate`` then drops
+the NULs. ``%.Nf`` rounds ``|x|*10**N`` exactly, half to even as CPython
+does, from an error-free product (see :func:`_fixed`). A block is written by
+``fmt * rows % values`` instead (:func:`_percent_block`) when the format holds
+another conversion, a value is out of the encoder's range (not finite, or
+``|x|*10**N >= 2**52``) or a column's dtype is not the one its conversion
+takes (integer or bool for ``%d``, floating for ``%.Nf``).
 
 :func:`read_rows` reads any CSV the ``csv`` module reads (quoted fields
 included), parses each row with the caller's function, and reports a bad row
@@ -14,10 +24,45 @@ being physical. The annotation reader parses plain files with numpy's C
 from __future__ import annotations
 
 import csv
+import re
+
+import numpy as np
 
 from .errors import FormatError
 
 BLOCK_ROWS = 4096
+
+# a conversion: %d, %.Nf, a literal %%, or (no group) anything else
+_CONVERSION = re.compile(r"%(d|\.(\d+)f|%)?")
+# |x|*10**N below it: half-integers are floats, and rint's result an exact int64
+_ENCODED_LIMIT = 2.0 ** 52
+_MAX_FRACTION_DIGITS = 15  # beyond, only |x| < 1 is in range, and 10**N nears int64's end
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
+_MINUS, _POINT = ord("-"), ord(".")
+_INT64 = np.iinfo(np.int64)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The words "0000" to "9999", for four digits per table lookup; and the
+    words of an integer part: index k is k zero-filled, for a word below the
+    first nonzero one, index 10000 + k is k with NUL for its leading zeros,
+    for that first word (all NUL for 0), and index 20000 is a lone "0", for
+    the last word of an integer part that is 0. Built in place: no
+    temporary as large as a table."""
+    table = np.zeros((20001, 4), dtype=np.uint8)
+    quads = table[:20000].reshape(2, 10, 10, 10, 10, 4)  # [half, d0, d1, d2, d3, byte]
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(4):
+        quads[..., j] = digit.reshape((10,) + (1,) * (3 - j))
+        quads[(1,) + (0,) * (j + 1)][..., j] = 0  # byte j is a leading zero
+    table[20000, 3] = ord("0")
+    words = table.view(np.uint32).ravel()
+    return words[:10000], words
+
+
+_QUADS, _WHOLE = _digit_tables()
+# masks keeping the last k bytes of a word
+_KEEP_LAST = {k: np.array([0] * (4 - k) + [255] * k, dtype=np.uint8).view(np.uint32)[0] for k in (1, 2, 3)}
 
 
 def quote(text: str) -> str:
@@ -31,20 +76,179 @@ def write_rows(path, header, fmt: str, columns) -> None:
     """Write ``header`` and then row i of ``columns`` as ``fmt % (row i)``.
 
     ``fmt`` formats one row, ``\\r\\n`` included. Columns are equal-length
-    sequences (lists, tuples or 1-D numpy arrays); they are sliced, never
-    copied whole, so memory stays at one block.
+    sequences (lists, tuples, ranges or 1-D numpy arrays); they are sliced,
+    never copied whole, so memory stays at one block. Columns of unequal
+    length raise :class:`ValueError` before the file is opened.
     """
-    width = len(columns)
+    plan = _plan(fmt)
     n = len(columns[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    if any(len(c) != n for c in columns):  # numpy would broadcast a 1-row column
+        raise ValueError(f"columns of {', '.join(str(len(c)) for c in columns)} rows")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n, BLOCK_ROWS):
             block = [c[start:start + BLOCK_ROWS] for c in columns]
-            m = len(block[0])
-            flat = [None] * (m * width)
-            for j, part in enumerate(block):
-                flat[j::width] = part.tolist() if hasattr(part, "tolist") else part
-            fh.write(fmt * m % tuple(flat))
+            encoded = None if plan is None else _encode(*plan, block)
+            fh.write(_percent_block(fmt, block) if encoded is None else encoded)
+
+
+def _percent_block(fmt: str, block) -> bytes:
+    """The block as ``fmt * rows % values``, encoded as UTF-8."""
+    width, m = len(block), len(block[0])
+    flat = [None] * (m * width)
+    for j, part in enumerate(block):
+        flat[j::width] = part.tolist() if hasattr(part, "tolist") else part
+    return (fmt * m % tuple(flat)).encode()
+
+
+def _plan(fmt: str):
+    """``(literals, digits)`` when every conversion in ``fmt`` is ``%d`` or
+    ``%.Nf``: the literal bytes before each field and after the last, and per
+    field None (``%d``) or N. None otherwise, or when a literal holds a NUL,
+    the encoder's padding byte."""
+    literals, digits, text, pos = [], [], "", 0
+    for match in _CONVERSION.finditer(fmt):
+        text += fmt[pos:match.start()]
+        pos = match.end()
+        if match.group(1) == "%":
+            text += "%"
+            continue
+        n = None if match.group(1) in (None, "d") else int(match.group(2))
+        if match.group(1) is None or (n or 0) > _MAX_FRACTION_DIGITS:
+            return None
+        literals.append(text.encode())
+        digits.append(n)
+        text = ""
+    literals.append((text + fmt[pos:]).encode())
+    if any(b"\0" in literal for literal in literals):
+        return None
+    return literals, digits
+
+
+def _encode(literals, digits, block) -> bytes | None:
+    """The block's rows, or None when a column is outside the encoder's range."""
+    fields = []
+    for column, n in zip(block, digits):
+        field = _integer(column) if n is None else _fixed(column, n)
+        if field is None:
+            return None
+        fields.append(field)
+    width = sum(map(len, literals)) + sum(_width(*field) for field in fields)
+    rows = np.zeros((len(block[0]), width), dtype=np.uint8)
+    at = 0
+    for literal, field in zip(literals, fields + [None]):
+        rows[:, at:at + len(literal)] = np.frombuffer(literal, dtype=np.uint8)
+        at += len(literal)
+        if field is not None:
+            at = _put(rows, at, *field)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _integer(column):
+    """The ``%d`` field of an integer or bool column (see :func:`_field`)."""
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        return _field(None, values.astype(np.int64), 0)
+    if values.dtype.kind not in "iu" or not (_INT64.min < values.min() and values.max() <= _INT64.max):
+        return None
+    values = values.astype(np.int64, copy=False)
+    return _field(values < 0, np.abs(values), 0)
+
+
+def _fixed(column, n: int):
+    """The ``%.nf`` field of a column (see :func:`_field`): ``|x|*10**n``
+    rounded half to even, exactly, as CPython rounds it.
+
+    ``hi = fl(|x|*10**n)`` is the product rounded to nearest. If ``hi`` is not
+    a half-integer, the exact product lies on the same side of every
+    half-integer as ``hi`` (each is a float below 2**52), so ``rint(hi)`` is
+    its rounding. If it is one, the product's rounding error (Dekker's
+    two-product with Veltkamp splits, since numpy has no fma) says which side
+    the exact product lies on; only an exact tie is left to ``rint``'s half
+    to even. The sign is ``signbit``'s, so -0.0 and a negative value that
+    rounds to zero print ``-0.…``, as ``%`` prints them.
+    """
+    x = np.asarray(column)
+    if x.dtype.kind != "f":
+        return None
+    x = x.astype(np.float64, copy=False)
+    scale = 10.0 ** n
+    a = np.abs(x)
+    # the largest product, rounded as each is: a Python float overflows to
+    # inf without a warning, and inf and NaN fail the comparison
+    if not float(a.max()) * scale < _ENCODED_LIMIT:
+        return None
+    hi = a * scale
+    rounded = np.rint(hi)
+    off = hi - rounded
+    tie = np.abs(off) == 0.5
+    if tie.any():
+        lo = _product_error(a[tie], scale, hi[tie])
+        off = off[tie]
+        rounded[tie] += ((off > 0) & (lo > 0)).astype(np.float64) - ((off < 0) & (lo < 0))
+    return _field(np.signbit(x), rounded.astype(np.int64), n)
+
+
+def _product_error(a, b: float, p):
+    """``a*b - p`` exactly, for ``p = fl(a*b)`` with no overflow or underflow."""
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _field(negative, scaled, n: int):
+    """``(negative, scaled, words, n)``: the rows that take a minus sign (None
+    if none does), the magnitudes times ``10**n`` as int64, the 4-byte words
+    the widest integer part needs, and the fraction digits ``n``."""
+    if negative is not None and not negative.any():
+        negative = None
+    return negative, scaled, -(-max(len(str(int(scaled.max()))) - n, 1) // 4), n
+
+
+def _width(negative, scaled, words: int, n: int) -> int:
+    return (negative is not None) + 4 * words + (1 + 4 * -(-n // 4) if n else 0)
+
+
+def _put(rows, at: int, negative, scaled, words: int, n: int) -> int:
+    """Write one field into ``rows`` from column ``at``, four digits per
+    table lookup; return the column after it."""
+    if negative is not None:
+        rows[:, at] = negative.view(np.uint8) * np.uint8(_MINUS)
+        at += 1
+    whole = scaled // 10**n if n else scaled
+    # the integer part: its words zero-filled below the first nonzero one,
+    # and that one without leading zeros (a part of 0 is a lone "0")
+    rest = whole
+    for k in range(words - 1, -1, -1):
+        value, rest = rest, rest // 10000
+        index = value - rest * 10000 + 10000 * (rest == 0)
+        if k == words - 1:
+            index += 10000 * (whole == 0)
+        _word_column(rows, at + 4 * k)[...] = _WHOLE[index]
+    at += 4 * words
+    if not n:
+        return at
+    rows[:, at] = _POINT
+    at += 1
+    words = -(-n // 4)
+    rest = scaled - whole * 10**n
+    for k in range(words - 1, 0, -1):
+        value, rest = rest, rest // 10000
+        _word_column(rows, at + 4 * k)[...] = _QUADS[value - rest * 10000]
+    top = _QUADS[rest]
+    if n % 4:  # the top word holds n % 4 digits
+        top &= _KEEP_LAST[n % 4]
+    _word_column(rows, at)[...] = top
+    return at + 4 * words
+
+
+def _word_column(rows, at: int) -> np.ndarray:
+    """Bytes ``at..at+3`` of every row of ``rows`` as one (unaligned) uint32."""
+    return np.ndarray((len(rows),), np.uint32, rows, at, (rows.strides[0],))
 
 
 def row_error(path, line: int, kind: str, problem) -> FormatError:

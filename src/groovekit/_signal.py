@@ -2,10 +2,10 @@
 
 ``from scipy import signal`` also imports scipy.stats, scipy.interpolate and
 scipy.optimize: over a second and about 75 MB, for a pipeline that needs only
-a Butterworth high-pass design and three compiled kernels. The design is
+a Butterworth high-pass design and two compiled kernels. The design is
 ported to numpy here, step for step and in scipy's order of operations, so
 its coefficients are byte for byte scipy's. The kernels are scipy's own:
-``_sosfilt``, ``_sigtools`` and ``_peak_finding_utils`` are loaded straight
+``_sosfilt`` and ``_peak_finding_utils`` are loaded straight
 from the installed ``scipy/signal/`` directory, without running the package's
 ``__init__``. Around each kernel stays the argument handling of the public
 function it serves. Those modules are private to scipy, so if one cannot be
@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-__all__ = ["butter_highpass_sos", "sosfilt_zi", "sosfilt", "lfilter", "find_peaks"]
+__all__ = ["butter_highpass_sos", "sosfilt_zi", "sosfilt", "find_peaks"]
 
 
 # --- filter design: scipy.signal.butter(order, cutoff, "highpass", fs=fs, output="sos")
@@ -179,14 +179,10 @@ def _load(name: str):
 
 @functools.cache
 def _kernels():
-    """(``_sosfilt``, ``_linear_filter``, ``_local_maxima_1d``) from scipy's
-    compiled modules, or None when any of them cannot be bound."""
+    """(``_sosfilt``, ``_local_maxima_1d``) from scipy's compiled modules, or
+    None when either cannot be bound."""
     try:
-        return (
-            _load("_sosfilt")._sosfilt,
-            _load("_sigtools")._linear_filter,
-            _load("_peak_finding_utils")._local_maxima_1d,
-        )
+        return _load("_sosfilt")._sosfilt, _load("_peak_finding_utils")._local_maxima_1d
     except (ImportError, AttributeError):
         return None
 
@@ -225,18 +221,6 @@ def sosfilt(
     return out, state.reshape(zi.shape)
 
 
-def lfilter(b, a, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.signal.lfilter(b, a, x, zi=zi)`` for 1-D ``x`` and a
-    denominator ``a`` of at least two coefficients: the output and the final
-    state."""
-    kernels = _kernels()
-    if kernels is None:
-        from scipy import signal
-
-        return signal.lfilter(b, a, x, zi=zi)
-    return kernels[1](np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1, np.asarray(zi))
-
-
 def find_peaks(x: np.ndarray, height: float) -> np.ndarray:
     """The peak indices of ``scipy.signal.find_peaks(x, height=height)``."""
     kernels = _kernels()
@@ -245,5 +229,5 @@ def find_peaks(x: np.ndarray, height: float) -> np.ndarray:
 
         return signal.find_peaks(x, height=height)[0]
     x = np.asarray(x, order="C", dtype=np.float64)
-    peaks = kernels[2](x)[0]
+    peaks = kernels[1](x)[0]
     return peaks[height <= x[peaks]]

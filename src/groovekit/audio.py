@@ -314,11 +314,12 @@ class WavReader:
             wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
             (wide[:, :3] if self._dtype.byteorder == ">" else wide[:, 1:])[...] = raw.reshape(-1, 3)
             raw = wide.reshape(-1)
-        if channels == 1:
-            out[...] = raw.view(self._dtype)
-            samples = out
-        else:
-            samples = raw.view(self._dtype).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns here; reported below
+            if channels == 1:
+                out[...] = raw.view(self._dtype)
+                samples = out
+            else:
+                samples = raw.view(self._dtype).astype(np.float64)
         if self._scale != 1.0:  # x / 1.0 is x: float samples skip the pass
             samples /= self._scale
         if channels > 1:
@@ -483,15 +484,18 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> Env
 
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
-    # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n]
+    # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n],
+    # as one second-order section filtered in place; on input >= 0 it gives
+    # lfilter([1 - a], [1, -a])'s bits
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))
+    sos = np.array([[1.0 - a, 0.0, 0.0, 1.0, -a, 0.0]])
     x = clip.samples
-    z = np.zeros(1)
+    z = np.zeros((1, 2))
+    peak = 0.0
     for start in range(0, len(x), _BLOCK):
-        stop = start + _BLOCK
-        rectified = np.abs(x[start:stop], out=out[start:stop])
-        out[start:stop], z = _signal.lfilter([1.0 - a], [1.0, -a], rectified, z)
-    peak = float(np.max(out)) if len(out) else 0.0
+        block = np.abs(x[start:start + _BLOCK], out=out[start:start + _BLOCK])
+        _, z = _signal.sosfilt(sos, block, z, out=block)
+        peak = max(peak, float(block.max()))
     if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal(
             values=out,

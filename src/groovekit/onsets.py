@@ -439,8 +439,18 @@ _EDIT_HEADER = ["kind", "target_time_s", "new_time_s", "label"]
 
 # One annotation row for numpy's reader, parsed with no converters. The integer
 # index rejects any '"', so a quoted field never reads as plain. Each text width
-# exceeds its longest name, so a longer value truncates to a non-name.
-_ONSET_ROW = np.dtype({"names": _ONSET_HEADER, "formats": ["i8", "f8", "f8", "S8", "S12"]})
+# exceeds its longest name, so a longer value truncates to a non-name; each is
+# a whole number of 8-byte words, so a row is six words, compared as uint64.
+_ONSET_ROW = np.dtype({"names": _ONSET_HEADER, "formats": ["i8", "f8", "f8", "S8", "S16"]})
+# per text field: its first word in a row, and its names as NUL-padded words
+_NAME_WORDS = {
+    field: (
+        _ONSET_ROW.fields[field][1] // 8,
+        np.array([name.encode() for name in names], dtype=_ONSET_ROW[field])
+        .view(np.uint64).reshape(len(names), -1),
+    )
+    for field, names in (("label", LABELS), ("source", SOURCES))
+}
 # numpy's float parser skips \x1c-\x1f as white space, which ``float`` rejects,
 # and its bytes fields drop trailing NULs: a file holding one goes to the row reader
 _ROW_READER_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -496,12 +506,16 @@ def _read_onsets_plain(fh) -> OnsetSeries:
         raise ValueError("blank first row")
     fh.seek(start)
     rows = np.loadtxt(fh, dtype=_ONSET_ROW, delimiter=",", comments=None, ndmin=1)
+    words = rows.view(np.uint64).reshape(len(rows), _ONSET_ROW.itemsize // 8)
     codes = []
-    for field, names in (("label", LABELS), ("source", SOURCES)):
-        col = rows[field]
+    for field, (first, names) in _NAME_WORDS.items():
+        text = np.ascontiguousarray(words[:, first:first + names.shape[1]].T)
         code = np.full(len(rows), -1, dtype=np.int8)
         for k, name in enumerate(names):
-            code[col == name.encode()] = k
+            match = text[0] == name[0]
+            for column, word in zip(text[1:], name[1:]):
+                match &= column == word
+            code[match] = k
         if np.any(code < 0):
             raise ValueError(f"unknown onset {field}")
         codes.append(code)

@@ -23,6 +23,7 @@ from groovekit import (
     write_edits_csv,
     write_onsets_csv,
 )
+import groovekit._csvio as csvio
 from groovekit._csvio import BLOCK_ROWS, write_rows
 from groovekit.analysis import _write_dfa_csv, _write_histogram_csv
 from groovekit.cli import main
@@ -41,6 +42,11 @@ from groovekit.synth import gen_powerlaw_noise
 
 SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
 ODD_FLOATS = [0.0, -0.0, -1.5, 1e-20, -3.25e-7, 1.2345678912345e15, 9.87654321e22, 5e-324]
+# exact halfway cases at 3, 6 and 9 digits (x*10**N is k + 1/2 exactly, so %
+# rounds half to even), their neighbours, and negatives that round to zero
+TIE_FLOATS = [0.0625, 0.1875, -0.3125, 0.0078125, -0.0234375, 1.0078125, 0.0009765625,
+              -0.0029296875, np.nextafter(0.0625, 1.0), np.nextafter(0.0078125, 0.0),
+              np.nextafter(-0.0009765625, -1.0), -4e-10, -4e-7, -4e-4]
 HEADER = "index,time_s,amplitude,label,source"
 
 
@@ -164,6 +170,23 @@ class TestWritersMatchCsvWriter:
         result = FluctuationResult(scales=scales, F=F, detrend_order=1, alpha_local=local)
         assert_same_bytes(tmp_path, _write_dfa_csv, ref_dfa, result)
 
+    def test_drift_ties(self, tmp_path, n):
+        ties = np.resize(TIE_FLOATS, n)
+        drift = DriftSeries(
+            index=np.arange(n, dtype=np.int64),
+            time_s=np.abs(ties) + np.arange(n) // 7,
+            d_s=ties,
+            gap=np.arange(n) % 3 == 0,
+            base_s=0.1,
+        )
+        assert_same_bytes(tmp_path, write_drift_csv, ref_drift, drift)
+
+    def test_histogram_ties(self, tmp_path, n):
+        # 0.0625 ms steps: in ms, about 2 edges in 5 are exact 3-digit ties
+        edges = (np.arange(n + 1) * 0.0625e-3).tolist()
+        hist = {"bin_edges_s": edges, "counts": [k % 3 for k in range(n)]}
+        assert_same_bytes(tmp_path, _write_histogram_csv, ref_histogram, hist)
+
     def test_histogram(self, tmp_path, n):
         edges = (0.0123 + 0.002 * np.arange(n + 1)).tolist()
         hist = {"bin_edges_s": edges, "counts": [k % 7 for k in range(n)]}
@@ -203,6 +226,125 @@ class TestWritersMatchCsvWriter:
         assert main(["synth", "-o", str(out), "--series-only", "-n", str(n), "--seed", "3"]) == 0
         ref_series(want, gen_powerlaw_noise(1.0, n, seed=3))
         assert out.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the numpy encoder of %d and %.Nf fields against %
+
+
+def _percent_rows(fmt, columns):
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in columns))).encode()
+
+
+def _fixed_values(digits):
+    """Floats across exponents, with ties, signed zeros, the smallest
+    subnormal, negatives that round to zero, the encoder's 2**52 cutoff and
+    non-finite values (which only the % fallback writes)."""
+    cutoff = 2.0**52 / 10**digits
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-12, 8)),
+        st.builds(lambda k, e: k * 2.0**e, st.integers(-(2**21), 2**21), st.integers(-30, 0)),
+        st.floats(-0.5 * 10.0**-digits, 0.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, cutoff, -cutoff, np.nextafter(cutoff, 0.0),
+                         np.nextafter(-cutoff, 0.0), np.nextafter(cutoff, np.inf), *TIE_FLOATS]),
+        st.floats(cutoff, 8 * cutoff),
+    )
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("digits", [3, 6, 9])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_encoder_matches_percent(tmp_path, n, digits, data):
+    """Drawn values repeat to ``n`` rows; one drawn value, out of range or
+    not, lands at a drawn row, so blocks on either path meet."""
+    fmt = f"%d,%.{digits}f\r\n"
+    ints = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    floats = data.draw(st.lists(_fixed_values(digits), min_size=1, max_size=40))
+    index = np.resize(np.array(ints, dtype=np.int64), n)
+    values = np.resize(np.array(floats), n)
+    if n:
+        values[data.draw(st.integers(0, n - 1))] = data.draw(_fixed_values(digits))
+    path = tmp_path / "got.csv"
+    write_rows(path, ["i", "x"], fmt, [index, values])
+    assert path.read_bytes() == b"i,x\r\n" + _percent_rows(fmt, [index, values])
+
+
+def _refuse(fmt, block):
+    raise AssertionError(f"fell back to % for {fmt!r}")
+
+
+def test_drift_and_histogram_are_encoded_without_percent(tmp_path, monkeypatch):
+    n = 2 * BLOCK_ROWS + 1
+    d = odd_values(n)
+    d[np.abs(d) > 1.0] = 0.5  # in the encoder's range
+    drift = DriftSeries(index=np.arange(n, dtype=np.int64), time_s=np.cumsum(np.full(n, 0.1234567)),
+                        d_s=d, gap=np.arange(n) % 5 == 0, base_s=0.1)
+    hist = {"bin_edges_s": (0.0123 + 0.002 * np.arange(n + 1)).tolist(), "counts": [k % 7 for k in range(n)]}
+    monkeypatch.setattr(csvio, "_percent_block", _refuse)
+    assert_same_bytes(tmp_path, write_drift_csv, ref_drift, drift)
+    assert_same_bytes(tmp_path, _write_histogram_csv, ref_histogram, hist)
+
+
+@pytest.fixture
+def percent_calls(monkeypatch):
+    """The rows of each block the ``%`` fallback writes."""
+    calls, fallback = [], csvio._percent_block
+
+    def percent(fmt, block):
+        calls.append(len(block[0]))
+        return fallback(fmt, block)
+
+    monkeypatch.setattr(csvio, "_percent_block", percent)
+    return calls
+
+
+def test_only_blocks_out_of_range_fall_back(tmp_path, percent_calls):
+    values = np.linspace(-2.0, 2.0, 3 * BLOCK_ROWS)
+    values[BLOCK_ROWS + 5] = np.nan
+    values[2 * BLOCK_ROWS + 7] = 2.0**52  # |x|*10**6 beyond the cutoff
+    ints = np.arange(3 * BLOCK_ROWS, dtype=np.int64)
+    fmt = "%d,%.6f\r\n"
+    write_rows(tmp_path / "got.csv", ["i", "x"], fmt, [ints, values])
+    assert percent_calls == [BLOCK_ROWS, BLOCK_ROWS]
+    assert (tmp_path / "got.csv").read_bytes() == b"i,x\r\n" + _percent_rows(fmt, [ints, values])
+
+
+@pytest.mark.parametrize("fmt, column", [
+    ("%d\r\n", np.array([1.0, 2.0])),  # %d of floats truncates in %
+    ("%d\r\n", np.array([np.iinfo(np.int64).min, 0])),
+    ("%d\r\n", np.array([2**63, 1], dtype=np.uint64)),
+    ("%.6f\r\n", np.array([1.5, 2], dtype=object)),
+    ("%.6f\r\n", np.array([3, -2])),
+    ("%s,%.3f\r\n", None),
+    ("%.9g\r\n", np.array([0.5])),
+    ("%5d\r\n", np.array([3, -4])),
+    ("%.16f\r\n", np.array([0.5])),
+])
+def test_other_conversions_and_dtypes_fall_back(tmp_path, percent_calls, fmt, column):
+    columns = [np.array(["a", "b"], dtype=object), np.array([0.25, -0.5])] if column is None else [column]
+    write_rows(tmp_path / "got.csv", ["h"], fmt, columns)
+    assert percent_calls == [len(columns[0])]
+    assert (tmp_path / "got.csv").read_bytes() == b"h\r\n" + _percent_rows(fmt, columns)
+
+
+def test_literal_text_and_percent_signs_are_kept(tmp_path, percent_calls):
+    fmt = "<%d%%|%.3f>\t%.0f;\r\n"
+    columns = [np.array([-7, 0, 12345]), np.array([2.0005, -0.0, 1e9]), np.array([0.5, 1.5, -2.5])]
+    write_rows(tmp_path / "got.csv", ["h"], fmt, columns)
+    assert percent_calls == []
+    assert (tmp_path / "got.csv").read_bytes() == b"h\r\n" + _percent_rows(fmt, columns)
+
+
+@pytest.mark.parametrize("time_s", [[0.1], [0.1, 0.2]])
+def test_columns_of_unequal_length_are_rejected(tmp_path, time_s):
+    """A one-row column must not be broadcast over the others."""
+    drift = DriftSeries(index=np.arange(3), time_s=np.array(time_s), d_s=np.zeros(3),
+                        gap=np.zeros(3, dtype=bool), base_s=0.1)
+    with pytest.raises(ValueError, match="columns of 3, 1|columns of 3, 2"):
+        write_drift_csv(tmp_path / "drift.csv", drift)
+    assert not (tmp_path / "drift.csv").exists()
 
 
 def test_series_format_exponent_forms(tmp_path):

@@ -82,18 +82,39 @@ def test_sosfilt_into_out_matches_scipy(order):
         _signal.sosfilt(sos, x[::2], zi, out=np.empty(10000)[::4])
 
 
-@pytest.mark.parametrize("smoothing_ms", [0.01, 2.0, 50.0])
-def test_lfilter_matches_scipy_across_blocks(smoothing_ms):
-    a = np.exp(-1.0 / (smoothing_ms * 1e-3 * 44100.0))
+def _rectified_cases():
+    """Inputs the envelope smoother sees: rectified, so never negative."""
     x = np.abs(_noise(5000, seed=3))
     x[2000:2500] = 0.0
-    z_got = z_want = np.zeros(1)
+    impulse = np.zeros(5000)
+    impulse[7] = 1.0
+    return {
+        "noise with a silent stretch": x,
+        "tiny noise": 1e-300 * x,
+        "subnormals": 5e-324 * np.arange(5000.0),
+        "zeros": np.zeros(5000),
+        "impulse": impulse,
+        "huge": 1e308 * x,
+        "largest float": np.full(5000, np.finfo(np.float64).max),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rectified_cases()))
+@pytest.mark.parametrize("smoothing_ms", [0.01, 2.0, 50.0, 500.0])
+def test_one_pole_sosfilt_matches_lfilter_across_blocks(case, smoothing_ms):
+    """The envelope's smoother, one section filtered in place block by
+    block, gives ``lfilter([1 - a], [1, -a])``'s outputs and state."""
+    a = np.exp(-1.0 / (smoothing_ms * 1e-3 * 44100.0))
+    sos = np.array([[1.0 - a, 0.0, 0.0, 1.0, -a, 0.0]])
+    x = _rectified_cases()[case]
+    z_got, z_want = np.zeros((1, 2)), np.zeros(1)
     for lo, hi in ((0, 1), (1, 2100), (2100, 5000)):
-        y_got, z_got = _signal.lfilter([1.0 - a], [1.0, -a], x[lo:hi], z_got)
+        y_got = x[lo:hi].copy()
+        _, z_got = _signal.sosfilt(sos, y_got, z_got, out=y_got)
         y_want, z_want = signal.lfilter([1.0 - a], [1.0, -a], x[lo:hi], zi=z_want)
-        assert _same(y_got, y_want) and _same(z_got, z_want)
-    whole = signal.lfilter([1.0 - a], [1.0, -a], x, zi=np.zeros(1))
-    assert _same(_signal.lfilter([1.0 - a], [1.0, -a], x, np.zeros(1))[0], whole[0])
+        assert _same(y_got, y_want) and _same(z_got[0, :1], z_want) and z_got[0, 1] == 0.0
+    whole = signal.lfilter([1.0 - a], [1.0, -a], x, zi=np.zeros(1))[0]
+    assert _same(_signal.sosfilt(sos, x, np.zeros((1, 2)))[0], whole)
 
 
 def _peak_cases():

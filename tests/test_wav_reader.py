@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from scipy.io import wavfile
 
 from groovekit.audio import _BLOCK, _PCM_SCALES, WavReader, load_audio
@@ -35,7 +35,8 @@ def scipy_samples(path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns about chunks it skips
         rate, data = wavfile.read(path)
-    samples = data.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns on the cast
+        samples = data.astype(np.float64)
     samples /= _PCM_SCALES[data.dtype.newbyteorder("=")]  # RIFX data is big-endian
     if samples.ndim > 1:
         with np.errstate(invalid="ignore"):  # inf and -inf in one frame
@@ -58,8 +59,16 @@ def assert_same_as_scipy(path, channels=None):
     return got
 
 
+# a float32 WAV whose one sample is a signalling NaN (bytes 01 00 80 ff)
+SIGNALLING_NAN_WAV = (
+    b"RIFF6\x00\x00\x00WAVEfmt \x12\x00\x00\x00\x03\x00\x01\x00\xe8\x03\x00\x00\xa0\x0f\x00\x00"
+    b"\x04\x00 \x00\x00\x00fact\x04\x00\x00\x00\x01\x00\x00\x00data\x04\x00\x00\x00\x01\x00\x80\xff"
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=wav_files())
+@example(raw=SIGNALLING_NAN_WAV)
 def test_accepted_files_read_as_scipy_reads_them(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clip.wav"
@@ -282,6 +291,26 @@ def test_opposite_infinities_in_one_frame(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"groovekit: samples must be finite in {str(wav)!r}: sample 100 is nan\n"
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["analyze", "onsets"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_signalling_nan_is_one_error_line(tmp_path, command, channels):
+    """The cast of a signalling NaN sample warns in numpy; the CLI prints only
+    its own error."""
+    samples = np.zeros((4096, channels), dtype=np.float32)
+    samples.view(np.uint32)[100, -1] = 0xFF800001  # bytes 01 00 80 ff
+    wav = tmp_path / "snan.wav"
+    wavfile.write(wav, 44100, samples if channels > 1 else samples[:, 0])
+    out = ["--out-dir", str(tmp_path / "out")] if command == "analyze" else ["-o", str(tmp_path / "o.csv")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groovekit.cli", command, str(wav), *out],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"groovekit: samples must be finite in {str(wav)!r}: sample 100 is nan\n"
 
 
 def test_concurrent_reads_see_their_own_blocks(tmp_path):
