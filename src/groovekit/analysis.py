@@ -20,7 +20,6 @@ from ._csvio import write_rows
 from ._version import __version__
 from .errors import EstimationError, GrooveKitError, ParameterError
 from .groove import (
-    DriftSeries,
     PhraseProfile,
     PhraseTemplate,
     SwingReport,
@@ -85,14 +84,14 @@ class AnalysisResult:
     stats: dict
     swing: SwingReport | None
     swing_note: str | None
-    drift: DriftSeries
+    drift: np.ndarray  # one value per interval of ``series``
     phrase_interval: PhraseProfile
     phrase_amplitude: PhraseProfile
     dfa_results: dict[str, dfa_mod.FluctuationResult]
     dfa_notes: dict[str, str]
 
     def report_dict(self) -> dict:
-        drift_vals = self.drift.drift_values()
+        drift = self.drift
         counts = {
             klass.value: self.stats[klass.value]["count"] for klass in CLASSES
         }
@@ -107,9 +106,9 @@ class AnalysisResult:
             "base_unit_ms": self.base_unit_s * 1e3,
             "swing": None if self.swing is None else asdict(self.swing),
             "drift": {
-                "max_abs_s": float(np.max(np.abs(drift_vals))) if len(drift_vals) else 0.0,
-                "final_s": float(drift_vals[-1]) if len(drift_vals) else 0.0,
-                "gap_count": self.drift.gap_count,
+                "max_abs_s": float(np.max(np.abs(drift))) if len(drift) else 0.0,
+                "final_s": float(drift[-1]) if len(drift) else 0.0,
+                "gap_count": counts["discarded"],
             },
             "dfa": {},
             "phrase": {
@@ -235,8 +234,14 @@ def run_analysis(
 
 
 def _atomic(path: Path, write_fn) -> None:
+    """``write_fn(tmp)`` and then rename ``tmp`` to ``path``; a write that
+    raises leaves neither file."""
     tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
+    try:
+        write_fn(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -257,7 +262,8 @@ def write_analysis_outputs(out_dir, result: AnalysisResult) -> Path:
     """Write report.json and all CSV sidecars; returns the report path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(out / "drift.csv", lambda p: write_drift_csv(p, result.drift))
+    _atomic(out / "drift.csv", lambda p: write_drift_csv(
+        p, result.onsets.times()[1:], result.drift, result.series.multiples() == 0))
     _atomic(out / "phrase_interval.csv", lambda p: write_profile_csv(p, result.phrase_interval))
     _atomic(out / "phrase_amplitude.csv", lambda p: write_profile_csv(p, result.phrase_amplitude))
     for name, res in result.dfa_results.items():

@@ -20,7 +20,14 @@ from pathlib import Path
 
 from ._csvio import write_rows
 from ._version import __version__
-from .analysis import AnalysisParams, AnalysisResult, DegenerateInputError, run_analysis, write_analysis_outputs
+from .analysis import (
+    AnalysisParams,
+    AnalysisResult,
+    DegenerateInputError,
+    _atomic,
+    run_analysis,
+    write_analysis_outputs,
+)
 # load_audio and envelope are not called here; they stay bound because
 # perfbench/tracer.py wraps every name of the analyze path in this module
 from .audio import WavReader, _envelope_into, envelope, highpass, load_audio, save_audio
@@ -163,10 +170,9 @@ def _write_tempogram_outputs(out_dir: Path, tg) -> None:
     if tg is None:
         print("clip shorter than one tempogram window; skipping tempogram outputs")
         return
-    write_tempogram_csv(out_dir / "tempogram.csv", tg)
-    (out_dir / "tempogram.json").write_text(
-        json.dumps(tempogram_summary(tg), indent=2) + "\n", encoding="utf-8"
-    )
+    _atomic(out_dir / "tempogram.csv", lambda p: write_tempogram_csv(p, tg))
+    text = json.dumps(tempogram_summary(tg), indent=2) + "\n"
+    _atomic(out_dir / "tempogram.json", lambda p: p.write_text(text, encoding="utf-8"))
 
 
 def _cmd_synth(args) -> int:

@@ -15,11 +15,10 @@ import numpy as np
 
 from ._csvio import write_rows
 from .errors import EstimationError, ParameterError
-from .intervals import IntervalSeries, SectionMap
+from .intervals import IntervalSeries, SectionMap, _check_base
 from .onsets import LABELS, OnsetSeries
 
 __all__ = [
-    "DriftSeries",
     "SwingReport",
     "PhraseTemplate",
     "PhraseProfile",
@@ -30,27 +29,6 @@ __all__ = [
     "write_drift_csv",
     "write_profile_csv",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DriftSeries:
-    """Drift per interval as columns."""
-
-    index: np.ndarray   # interval count
-    time_s: np.ndarray  # time of the onset closing the interval
-    d_s: np.ndarray     # cumulative deviation from the metronome grid
-    gap: np.ndarray     # True where a discarded interval reset the drift
-    base_s: float
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def drift_values(self) -> np.ndarray:
-        return self.d_s
-
-    @property
-    def gap_count(self) -> int:
-        return int(np.count_nonzero(self.gap))
 
 
 @dataclass(frozen=True)
@@ -125,15 +103,15 @@ class PhraseProfile:
         return len(self.template)
 
 
-def compute_drift(series: IntervalSeries, base: float) -> DriftSeries:
-    """Cumulative deviation of normalized intervals from the metronome tick.
+def compute_drift(series: IntervalSeries, base: float) -> np.ndarray:
+    """Cumulative deviation of normalized intervals from the metronome tick,
+    one value per interval.
 
     Each valid interval advances the drift by ``tau/multiple - base``;
-    a discarded interval emits a gap point with the drift reset to zero.
+    a discarded interval is a gap, where the drift resets to zero.
     Each gap-delimited run is summed left to right on its own.
     """
-    if base <= 0:
-        raise ParameterError("base unit must be positive")
+    _check_base(base)
     if not series.classified:
         raise ParameterError("classify the series before computing drift")
     gap = series.multiples() == 0
@@ -142,22 +120,15 @@ def compute_drift(series: IntervalSeries, base: float) -> DriftSeries:
     bounds = np.concatenate(([-1], np.flatnonzero(gap), [len(series)]))
     for lo, hi in zip(bounds[:-1] + 1, bounds[1:]):
         np.add.accumulate(drift[lo:hi], out=drift[lo:hi])
-    return DriftSeries(
-        index=np.arange(1, len(series) + 1),
-        time_s=series.start_times() + series.taus(),
-        d_s=drift,
-        gap=gap,
-        base_s=base,
-    )
+    return drift
 
 
 def _check_pairs(series: IntervalSeries, onsets: OnsetSeries) -> None:
-    """Every interval must run between two onsets of ``onsets``."""
-    starts = series.start_indices()
-    if len(starts) and (starts.min() < 0 or starts.max() + 1 >= len(onsets)):
+    """``series`` must hold one interval per consecutive pair of ``onsets``."""
+    if len(series) != len(onsets) - 1:
         raise ParameterError(
-            f"interval series does not match the onsets: its intervals span onsets "
-            f"{starts.min()}..{starts.max() + 1}, but there are {len(onsets)}"
+            f"interval series does not match the onsets: {len(series)} intervals "
+            f"for {len(onsets)} onsets"
         )
 
 
@@ -172,9 +143,7 @@ def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
     _check_pairs(series, onsets)
     taus, multiples = series.taus(), series.multiples()
     ghost = onsets.label_codes() == LABELS.index("ghost")
-    is_single = multiples == 1
-    first = series.start_indices()[is_single]
-    singles = taus[is_single][~(ghost[first] | ghost[first + 1])]
+    singles = taus[(multiples == 1) & ~(ghost[:-1] | ghost[1:])]
     doubles = taus[multiples == 2]
     if not len(singles):
         raise EstimationError("swing ratio undefined: no inter-triplet singles")
@@ -226,7 +195,7 @@ def _phrase_grid(
     n = len(onsets)
     # unit span of the interval leaving each onset; 0 where none or discarded
     step = np.zeros(n, dtype=np.int64)
-    step[series.start_indices()] = series.multiples()
+    step[:-1] = series.multiples()
     units = np.cumsum(step) - step
     breaks = np.cumsum(step == 0) - (step == 0)
     is_anchor = np.zeros(n, dtype=bool)
@@ -325,9 +294,11 @@ def phrase_amplitude_profile(
 # ---------------------------------------------------------------------------
 # CSV sidecars
 
-def write_drift_csv(path, drift: DriftSeries) -> None:
+def write_drift_csv(path, times, drift, gaps) -> None:
+    """One row per interval: its 1-based index, the time of the onset that
+    closes it, its drift, and whether it is a gap."""
     write_rows(path, ["index", "time_s", "drift_s", "gap"], "%d,%.6f,%.9f,%d\r\n",
-               [drift.index, drift.time_s, drift.d_s, drift.gap])
+               [np.arange(1, len(drift) + 1), times, drift, gaps])
 
 
 def _fixed(value: float | None, digits: int) -> str:

@@ -56,17 +56,18 @@ _MULTIPLE = {klass: m for m, klass in enumerate(CLASSES, start=1)}
 
 
 class IntervalSeries(ColumnSeries):
-    """Inter-onset intervals as columns,
-    ``IntervalSeries(taus, start_indices, start_times, multiples)``: the
-    class multiple is 1/2/3 for single/double/triple, 0 discarded, -1
-    unclassified. Validity and normalized durations derive from it.
+    """Inter-onset intervals as columns, ``IntervalSeries(taus, multiples)``.
+
+    Interval i runs from onset i to onset i + 1 of the onsets it was taken
+    from. The class multiple is 1/2/3 for single/double/triple, 0 discarded,
+    -1 unclassified. Validity and normalized durations derive from it.
     """
 
     __slots__ = ()
-    _DTYPES = (np.float64, np.int64, np.float64, np.int8)
+    _DTYPES = (np.float64, np.int8)
 
     @staticmethod
-    def _check(taus, start_indices, start_times, multiples) -> None:
+    def _check(taus, multiples) -> None:
         if not np.all((taus > 0.0) & (taus < np.inf)):
             raise ParameterError("interval durations must be positive and finite")
         if not np.all((multiples >= -1) & (multiples <= 3)):
@@ -75,14 +76,8 @@ class IntervalSeries(ColumnSeries):
     def taus(self) -> np.ndarray:
         return self._cols[0]
 
-    def start_indices(self) -> np.ndarray:
-        return self._cols[1]
-
-    def start_times(self) -> np.ndarray:
-        return self._cols[2]
-
     def multiples(self) -> np.ndarray:
-        return self._cols[3]
+        return self._cols[1]
 
     def normalized_taus(self) -> np.ndarray:
         """Durations over class multiples of the classified, valid intervals."""
@@ -133,9 +128,7 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
     """Differences of consecutive onset times, unclassified."""
     if len(onsets) < 2:
         raise ParameterError("need at least 2 onsets to form intervals")
-    times = onsets.times()
-    n = len(times) - 1
-    return IntervalSeries(np.diff(times), np.arange(n), times[:-1], np.full(n, -1))
+    return IntervalSeries(np.diff(onsets.times()), np.full(len(onsets) - 1, -1))
 
 
 def _first_edge(taus: np.ndarray, width_s: float) -> float:
@@ -204,7 +197,12 @@ def estimate_base_unit(
     if hint_bpm is not None:
         if hint_bpm <= 0:
             raise ParameterError("hint_bpm must be positive")
-        base = 60.0 / (hint_bpm * 6.0)
+        base = 60.0 / (float(hint_bpm) * 6.0)
+        if not 0.0 < base < math.inf:
+            raise ParameterError(
+                f"hint_bpm={float(hint_bpm)!r} gives a starting base unit of {base:g} s, "
+                "not a positive finite duration"
+            )
     else:
         base = _seed_from_minimum_mode(taus)
     for _ in range(BASE_UNIT_MAX_ITER):
@@ -222,6 +220,11 @@ def estimate_base_unit(
     )
 
 
+def _check_base(base: float) -> None:
+    if not 0.0 < base < math.inf:
+        raise ParameterError(f"base unit must be positive and finite, got {base}")
+
+
 def classify_intervals(
     series: IntervalSeries,
     base: float,
@@ -233,12 +236,11 @@ def classify_intervals(
     ``max_multiple``] a triple; anything beyond comes from missing onsets and
     is discarded (``valid=False``).
     """
-    if base <= 0:
-        raise ParameterError("base unit must be positive")
+    _check_base(base)
     taus = series.taus()
     multiples = np.digitize(taus / base, (1.5, 2.5)) + 1
     multiples[taus / base > max_multiple] = 0
-    return IntervalSeries(taus, series.start_indices(), series.start_times(), multiples)
+    return IntervalSeries(taus, multiples)
 
 
 def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:

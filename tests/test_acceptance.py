@@ -160,7 +160,7 @@ def test_criterion_06_drift_correctness():
     series = intervals(onsets)
     base = estimate_base_unit(series)
     drift = compute_drift(classify_intervals(series, base), base)
-    metronomic_ok = float(np.max(np.abs(drift.drift_values()))) < 1e-6
+    metronomic_ok = float(np.max(np.abs(drift))) < 1e-6
 
     # linear ramp 84 -> 86 over 60 bars vs quadrature closed form
     spec = GrooveSpec(
@@ -179,14 +179,14 @@ def test_criterion_06_drift_correctness():
     taus = np.diff(oracle_times)
     mult = np.diff(truth.unit_positions)
     d_oracle = np.cumsum(taus / mult) - base * np.arange(1, len(taus) + 1)
-    ramp_err = float(np.max(np.abs(drift.drift_values() - d_oracle)))
+    ramp_err = float(np.max(np.abs(drift - d_oracle)))
 
     # discarded interval resets the drift to zero
     taus = np.array([1, 1, 2, 5, 1, 2] * 5) * 0.124
     times = np.concatenate(([0.0], np.cumsum(taus)))
     gap_series = classify_intervals(intervals(_series(times)), 0.120)
     gap_drift = compute_drift(gap_series, 0.120)
-    gaps = gap_drift.d_s[gap_drift.gap]
+    gaps = gap_drift[gap_series.multiples() == 0]
     gap_ok = len(gaps) == 5 and all(gaps == 0.0)
 
     _report(

@@ -157,6 +157,11 @@ class TestAnalyzeCommand:
         assert max_abs == pytest.approx(report["drift"]["max_abs_s"], abs=1e-9)
         gap_count = sum(int(r["gap"]) for r in drift_rows)
         assert gap_count == report["drift"]["gap_count"]
+        assert gap_count == report["interval_counts"]["discarded"]
+        # row i is the interval that onset i + 1 closes, at that onset's time
+        with open(onsets_csv) as fh:
+            onset_rows = list(csv.DictReader(fh))
+        assert [r["time_s"] for r in drift_rows] == [r["time_s"] for r in onset_rows[1:]]
 
     def test_too_few_onsets_exit_1(self, tmp_path, capsys):
         onsets_csv = tmp_path / "few.csv"
@@ -180,6 +185,24 @@ class TestAnalyzeCommand:
         assert len(tempo["track"]) > 0
         header = (out_dir / "tempogram.csv").read_text().splitlines()[0]
         assert header == "time_s,bpm,magnitude"
+
+    def test_failed_tempogram_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        import groovekit.tempogram
+
+        def write_half(path, header, fmt, columns):
+            with open(path, "w") as fh:
+                fh.write(",".join(header) + "\r\n0.000000,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(groovekit.tempogram, "write_rows", write_half)
+        wav = tmp_path / "clicks.wav"
+        run_cli("synth", "-o", str(tmp_path / "t.csv"), "--bars", "30", "--render", str(wav))
+        out_dir = tmp_path / "out"
+        assert run_cli("analyze", str(wav), "--out-dir", str(out_dir)) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out_dir / "report.json").exists()
+        assert not (out_dir / "tempogram.csv").exists()
+        assert list(out_dir.glob("*.tmp")) == []
 
     def test_ramp_drift_profile_recovered(self, tmp_path):
         # synth a 84->86 BPM ramp, analyze the CSV, and compare the final
@@ -267,6 +290,17 @@ class TestExitCodeContract:
         self.assert_exit_2(capsys, ["analyze", str(self.groove(tmp_path)), "--max-multiple",
                                     "1e-9", "--out-dir", str(tmp_path / "o")],
                            "no intervals within the class cutoff")
+
+    @pytest.mark.parametrize("hint", ["1e308", "1e-320"])
+    def test_bpm_hint_without_a_finite_base_unit(self, tmp_path, capsys, hint):
+        # 60/(6*hint) is 0 for the first and inf for the second
+        out = tmp_path / "o"
+        assert run_cli("analyze", str(self.groove(tmp_path)), "--bpm-hint", hint,
+                       "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert f"groovekit: hint_bpm={float(hint)!r} gives a starting base unit" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--noise-db", "1e6"], "noise_db"),

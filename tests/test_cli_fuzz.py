@@ -2,15 +2,19 @@
 
 ``analyze`` on a CSV must exit 0, 1 or 2 and print no traceback, whatever
 follows a valid header and whatever values the analysis flags take. Every
-generated file and flag value is small: nothing here asks the pipeline to
-allocate by size.
+generated file is small, and so is every flag value that sizes an array:
+``--bpm-hint`` only seeds the base unit, so it is also drawn log-uniformly
+from subnormal to near the float64 limit, but ``--max-multiple`` stays small,
+since a huge class cutoff makes the class histograms allocate by size.
+Warnings are errors under the test settings, so a RuntimeWarning on the way
+fails too.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from groovekit.cli import main
@@ -51,7 +55,10 @@ def analyze_flags(draw):
     values = {
         "--max-multiple": st.floats(-1.0, 10.0).map(repr),
         "--phrase-len": st.integers(-1, 20).map(lambda k: str(2 * k + (k == 5))),
-        "--bpm-hint": st.floats(-10.0, 400.0).map(repr),
+        # a tempo, or 10**e with e uniform in [-320, 308]
+        "--bpm-hint": st.one_of(
+            st.floats(-10.0, 400.0), st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+        ).map(repr),
         "--dfa-short": dfa_range(),
         "--dfa-long": dfa_range(),
     }
@@ -62,8 +69,15 @@ def analyze_flags(draw):
     return argv
 
 
+# a groove that reaches the base-unit estimate
+GROOVE = "".join(f"{k},{0.5 + 0.3 * (k // 2) + 0.2 * (k % 2):.6f},0.5,hihat,auto\r\n"
+                 for k in range(40)).encode()
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tail=csv_tails(), flags=analyze_flags())
+@example(tail=GROOVE, flags=["--bpm-hint", "1e308"])
+@example(tail=GROOVE, flags=["--bpm-hint", "1e-320"])
 def test_analyze_csv_exits_cleanly(tail, flags, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.csv"

@@ -1,8 +1,8 @@
 """The columnar metrics against per-object loop references, compared exactly.
 
 The references below are the loop implementations the columnar code
-replaced: one row record per step (``IntervalRow``/``DriftRow``, read from
-the columns) and dict-based phrase bookkeeping. Results must match with
+replaced: one row record per step (``IntervalRow``/``DriftRow``; interval i
+runs from onset i to onset i + 1) and dict-based phrase bookkeeping. Results must match with
 ``==``, not within a tolerance, because ``report.json`` and the sidecars are
 compared byte for byte.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from groovekit import (
     BeatClass,
-    DriftSeries,
     GrooveSpec,
     OnsetSeries,
     PhraseProfile,
@@ -63,18 +62,21 @@ _CLASS_OF_MULTIPLE = {
 }
 
 
-def interval_rows(series):
-    cols = (series.taus(), series.start_indices(), series.start_times(), series.multiples())
+def interval_rows(series, onsets):
+    times = onsets.times().tolist()
     return [
-        IntervalRow(tau, start, start_time, klass=_CLASS_OF_MULTIPLE[m],
+        IntervalRow(tau, i, times[i], klass=_CLASS_OF_MULTIPLE[m],
                     normalized_tau_s=tau / m if m > 0 else None, valid=m != 0)
-        for tau, start, start_time, m in zip(*(c.tolist() for c in cols))
+        for i, (tau, m) in enumerate(zip(series.taus().tolist(), series.multiples().tolist()))
     ]
 
 
-def drift_rows(drift):
-    cols = (drift.index, drift.time_s, drift.d_s, drift.gap)
-    return [DriftRow(*row) for row in zip(*(c.tolist() for c in cols))]
+def drift_rows(series, onsets, drift):
+    times = onsets.times().tolist()
+    return [
+        DriftRow(i + 1, times[i + 1], d, m == 0)
+        for i, (d, m) in enumerate(zip(drift.tolist(), series.multiples().tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +298,22 @@ def case(request):
 
 def test_classify_matches_loop(case):
     got = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    assert interval_rows(got) == ref_classify(
-        interval_rows(case["raw"]), case["base"], case["max_multiple"]
+    assert interval_rows(got, case["onsets"]) == ref_classify(
+        interval_rows(case["raw"], case["onsets"]), case["base"], case["max_multiple"]
     )
 
 
 def test_drift_matches_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
     drift = compute_drift(series, case["base"])
-    assert isinstance(drift, DriftSeries)
-    assert drift_rows(drift) == ref_drift(interval_rows(series), case["base"])
+    assert isinstance(drift, np.ndarray) and len(drift) == len(series)
+    rows = interval_rows(series, case["onsets"])
+    assert drift_rows(series, case["onsets"], drift) == ref_drift(rows, case["base"])
 
 
 def test_swing_inputs_match_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    singles, doubles = ref_swing_inputs(interval_rows(series), case["onsets"])
+    singles, doubles = ref_swing_inputs(interval_rows(series, case["onsets"]), case["onsets"])
     if not singles or not doubles:
         return
     report = swing_ratio(series, case["onsets"])
@@ -321,7 +324,7 @@ def test_swing_inputs_match_loop(case):
 
 def test_phrase_profiles_match_loop(case):
     series = classify_intervals(case["raw"], case["base"], max_multiple=case["max_multiple"])
-    args = (interval_rows(series), case["onsets"], case["template"], case["sections"])
+    args = (interval_rows(series, case["onsets"]), case["onsets"], case["template"], case["sections"])
     kwargs = {"template": case["template"], "sections": case["sections"]}
     onsets = case["onsets"]
     assert phrase_interval_profile(series, onsets, **kwargs) == ref_interval_profile(*args)
@@ -331,7 +334,7 @@ def test_phrase_profiles_match_loop(case):
 def test_cases_cover_gaps_sections_and_empty_profiles():
     gappy = CASES["gaps"]()[0]
     series = classify_intervals(intervals(gappy), estimate_base_unit(intervals(gappy)))
-    assert compute_drift(series, 0.12).gap_count > 0
+    assert np.any(series.multiples() == 0)
     sectioned = CASES["sections_with_gaps"]()
     assert len(ref_anchor_indices(sectioned[0], sectioned[4])) == 3
     for name in ("all_discarded", "no_complete_phrase", "two_onsets"):

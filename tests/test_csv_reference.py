@@ -30,7 +30,6 @@ from groovekit.cli import main
 from groovekit.dfa import FluctuationResult
 from groovekit.errors import FormatError
 from groovekit.groove import (
-    DriftSeries,
     PhraseProfile,
     PhraseTemplate,
     write_drift_csv,
@@ -61,11 +60,10 @@ def _csv_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def ref_drift(path, drift):
+def ref_drift(path, times, drift, gaps):
     _csv_rows(path, ["index", "time_s", "drift_s", "gap"], (
         [i, f"{t:.6f}", f"{d:.9f}", int(g)]
-        for i, t, d, g in zip(drift.index.tolist(), drift.time_s.tolist(),
-                              drift.d_s.tolist(), drift.gap.tolist())
+        for i, (t, d, g) in enumerate(zip(times.tolist(), drift.tolist(), gaps.tolist()), start=1)
     ))
 
 
@@ -122,10 +120,10 @@ def ref_series(path, values):
     _csv_rows(path, ["value"], ([f"{v:.12g}"] for v in values))
 
 
-def assert_same_bytes(tmp_path, write, ref, obj):
+def assert_same_bytes(tmp_path, write, ref, *args):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write(got, obj)
-    ref(want, obj)
+    write(got, *args)
+    ref(want, *args)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -143,15 +141,8 @@ def odd_values(n, seed=0):
 @pytest.mark.parametrize("n", SIZES)
 class TestWritersMatchCsvWriter:
     def test_drift(self, tmp_path, n):
-        d = odd_values(n)
-        drift = DriftSeries(
-            index=np.arange(n, dtype=np.int64),
-            time_s=np.cumsum(np.full(n, 0.1234567)),
-            d_s=d,
-            gap=np.arange(n) % 5 == 0,
-            base_s=0.1,
-        )
-        assert_same_bytes(tmp_path, write_drift_csv, ref_drift, drift)
+        times, gaps = np.cumsum(np.full(n, 0.1234567)), np.arange(n) % 5 == 0
+        assert_same_bytes(tmp_path, write_drift_csv, ref_drift, times, odd_values(n), gaps)
 
     def test_profile(self, tmp_path, n):
         n = max(n, 2)
@@ -172,14 +163,8 @@ class TestWritersMatchCsvWriter:
 
     def test_drift_ties(self, tmp_path, n):
         ties = np.resize(TIE_FLOATS, n)
-        drift = DriftSeries(
-            index=np.arange(n, dtype=np.int64),
-            time_s=np.abs(ties) + np.arange(n) // 7,
-            d_s=ties,
-            gap=np.arange(n) % 3 == 0,
-            base_s=0.1,
-        )
-        assert_same_bytes(tmp_path, write_drift_csv, ref_drift, drift)
+        times, gaps = np.abs(ties) + np.arange(n) // 7, np.arange(n) % 3 == 0
+        assert_same_bytes(tmp_path, write_drift_csv, ref_drift, times, ties, gaps)
 
     def test_histogram_ties(self, tmp_path, n):
         # 0.0625 ms steps: in ms, about 2 edges in 5 are exact 3-digit ties
@@ -279,11 +264,10 @@ def test_drift_and_histogram_are_encoded_without_percent(tmp_path, monkeypatch):
     n = 2 * BLOCK_ROWS + 1
     d = odd_values(n)
     d[np.abs(d) > 1.0] = 0.5  # in the encoder's range
-    drift = DriftSeries(index=np.arange(n, dtype=np.int64), time_s=np.cumsum(np.full(n, 0.1234567)),
-                        d_s=d, gap=np.arange(n) % 5 == 0, base_s=0.1)
+    times, gaps = np.cumsum(np.full(n, 0.1234567)), np.arange(n) % 5 == 0
     hist = {"bin_edges_s": (0.0123 + 0.002 * np.arange(n + 1)).tolist(), "counts": [k % 7 for k in range(n)]}
     monkeypatch.setattr(csvio, "_percent_block", _refuse)
-    assert_same_bytes(tmp_path, write_drift_csv, ref_drift, drift)
+    assert_same_bytes(tmp_path, write_drift_csv, ref_drift, times, d, gaps)
     assert_same_bytes(tmp_path, _write_histogram_csv, ref_histogram, hist)
 
 
@@ -340,10 +324,8 @@ def test_literal_text_and_percent_signs_are_kept(tmp_path, percent_calls):
 @pytest.mark.parametrize("time_s", [[0.1], [0.1, 0.2]])
 def test_columns_of_unequal_length_are_rejected(tmp_path, time_s):
     """A one-row column must not be broadcast over the others."""
-    drift = DriftSeries(index=np.arange(3), time_s=np.array(time_s), d_s=np.zeros(3),
-                        gap=np.zeros(3, dtype=bool), base_s=0.1)
     with pytest.raises(ValueError, match="columns of 3, 1|columns of 3, 2"):
-        write_drift_csv(tmp_path / "drift.csv", drift)
+        write_drift_csv(tmp_path / "drift.csv", np.array(time_s), np.zeros(3), np.zeros(3, dtype=bool))
     assert not (tmp_path / "drift.csv").exists()
 
 

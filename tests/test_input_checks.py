@@ -3,6 +3,7 @@ and short audio."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from groovekit import (
     OnsetSeries,
     ParameterError,
     Section,
+    classify_intervals,
+    compute_drift,
     detect_onsets,
     dfa_analyze,
     dfa_fluctuation,
     envelope,
+    estimate_base_unit,
     gen_shuffle_onsets,
     highpass,
+    intervals,
     merge_close_onsets,
     read_onsets_csv,
     render_clicks,
@@ -88,12 +93,12 @@ class TestNonFiniteRejected:
         with pytest.raises(ParameterError, match="onset 1: uncertainty_ms must be non-negative"):
             OnsetSeries.from_columns([0.1, 0.2], [0.5, 0.5], uncertainty_ms=[0.0, value])
         with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
-            IntervalSeries([0.1, value], [0, 1], [0.0, 0.1], [-1, -1])
+            IntervalSeries([0.1, value], [-1, -1])
 
     @pytest.mark.parametrize("tau", [0.0, -0.0, -0.1])
     def test_interval_columns_reject_non_positive_tau(self, tau):
         with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
-            IntervalSeries([tau, 0.1], [0, 1], [0.0, 0.1], [-1, -1])
+            IntervalSeries([tau, 0.1], [-1, -1])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_columns_reject_non_finite(self, value):
@@ -120,7 +125,7 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError):
             OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0], [0, 0])
         with pytest.raises(ValueError):
-            IntervalSeries([0.1], [0], [0.0], [-1], [0])
+            IntervalSeries([0.1], [-1], [0])
 
 
 class TestDfaRangeFlags:
@@ -343,6 +348,27 @@ class TestNonFiniteLibraryInputs:
         onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))
         with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
             run_analysis(onsets, params=AnalysisParams(**{name: value}))
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 0.0, -0.12])
+    def test_base_unit_must_be_positive_and_finite(self, base):
+        # nan used to make every interval a triple and every drift NaN; inf
+        # made every interval a single
+        series = intervals(series_from_times([0.0, 0.12, 0.36]))
+        with pytest.raises(ParameterError, match="base unit must be positive and finite"):
+            classify_intervals(series, base)
+        with pytest.raises(ParameterError, match="base unit must be positive and finite"):
+            compute_drift(classify_intervals(series, 0.12), base)
+
+    @pytest.mark.parametrize("hint", [1e308, 3e307, 5e-308, 1e-320, math.nan])
+    def test_bpm_hint_without_a_finite_starting_base(self, hint):
+        series = intervals(series_from_times([0.0, 0.12, 0.36]))
+        with pytest.raises(ParameterError, match=re.escape(f"hint_bpm={hint!r} gives a starting base")):
+            estimate_base_unit(series, hint_bpm=hint)
+
+    def test_smallest_bpm_hint_with_a_finite_starting_base(self):
+        series = intervals(series_from_times([0.0, 0.12, 0.36]))
+        # a start far above every interval makes both singles: the mean of 0.12 and 0.24
+        assert estimate_base_unit(series, hint_bpm=5.7e-308) == pytest.approx(0.18)
 
     def test_analysis_params_accept_no_bpm_hint(self):
         onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))

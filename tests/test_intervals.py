@@ -41,8 +41,6 @@ class TestIntervals:
     def test_differences(self):
         series = intervals(series_from_times([0.0, 0.128, 0.356]))
         assert series.taus() == pytest.approx([0.128, 0.228])
-        assert series.start_indices().tolist() == [0, 1]
-        assert series.start_times()[1] == pytest.approx(0.128)
         assert not series.classified
 
     def test_count_is_n_minus_one(self):
@@ -97,7 +95,7 @@ class TestEstimateBaseUnit:
         from groovekit import IntervalSeries
 
         with pytest.raises(ParameterError):
-            estimate_base_unit(IntervalSeries((), (), (), ()))
+            estimate_base_unit(IntervalSeries((), ()))
 
 
 def _dense_seed(taus):
