@@ -2,17 +2,23 @@
 
 :func:`write_rows` writes up to ``BLOCK_ROWS`` rows with one call. Rows end
 in ``\\r\\n``, as ``csv.writer`` ends them; a free-text field goes through
-:func:`quote` first. When every conversion of the row format is ``%d`` or
-``%.Nf``, a block is encoded in numpy, byte for byte as ``%`` writes it and
-with no Python object per value: the literal text and each field's bytes go
-into one byte matrix with a row per CSV row, four digits per table lookup
-and NUL before a number's first digit; one ``bytes.translate`` then drops
-the NULs. ``%.Nf`` rounds ``|x|*10**N`` exactly, half to even as CPython
-does, from an error-free product (see :func:`_fixed`). A block is written by
-``fmt * rows % values`` instead (:func:`_percent_block`) when the format holds
-another conversion, a value is out of the encoder's range (not finite, or
-``|x|*10**N >= 2**52``) or a column's dtype is not the one its conversion
-takes (integer or bool for ``%d``, floating for ``%.Nf``).
+:func:`quote` first. When every conversion of the row format is ``%d``,
+``%.Nf`` or ``%.Ng``, a block is encoded in numpy, byte for byte as ``%``
+writes it and with no Python object per value: the literal text and each
+field's bytes go into one byte matrix with a row per CSV row, four digits per
+table lookup and NUL before a number's first digit; one ``bytes.translate``
+then drops the NULs. ``%.Nf`` rounds ``|x|*10**N`` exactly, half to even as
+CPython does, from an error-free product (see :func:`_fixed`). ``%.Ng`` in
+fixed notation is ``%.{N-1-X}f`` with trailing zeros and a bare ``.``
+stripped, X being the decimal exponent after rounding to N significant
+digits; X is decided exactly against the exact powers of ten (see
+:func:`_general`). A block is written by ``fmt * rows % values`` instead
+(:func:`_percent_block`) when the format holds another conversion, a value is
+out of the encoder's range (not finite; ``|x|*10**N >= 2**52`` for ``%.Nf``;
+for ``%.Ng``, a value ``%`` writes in exponent notation, or a block whose
+values span more than 18 digits between them) or a column's dtype is not the
+one its conversion takes (integer or bool for ``%d``, floating for ``%.Nf``
+and ``%.Ng``).
 
 :func:`read_rows` reads any CSV the ``csv`` module reads (quoted fields
 included), parses each row with the caller's function, and reports a bad row
@@ -24,6 +30,7 @@ being physical. The annotation reader parses plain files with numpy's C
 from __future__ import annotations
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -32,23 +39,27 @@ from .errors import FormatError
 
 BLOCK_ROWS = 4096
 
-# a conversion: %d, %.Nf, a literal %%, or (no group) anything else
-_CONVERSION = re.compile(r"%(d|\.(\d+)f|%)?")
+# a conversion: %d, %.Nf, %.Ng, a literal %%, or (no group) anything else
+_CONVERSION = re.compile(r"%(d|\.(\d+)([fg])|%)?")
 # |x|*10**N below it: half-integers are floats, and rint's result an exact int64
 _ENCODED_LIMIT = 2.0 ** 52
-_MAX_FRACTION_DIGITS = 15  # beyond, only |x| < 1 is in range, and 10**N nears int64's end
+# the largest N of %.Nf and %.Ng: beyond, only |x| < 1 is in range for %.Nf,
+# and 10**N reaches _ENCODED_LIMIT for %.Ng
+_MAX_DIGITS = 15
+_MAX_FIELD_DIGITS = 18  # a field's integer and fraction digits: its int64 stays below 10**18
+_LOWEST_FIXED = -4  # %g writes X < -4 in exponent notation, as it does X >= N
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
-_MINUS, _POINT = ord("-"), ord(".")
+_MINUS, _POINT, _ZERO = ord("-"), ord("."), ord("0")
 _INT64 = np.iinfo(np.int64)
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The words "0000" to "9999", for four digits per table lookup; and the
-    words of an integer part: index k is k zero-filled, for a word below the
-    first nonzero one, index 10000 + k is k with NUL for its leading zeros,
-    for that first word (all NUL for 0), and index 20000 is a lone "0", for
-    the last word of an integer part that is 0. Built in place: no
-    temporary as large as a table."""
+def _whole_words() -> np.ndarray:
+    """The words of an integer part, four digits per table lookup: index k
+    is k zero-filled ("0000" to "9999"), for a word below the first nonzero
+    one, index 10000 + k is k with NUL for its leading zeros, for that first
+    word (all NUL for 0), and index 20000 is a lone "0", for the last word of
+    an integer part that is 0. Built in place: no temporary as large as a
+    table."""
     table = np.zeros((20001, 4), dtype=np.uint8)
     quads = table[:20000].reshape(2, 10, 10, 10, 10, 4)  # [half, d0, d1, d2, d3, byte]
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
@@ -56,11 +67,42 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
         quads[..., j] = digit.reshape((10,) + (1,) * (3 - j))
         quads[(1,) + (0,) * (j + 1)][..., j] = 0  # byte j is a leading zero
     table[20000, 3] = ord("0")
-    words = table.view(np.uint32).ravel()
-    return words[:10000], words
+    return table.view(np.uint32).ravel()
 
 
-_QUADS, _WHOLE = _digit_tables()
+def _fraction_words(whole: np.ndarray) -> np.ndarray:
+    """The words of a fraction: index k is k zero-filled, and index
+    10000 + k is k with NUL for its trailing zeros, for a ``%g`` word that
+    only zero words follow."""
+    table = np.tile(whole[:10000].view(np.uint8).reshape(-1, 4), (2, 1))
+    tail = table[10000:]
+    tail[np.logical_and.accumulate(tail[:, ::-1] == _ZERO, axis=1)[:, ::-1]] = 0
+    return table.view(np.uint32).ravel()
+
+
+_WHOLE = _whole_words()
+_FRACTION = _fraction_words(_WHOLE)
+
+
+def _decade_starts(low: int, high: int) -> np.ndarray:
+    """For k = low..high, the smallest float >= 10**k, so that a float is
+    >= 10**k exactly when it is >= this one. Decided in integers."""
+    starts = []
+    for k in range(low, high + 1):
+        f = float(f"1e{k}")  # correctly rounded, so at most one float off
+        p, q = f.as_integer_ratio()
+        if p * 10 ** max(-k, 0) < q * 10 ** max(k, 0):
+            f = math.nextafter(f, math.inf)
+        starts.append(f)
+    return np.array(starts)
+
+
+# the decades %.Ng can write in fixed notation: one below -4, which may round up into it
+_LOWEST_DECADE = _LOWEST_FIXED - 1
+_DECADE_STARTS = _decade_starts(_LOWEST_DECADE, _MAX_DIGITS)
+# 10**k as exact floats and as int64, for the fraction digits %.Ng takes
+_POWERS = np.array([float(10**k) for k in range(_MAX_DIGITS - _LOWEST_DECADE)])
+_INT_POWERS = np.array([10**k for k in range(_MAX_FIELD_DIGITS + 1)], dtype=np.int64)
 # masks keeping the last k bytes of a word
 _KEEP_LAST = {k: np.array([0] * (4 - k) + [255] * k, dtype=np.uint8).view(np.uint32)[0] for k in (1, 2, 3)}
 
@@ -102,34 +144,36 @@ def _percent_block(fmt: str, block) -> bytes:
 
 
 def _plan(fmt: str):
-    """``(literals, digits)`` when every conversion in ``fmt`` is ``%d`` or
-    ``%.Nf``: the literal bytes before each field and after the last, and per
-    field None (``%d``) or N. None otherwise, or when a literal holds a NUL,
-    the encoder's padding byte."""
-    literals, digits, text, pos = [], [], "", 0
+    """``(literals, conversions)`` when every conversion in ``fmt`` is ``%d``,
+    ``%.Nf`` or ``%.Ng``: the literal bytes before each field and after the
+    last, and per field its ``(function, N)`` (N is 0 for ``%d``). None
+    otherwise, or when a literal holds a NUL, the encoder's padding byte."""
+    literals, conversions, text, pos = [], [], "", 0
     for match in _CONVERSION.finditer(fmt):
         text += fmt[pos:match.start()]
         pos = match.end()
         if match.group(1) == "%":
             text += "%"
             continue
-        n = None if match.group(1) in (None, "d") else int(match.group(2))
-        if match.group(1) is None or (n or 0) > _MAX_FRACTION_DIGITS:
+        if match.group(1) is None:
+            return None
+        kind, n = match.group(3) or "d", int(match.group(2) or 0)
+        if n > _MAX_DIGITS or (kind == "g" and n == 0):
             return None
         literals.append(text.encode())
-        digits.append(n)
+        conversions.append(({"d": _integer, "f": _fixed, "g": _general}[kind], n))
         text = ""
     literals.append((text + fmt[pos:]).encode())
     if any(b"\0" in literal for literal in literals):
         return None
-    return literals, digits
+    return literals, conversions
 
 
-def _encode(literals, digits, block) -> bytes | None:
+def _encode(literals, conversions, block) -> bytes | None:
     """The block's rows, or None when a column is outside the encoder's range."""
     fields = []
-    for column, n in zip(block, digits):
-        field = _integer(column) if n is None else _fixed(column, n)
+    for column, (convert, n) in zip(block, conversions):
+        field = convert(column, n)
         if field is None:
             return None
         fields.append(field)
@@ -144,8 +188,8 @@ def _encode(literals, digits, block) -> bytes | None:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _integer(column):
-    """The ``%d`` field of an integer or bool column (see :func:`_field`)."""
+def _integer(column, n: int = 0):
+    """The ``%d`` field of an integer or bool column (see :func:`_field`); ``n`` is 0."""
     values = np.asarray(column)
     if values.dtype.kind == "b":
         return _field(None, values.astype(np.int64), 0)
@@ -178,15 +222,63 @@ def _fixed(column, n: int):
     # inf without a warning, and inf and NaN fail the comparison
     if not float(a.max()) * scale < _ENCODED_LIMIT:
         return None
+    return _field(np.signbit(x), _rounded(a, scale).astype(np.int64), n)
+
+
+def _rounded(a, scale):
+    """``a*scale`` rounded half to even, exactly, as :func:`_fixed` states it,
+    for products below ``_ENCODED_LIMIT``; ``scale`` is a float or an array
+    like ``a``."""
     hi = a * scale
     rounded = np.rint(hi)
     off = hi - rounded
     tie = np.abs(off) == 0.5
     if tie.any():
-        lo = _product_error(a[tie], scale, hi[tie])
+        lo = _product_error(a[tie], np.broadcast_to(scale, a.shape)[tie], hi[tie])
         off = off[tie]
         rounded[tie] += ((off > 0) & (lo > 0)).astype(np.float64) - ((off < 0) & (lo < 0))
-    return _field(np.signbit(x), rounded.astype(np.int64), n)
+    return rounded
+
+
+def _general(column, n: int):
+    """The ``%.ng`` field of a floating column (see :func:`_field`), or None
+    when a value is not written in fixed notation or the block spans more
+    than ``_MAX_FIELD_DIGITS`` digits.
+
+    A nonzero ``|x|`` in decade e (``10**e <= |x| < 10**(e+1)``, decided by
+    :func:`_decade_starts`' exact bounds) has ``d = n-1-e`` fraction digits
+    at n significant ones: ``|x|*10**d`` is below ``10**n`` and rounded as
+    :func:`_fixed` rounds it, the power of ten being an exact float. A
+    rounding that reaches ``10**n`` moves x into decade X = e + 1, with one
+    fraction digit fewer and ``10**(n-1)`` as its digits. ``%g`` writes X in
+    [-4, n) in fixed notation, which this field is: every value is scaled to
+    the block's most fraction digits and :func:`_put` strips the trailing
+    zeros and a bare point. A zero has no digits and prints ``0`` (``-0``
+    with its sign bit).
+    """
+    x = np.asarray(column)
+    if x.dtype.kind != "f":
+        return None
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    zero = a == 0.0
+    # NaN and inf sort after every start, into a decade beyond n - 1
+    e = np.searchsorted(_DECADE_STARTS, a, side="right") + (_LOWEST_DECADE - 1)
+    if not np.all(zero | ((e >= _LOWEST_DECADE) & (e < n))):
+        return None
+    digits = np.where(zero, 0, n - 1 - e)
+    rounded = _rounded(a, _POWERS[digits])
+    up = rounded == _POWERS[n]
+    rounded[up] = _POWERS[n - 1]
+    digits -= up
+    live = digits[~zero]
+    top = int(live.max(initial=0))
+    low = int(live.min(initial=top))
+    # X = n-1-d lies in [-4, n) for each d; the widest value has n + top - low digits
+    if top > n - 1 - _LOWEST_FIXED or low < 0 or n + top - low > _MAX_FIELD_DIGITS:
+        return None
+    scaled = rounded.astype(np.int64) * _INT_POWERS[top - np.where(zero, top, digits)]
+    return _field(np.signbit(x), scaled, top, strip=True)
 
 
 def _product_error(a, b: float, p):
@@ -200,20 +292,21 @@ def _product_error(a, b: float, p):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _field(negative, scaled, n: int):
-    """``(negative, scaled, words, n)``: the rows that take a minus sign (None
-    if none does), the magnitudes times ``10**n`` as int64, the 4-byte words
-    the widest integer part needs, and the fraction digits ``n``."""
+def _field(negative, scaled, n: int, strip: bool = False):
+    """``(negative, scaled, words, n, strip)``: the rows that take a minus
+    sign (None if none does), the magnitudes times ``10**n`` as int64, the
+    4-byte words the widest integer part needs, the fraction digits ``n``,
+    and whether trailing fraction zeros are dropped (``%g``)."""
     if negative is not None and not negative.any():
         negative = None
-    return negative, scaled, -(-max(len(str(int(scaled.max()))) - n, 1) // 4), n
+    return negative, scaled, -(-max(len(str(int(scaled.max()))) - n, 1) // 4), n, strip
 
 
-def _width(negative, scaled, words: int, n: int) -> int:
+def _width(negative, scaled, words: int, n: int, strip: bool) -> int:
     return (negative is not None) + 4 * words + (1 + 4 * -(-n // 4) if n else 0)
 
 
-def _put(rows, at: int, negative, scaled, words: int, n: int) -> int:
+def _put(rows, at: int, negative, scaled, words: int, n: int, strip: bool) -> int:
     """Write one field into ``rows`` from column ``at``, four digits per
     table lookup; return the column after it."""
     if negative is not None:
@@ -232,17 +325,26 @@ def _put(rows, at: int, negative, scaled, words: int, n: int) -> int:
     at += 4 * words
     if not n:
         return at
-    rows[:, at] = _POINT
-    at += 1
+    point, at = at, at + 1
     words = -(-n // 4)
     rest = scaled - whole * 10**n
-    for k in range(words - 1, 0, -1):
-        value, rest = rest, rest // 10000
-        _word_column(rows, at + 4 * k)[...] = _QUADS[value - rest * 10000]
-    top = _QUADS[rest]
-    if n % 4:  # the top word holds n % 4 digits
-        top &= _KEEP_LAST[n % 4]
-    _word_column(rows, at)[...] = top
+    # stripped (%g): 10000 while only zero words follow, so that the word's
+    # trailing zeros are dropped, and 0 after a nonzero one
+    after = 10000 if strip else 0
+    for k in range(words - 1, -1, -1):
+        value = rest
+        if k:
+            rest = rest // 10000
+            value = value - rest * 10000
+        word = _FRACTION[value + after]
+        if k == 0 and n % 4:  # the top word holds n % 4 digits
+            word &= _KEEP_LAST[n % 4]
+        _word_column(rows, at + 4 * k)[...] = word
+        if strip:
+            after = after * (value == 0)
+    rows[:, point] = _POINT
+    if strip:  # no point before a fraction with no digits left
+        rows[:, point] *= after == 0
     return at + 4 * words
 
 

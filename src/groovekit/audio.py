@@ -92,6 +92,25 @@ class EnvelopeSignal:
             raise ParameterError("envelope values must be non-negative")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, sample_rate: float, source_max: float, silent: bool) -> EnvelopeSignal:
+        """An envelope of float64 ``values`` that are non-negative (or NaN) by
+        construction, at a checked rate: built without scanning them again.
+
+        :func:`envelope` builds its values so: ``|x|`` is +0.0 or positive,
+        the one-pole smoother scales it by ``1 - a >= 0`` and its state by
+        ``a >= 0`` (``a = exp(-1/(smoothing_ms * 1e-3 * rate))`` lies in
+        [0, 1]), and sums and products of non-negative floats are
+        non-negative or +inf; the division is by a positive peak, so a value
+        is non-negative, or NaN where an infinite one meets an infinite peak.
+        """
+        env = object.__new__(cls)
+        object.__setattr__(env, "values", values)
+        object.__setattr__(env, "sample_rate", sample_rate)
+        object.__setattr__(env, "source_max", source_max)
+        object.__setattr__(env, "silent", silent)
+        return env
+
     @property
     def times_s(self) -> np.ndarray:
         return np.arange(len(self.values)) / self.sample_rate
@@ -497,15 +516,5 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> Env
         _, z = _signal.sosfilt(sos, block, z, out=block)
         peak = max(peak, float(block.max()))
     if peak <= 0.0:  # every smoothed value is then +0.0
-        return EnvelopeSignal(
-            values=out,
-            sample_rate=clip.sample_rate,
-            source_max=0.0,
-            silent=True,
-        )
-    return EnvelopeSignal(
-        values=np.divide(out, peak, out=out),
-        sample_rate=clip.sample_rate,
-        source_max=peak,
-        silent=False,
-    )
+        return EnvelopeSignal._checked(out, clip.sample_rate, 0.0, True)
+    return EnvelopeSignal._checked(np.divide(out, peak, out=out), clip.sample_rate, peak, False)

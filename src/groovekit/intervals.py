@@ -205,11 +205,16 @@ def estimate_base_unit(
             )
     else:
         base = _seed_from_minimum_mode(taus)
-    for _ in range(BASE_UNIT_MAX_ITER):
+    for step in range(BASE_UNIT_MAX_ITER):
         ratios = taus / base
         rounded = np.clip(np.round(ratios), 1, 3)
         keep = ratios <= max_multiple
         if not np.any(keep):
+            if step == 0 and hint_bpm is not None:
+                raise EstimationError(
+                    f"hint_bpm={float(hint_bpm)!r} gives a starting base unit of {base:g} s, "
+                    "against which no interval is within the class cutoff"
+                )
             raise EstimationError("no intervals within the class cutoff; base unit undefined")
         new_base = float(np.mean(taus[keep] / rounded[keep]))
         if abs(new_base - base) < BASE_UNIT_TOL_S:

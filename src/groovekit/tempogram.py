@@ -215,14 +215,10 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
 
 
 def write_tempogram_csv(path, tg: Tempogram) -> None:
-    """Long-form CSV: time_s,bpm,magnitude, one row per (frame, tempo) cell.
-
-    Each time and tempo is formatted once; the cells' rows reference those
-    strings and are written in blocks.
-    """
-    times = np.array([f"{t:.6f}" for t in tg.times_s.tolist()], dtype=object)
-    tempi = np.array([f"{bpm:.4f}" for bpm in tg.tempi_bpm.tolist()], dtype=object)
-    write_rows(path, ["time_s", "bpm", "magnitude"], "%s,%s,%.9g\r\n", [
+    """Long-form CSV: time_s,bpm,magnitude, one row per (frame, tempo) cell,
+    written a block of rows at a time."""
+    times, tempi = tg.times_s, tg.tempi_bpm
+    write_rows(path, ["time_s", "bpm", "magnitude"], "%.6f,%.4f,%.9g\r\n", [
         np.repeat(times, len(tempi)),
         np.tile(tempi, len(times)),
         tg.magnitude.reshape(-1),

@@ -7,6 +7,7 @@ from scipy.io import wavfile
 
 from groovekit import (
     AudioClip,
+    EnvelopeSignal,
     FormatError,
     ParameterError,
     envelope,
@@ -208,3 +209,25 @@ class TestEnvelope:
         scaled = envelope(AudioClip(samples=scale * samples, sample_rate=sr))
         np.testing.assert_allclose(scaled.values, base.values, rtol=1e-9, atol=1e-12)
         assert scaled.source_max == pytest.approx(scale * base.source_max, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+            min_size=1, max_size=300,
+        ),
+        # 1e-6 ms gives a = 0 (no smoothing), 1e300 ms a = 1 (1 - a is 0)
+        smoothing_ms=st.one_of(st.sampled_from([1e-6, 1e300]), st.floats(1e-3, 50.0)),
+        sample_rate=st.sampled_from([8000.0, 44100.0]),
+    )
+    def test_values_pass_the_public_check(self, samples, smoothing_ms, sample_rate):
+        """envelope() skips EnvelopeSignal's scan for negative values, since
+        its values are non-negative by construction: the public constructor
+        accepts the same values and gives the same signal."""
+        env = envelope(AudioClip(samples=np.array(samples), sample_rate=sample_rate), smoothing_ms)
+        public = EnvelopeSignal(env.values.copy(), env.sample_rate, env.source_max, env.silent)
+        assert not np.any(env.values < 0)
+        np.testing.assert_array_equal(public.values, env.values)
+        assert (public.sample_rate, public.source_max, public.silent) == (
+            env.sample_rate, env.source_max, env.silent)
+        assert env.values.dtype == np.float64

@@ -302,6 +302,18 @@ class TestExitCodeContract:
         assert f"groovekit: hint_bpm={float(hint)!r} gives a starting base unit" in err
         assert not out.exists()
 
+    def test_bpm_hint_with_no_interval_within_the_cutoff(self, tmp_path, capsys):
+        # 60/(6*2.9e307) is a finite base unit so small that every ratio to it
+        # lies beyond the class cutoff: the message blames the hint, not the cutoff
+        out = tmp_path / "o"
+        assert run_cli("analyze", str(self.groove(tmp_path)), "--bpm-hint", "2.9e307",
+                       "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert (f"groovekit: hint_bpm=2.9e+307 gives a starting base unit of {60 / (2.9e307 * 6):g} s, "
+                "against which no interval is within the class cutoff") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--noise-db", "1e6"], "noise_db"),
         (["--sample-rate", "1e12"], "sample_rate"),

@@ -38,6 +38,7 @@ from groovekit.groove import (
 from groovekit.intervals import Section, SectionMap, write_sections_csv
 from groovekit.onsets import LABELS, SOURCES, _read_onsets_rows
 from groovekit.synth import gen_powerlaw_noise
+from groovekit.tempogram import Tempogram, TempogramParams, write_tempogram_csv
 
 SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
 ODD_FLOATS = [0.0, -0.0, -1.5, 1e-20, -3.25e-7, 1.2345678912345e15, 9.87654321e22, 5e-324]
@@ -214,7 +215,7 @@ class TestWritersMatchCsvWriter:
 
 
 # ---------------------------------------------------------------------------
-# the numpy encoder of %d and %.Nf fields against %
+# the numpy encoder of %d, %.Nf and %.Ng fields against %
 
 
 def _percent_rows(fmt, columns):
@@ -254,6 +255,108 @@ def test_encoder_matches_percent(tmp_path, n, digits, data):
     path = tmp_path / "got.csv"
     write_rows(path, ["i", "x"], fmt, [index, values])
     assert path.read_bytes() == b"i,x\r\n" + _percent_rows(fmt, [index, values])
+
+
+def _general_values(digits, low, high):
+    """Values of either sign across decades ``low..high``: log-uniform ones,
+    exact ties at ``digits`` significant digits ((2m+1)/2**(digits-X) in
+    decade X), values just below a power of ten that round up into the next
+    decade, and signed zeros."""
+    sign = st.sampled_from([1.0, -1.0])
+    decade = st.integers(low, high)
+
+    def tie(s, x, u):
+        return s * (2 * int(u * 10.0**x * 2.0 ** (digits - x - 1)) + 1) / 2.0 ** (digits - x)
+
+    return st.one_of(
+        st.builds(lambda s, u: s * 10.0**u, sign, st.floats(float(low), float(high + 1))),
+        st.builds(tie, sign, decade.filter(lambda x: x < digits), st.floats(1.0, 9.99)),
+        st.builds(lambda s, x: s * 10.0**x * (1.0 - 0.4 * 10.0**-digits), sign, decade),
+        st.sampled_from([0.0, -0.0]),
+    )
+
+
+# beyond what %g writes in fixed notation or the encoder takes
+_GENERAL_EDGES = [np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e300, 999999999.5, -1e15]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("digits", [9, 12])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_general_encoder_matches_percent(tmp_path, n, digits, data):
+    """Values from a drawn span of decades in [1e-6, 1e12] repeat to ``n``
+    rows, and one drawn value, possibly from anywhere in that range or an
+    edge, lands at a drawn row: blocks on either path meet."""
+    fmt = f"%.6f,%.{digits}g\r\n"
+    low = data.draw(st.integers(-6, 11))
+    high = data.draw(st.integers(low, min(low + 4, 11)))
+    floats = data.draw(st.lists(_general_values(digits, low, high), min_size=1, max_size=40))
+    values = np.resize(np.array(floats), n)
+    if n:
+        anywhere = st.one_of(_general_values(digits, -6, 11), st.sampled_from(_GENERAL_EDGES))
+        values[data.draw(st.integers(0, n - 1))] = data.draw(anywhere)
+    path = tmp_path / "got.csv"
+    write_rows(path, ["t", "x"], fmt, [values[::-1], values])
+    assert path.read_bytes() == b"t,x\r\n" + _percent_rows(fmt, [values[::-1], values])
+
+
+@pytest.mark.parametrize("value, text, encoded", [
+    (999999999.5, "1e+09", False),  # rounds up to exponent 9: exponent notation
+    (9.99999999995e-5, "0.0001", True),  # rounds up from exponent -5 to -4
+    (9.9999999995, "10", True),  # rounds up into the next decade
+    (100000.0625, "100000.062", True),  # an exact tie, to even
+    (-123456789.5, "-123456790", True),
+    (0.998182254580122, "0.998182255", True),
+    (0.0, "0", True),
+    (-0.0, "-0", True),
+    (9.9999e-5, "9.9999e-05", False),
+    (np.nan, "nan", False),
+    (np.inf, "inf", False),
+    (-np.inf, "-inf", False),
+])
+def test_general_edges(tmp_path, percent_calls, value, text, encoded):
+    path = tmp_path / "got.csv"
+    write_rows(path, ["x"], "%.9g\r\n", [np.array([value, 1.5])])
+    assert path.read_bytes() == f"x\r\n{text}\r\n1.5\r\n".encode()
+    assert f"{value:.9g}" == text
+    assert percent_calls == ([] if encoded else [2])
+
+
+def test_general_block_spanning_too_many_digits_falls_back(tmp_path, percent_calls):
+    # at %.12g, 1.2345e-4 takes 15 fraction digits and 1.5e5 six integer
+    # ones: 21 digits, so the block falls back; 3.0 and 1.5e5 need 11 + 6,
+    # within the 18 the encoder takes
+    fmt = "%.12g\r\n"
+    for values, calls in ([np.array([1.2345e-4, 1.5e5, 3.0]), [3]], [np.array([1.5e5, 3.0]), [3]]):
+        write_rows(tmp_path / "got.csv", ["x"], fmt, [values])
+        assert percent_calls == calls
+        assert (tmp_path / "got.csv").read_bytes() == b"x\r\n" + _percent_rows(fmt, [values])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_series_only_matches_percent(tmp_path, seed, beta):
+    n = 2 * BLOCK_ROWS + 1
+    out = tmp_path / "s.csv"
+    assert main(["synth", "-o", str(out), "--series-only", "-n", str(n), "--seed", str(seed),
+                 "--beta", str(beta)]) == 0
+    values = gen_powerlaw_noise(beta, n, seed=seed)
+    assert out.read_bytes() == b"value\r\n" + _percent_rows("%.12g\r\n", [values])
+
+
+def test_tempogram_csv_is_encoded_without_percent(tmp_path, monkeypatch):
+    """Magnitudes from below 1 to thousands: a block spans decades -1 to 3."""
+    times = 0.1 + 0.37 * np.arange(2 * BLOCK_ROWS // 7 + 2)
+    tempi = 30.0 + 2.1 * np.arange(7)
+    magnitude = np.random.default_rng(5).uniform(-0.05, 3.9, (len(times), len(tempi)))
+    magnitude = 10.0 ** magnitude
+    tg = Tempogram(times, tempi, magnitude, TempogramParams())
+    monkeypatch.setattr(csvio, "_percent_block", _refuse)
+    write_tempogram_csv(tmp_path / "got.csv", tg)
+    rows = "".join(f"{t:.6f},{b:.4f},{m:.9g}\r\n" for t, row in zip(times.tolist(), magnitude.tolist())
+                   for b, m in zip(tempi.tolist(), row))
+    assert (tmp_path / "got.csv").read_bytes() == ("time_s,bpm,magnitude\r\n" + rows).encode()
 
 
 def _refuse(fmt, block):
@@ -302,9 +405,11 @@ def test_only_blocks_out_of_range_fall_back(tmp_path, percent_calls):
     ("%.6f\r\n", np.array([1.5, 2], dtype=object)),
     ("%.6f\r\n", np.array([3, -2])),
     ("%s,%.3f\r\n", None),
-    ("%.9g\r\n", np.array([0.5])),
+    ("%.9g\r\n", np.array([1, 2])),  # %g of integers; floats are encoded (test_general_edges)
     ("%5d\r\n", np.array([3, -4])),
     ("%.16f\r\n", np.array([0.5])),
+    ("%.0g\r\n", np.array([0.5])),
+    ("%.16g\r\n", np.array([0.5])),
 ])
 def test_other_conversions_and_dtypes_fall_back(tmp_path, percent_calls, fmt, column):
     columns = [np.array(["a", "b"], dtype=object), np.array([0.25, -0.5])] if column is None else [column]

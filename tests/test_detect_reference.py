@@ -11,6 +11,11 @@ refractory distance) and on small quantized envelopes full of ties.
 samples and applies the distance rule itself. With the block shrunk to a few
 samples, every plateau, long run above the threshold and close tie lands
 across block ends, and the result must still be plain ``find_peaks``'.
+
+Peak widths are measured for all peaks at once, over windows each side of
+them. The reference is the scalar loop that walked out from one peak at a
+time; every kept peak must get its uncertainty bit for bit, and every dropped
+one must be dropped, with the windows and gathers shrunk too.
 """
 
 import numpy as np
@@ -21,12 +26,26 @@ from scipy.signal import find_peaks
 
 from groovekit import OnsetSeries, detect_onsets
 from groovekit import onsets as onsets_mod
-from groovekit.onsets import MAX_UNCERTAINTY_MS, _peak_uncertainty_ms
+from groovekit.onsets import MAX_UNCERTAINTY_MS
 
 from conftest import make_envelope
 
 # high enough that no peak of a short test envelope is dropped for its width
 SAMPLE_RATE = 1e5
+
+
+def ref_uncertainty_ms(values, peak, sample_rate):
+    """Half the width of the peak above 90% of its height, in milliseconds."""
+    cut = 0.9 * values[peak]
+    left = peak
+    while left > 0 and values[left - 1] >= cut:
+        left -= 1
+    right = peak
+    last = len(values) - 1
+    while right < last and values[right + 1] >= cut:
+        right += 1
+    width_samples = right - left + 1
+    return 0.5 * width_samples / sample_rate * 1e3
 
 
 def ref_detect(env, threshold, refractory_ms):
@@ -38,7 +57,7 @@ def ref_detect(env, threshold, refractory_ms):
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
     peaks, _ = find_peaks(values, height=height, distance=distance)
     unc = np.array(
-        [_peak_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64
+        [ref_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64
     )
     keep = unc <= MAX_UNCERTAINTY_MS
     series = OnsetSeries.from_columns(
@@ -130,3 +149,98 @@ def test_runs_longer_than_the_block(monkeypatch, shape):
         refractory_ms = distance * 1e3 / SAMPLE_RATE
         assert detect_onsets(env, threshold=0.25, refractory_ms=refractory_ms) == ref_detect(
             env, 0.25, refractory_ms)[1]
+
+
+# ---------------------------------------------------------------------------
+# peak widths
+
+
+def assert_same_widths(values, peaks, sample_rate):
+    """The kept mask, equal to the reference's, and equal uncertainties for it."""
+    values, peaks = np.asarray(values, dtype=float), np.asarray(peaks, dtype=np.intp)
+    got = onsets_mod._uncertainty_ms(values, peaks, sample_rate)
+    want = np.array([ref_uncertainty_ms(values, int(p), sample_rate) for p in peaks])
+    keep = want <= MAX_UNCERTAINTY_MS
+    np.testing.assert_array_equal(got <= MAX_UNCERTAINTY_MS, keep)
+    np.testing.assert_array_equal(got[keep], want[keep])
+    return keep
+
+
+@pytest.fixture(params=[(64, 1 << 15), (1, 1), (3, 7)], ids=["default", "one", "small"])
+def windows(request, monkeypatch):
+    """The first window and the gather size, the defaults and shrunk."""
+    monkeypatch.setattr(onsets_mod, "_WIDTH_WINDOW", request.param[0])
+    monkeypatch.setattr(onsets_mod, "_WIDTH_GATHER", request.param[1])
+
+
+def plateaus(widths, gap=20):
+    """Unit plateaus of the given widths, ``gap`` zeros around each."""
+    values = np.concatenate([np.concatenate([np.zeros(gap), np.ones(w)]) for w in widths] + [np.zeros(gap)])
+    peaks = find_peaks(values)[0]
+    assert len(peaks) == len(widths)
+    return values, peaks
+
+
+def test_runs_touch_the_ends(windows):
+    # the first peak's run above 90% reaches index 0, the last one's the end
+    values = [0.95, 0.97, 1.0, 0.2, 0.5, 0.6, 0.2, 0.92, 0.96, 1.0, 0.99, 0.95]
+    assert assert_same_widths(values, [2, 5, 9], SAMPLE_RATE).all()
+    np.testing.assert_array_equal(assert_same_detection(values, 0.1), [2, 5, 9])
+
+
+def test_plateau_longer_than_the_first_window(windows):
+    width = 3 * onsets_mod._WIDTH_WINDOW + 1
+    values, peaks = plateaus([width, 5])
+    assert assert_same_widths(values, peaks, SAMPLE_RATE).all()
+    assert onsets_mod._uncertainty_ms(values, peaks, SAMPLE_RATE)[0] == 0.5 * width / SAMPLE_RATE * 1e3
+    assert_same_detection(values, 0.5)
+
+
+@pytest.mark.parametrize("sample_rate, widest", [
+    (44100.0, 441),  # 441 samples are exactly 5 ms of uncertainty
+    (22050.5, 220),  # the limit falls between 220 and 221 samples
+])
+def test_width_at_the_limit(windows, sample_rate, widest):
+    assert ref_uncertainty_ms(np.ones(widest), 0, sample_rate) <= MAX_UNCERTAINTY_MS
+    assert ref_uncertainty_ms(np.ones(widest + 1), 0, sample_rate) > MAX_UNCERTAINTY_MS
+    values, peaks = plateaus([widest, widest + 1, widest - 1, 2 * widest])
+    np.testing.assert_array_equal(assert_same_widths(values, peaks, sample_rate), [True, False, True, False])
+    env = make_envelope(values, sample_rate=sample_rate)
+    got = detect_onsets(env, threshold=0.5, refractory_ms=0.01)
+    np.testing.assert_array_equal(np.rint(got.times() * sample_rate).astype(np.intp), peaks[[0, 2]])
+    assert got == ref_detect(env, 0.5, 0.01)[1]
+
+
+def test_peak_dropped_for_its_width(windows):
+    # a bump about 20 ms wide above 90% beside a click one sample wide
+    t = np.arange(8000)
+    values = np.exp(-0.5 * ((t - 3000) / 1000.0) ** 2)
+    values[6000] = 0.9
+    peaks = find_peaks(values)[0]
+    np.testing.assert_array_equal(peaks, [3000, 6000])
+    np.testing.assert_array_equal(assert_same_widths(values, peaks, 44100.0), [False, True])
+    env = make_envelope(values, sample_rate=44100.0)
+    got = detect_onsets(env, threshold=0.5, refractory_ms=1.0)
+    np.testing.assert_array_equal(got.times(), [6000 / 44100.0])
+    assert got == ref_detect(env, 0.5, 1.0)[1]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=30)),
+        min_size=1, max_size=30,
+    ),
+    window=st.integers(min_value=1, max_value=9),
+    gather=st.integers(min_value=1, max_value=40),
+    sample_rate=st.sampled_from([1.0, 1e3, 2e3, 4410.0, 1e4, 7777.7]),
+)
+def test_widths_match_the_scalar_loop(monkeypatch, runs, window, gather, sample_rate):
+    """Runs of equal values with drawn rates, so that many peaks are dropped;
+    every local maximum, at the ends included, is measured."""
+    monkeypatch.setattr(onsets_mod, "_WIDTH_WINDOW", window)
+    monkeypatch.setattr(onsets_mod, "_WIDTH_GATHER", gather)
+    levels, lengths = zip(*runs)
+    values = np.repeat(np.asarray(levels, dtype=float) / 20.0, lengths)
+    peaks = np.union1d(find_peaks(values)[0], [0, len(values) - 1])
+    assert_same_widths(values, peaks, sample_rate)
