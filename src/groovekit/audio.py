@@ -7,6 +7,7 @@ envelope that peak picking consumes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -83,6 +84,9 @@ class EnvelopeSignal:
     sample_rate: float
     source_max: float
     silent: bool = False
+    # the values' maximum when it is known without a scan (see _checked), else
+    # None; a class attribute, not a field
+    _max = None
 
     def __post_init__(self):
         _check_rate(self.sample_rate)
@@ -93,9 +97,17 @@ class EnvelopeSignal:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _checked(cls, values: np.ndarray, sample_rate: float, source_max: float, silent: bool) -> EnvelopeSignal:
+    def _checked(
+        cls, values: np.ndarray, sample_rate: float, source_max: float, silent: bool, finite: bool = False
+    ) -> EnvelopeSignal:
         """An envelope of float64 ``values`` that are non-negative (or NaN) by
         construction, at a checked rate: built without scanning them again.
+        ``finite`` says that ``values`` were divided by ``source_max`` and
+        that every value was finite before the divide; the maximum is then
+        exactly 1.0 (``P / P`` is 1.0, and ``u <= P`` gives ``u / P <= 1``
+        under correct rounding), and is kept as ``_max``, which detection
+        trusts instead of scanning: so only for values that nothing changes
+        afterwards (:func:`envelope`'s caller may, so it keeps none).
 
         :func:`envelope` builds its values so: ``|x|`` is +0.0 or positive,
         the one-pole smoother scales it by ``1 - a >= 0`` and its state by
@@ -109,6 +121,8 @@ class EnvelopeSignal:
         object.__setattr__(env, "sample_rate", sample_rate)
         object.__setattr__(env, "source_max", source_max)
         object.__setattr__(env, "silent", silent)
+        if finite:
+            object.__setattr__(env, "_max", 1.0)
         return env
 
     @property
@@ -333,24 +347,31 @@ class WavReader:
             wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
             (wide[:, :3] if self._dtype.byteorder == ">" else wide[:, 1:])[...] = raw.reshape(-1, 3)
             raw = wide.reshape(-1)
+        values = raw.view(self._dtype)
         with np.errstate(invalid="ignore"):  # a signalling NaN warns here; reported below
             if channels == 1:
-                out[...] = raw.view(self._dtype)
+                if self._dtype.kind == "f":  # checked before widening: half the bytes for float32
+                    self._check_finite(start, values)
+                out[...] = values
                 samples = out
             else:
-                samples = raw.view(self._dtype).astype(np.float64)
+                samples = values.astype(np.float64)
         if self._scale != 1.0:  # x / 1.0 is x: float samples skip the pass
             samples /= self._scale
         if channels > 1:
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mean is reported below
                 samples.reshape(-1, channels).mean(axis=1, out=out)
+            # the mean, since a mean of finite samples can overflow
+            if self._dtype.kind == "f":
+                self._check_finite(start, out)
+
+    def _check_finite(self, start: int, values: np.ndarray) -> None:
+        """Raise if a value of ``values``, frames ``start..``, is NaN or infinite."""
         # reductions, not a block-sized mask; a NaN sample makes min() NaN
-        if self._dtype.kind == "f" and len(out) and not (
-            np.isfinite(out.min()) and np.isfinite(out.max())
-        ):
-            at = start + int(np.flatnonzero(~np.isfinite(out))[0])
+        if len(values) and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            at = int(np.flatnonzero(~np.isfinite(values))[0])
             raise FormatError(
-                f"samples must be finite in {self.path!r}: sample {at} is {out[at - start]}"
+                f"samples must be finite in {self.path!r}: sample {start + at} is {float(values[at])}"
             )
 
 
@@ -493,14 +514,54 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
     a time into the output array, the smoother's state carried across blocks,
     so the call holds one clip-sized buffer.
     """
-    return _envelope_into(clip, smoothing_ms, out=np.empty(len(clip.samples)))
+    env = _envelope_into(clip, smoothing_ms, out=np.empty(len(clip.samples)))
+    # the caller holds these values and may change them, so their maximum is
+    # not kept: detection scans them (and checks them finite)
+    return EnvelopeSignal._checked(env.values, env.sample_rate, env.source_max, env.silent)
 
 
-def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> EnvelopeSignal:
+# the smoother's warm-up before a split point is read through scratch
+# blocks of this many samples, one per bound
+_WARM_BLOCK = 1 << 13
+
+
+def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper=None) -> EnvelopeSignal:
     """:func:`envelope`, written into ``out``, which may be ``clip.samples``
-    itself: each block is read before its output is written."""
-    from . import _signal  # local import; the CSV path never needs it
+    itself: each block is read before its output is written.
 
+    ``helper`` is ``(executor, idle)``: a one-thread executor and a callable
+    that says whether its thread is free. At each block boundary ``p`` where
+    it is idle, the process has more than one CPU, nothing has been offered
+    yet, and ``n - p >= 2 * W + 4 * _BLOCK`` (``W`` from :func:`_warmup`),
+    the thread is offered the tail ``[S, n)``, ``S = p + (n - p) // 2``, and
+    this thread stops at ``S``; the normalizing divide is then split at the
+    middle between the two. The values are the bits of the sequential loop:
+
+    The smoother is the section ``[1 - a, 0, 0, 1, -a, 0]`` in scipy's
+    ``_sosfilt``, on inputs ``|x| >= 0``. With a finite state the kernel
+    keeps ``z1 = +0``, sets ``x_new = fl(b0 * x) + z0`` and
+    ``z0 = fl(a * x_new)``: a chain of correctly rounded operations, each
+    monotone, so the state after any stretch of input is non-decreasing in
+    the ``z0`` it started from. Every finite state lies between ``(0, +0)``
+    and ``(DBL_MAX, +0)``, so the helper runs the ``W`` samples before ``S``
+    from both bounds (reading them through scratch blocks before this thread
+    overwrites them, which it waits for). Only if the two end states are
+    finite and bitwise equal does it smooth ``[S, n)`` from that state; else
+    it writes nothing and this thread goes on past ``S`` itself.
+
+    At the join this thread's exact state at ``S`` is compared with the
+    tail's, bitwise. If the exact state at ``S - W`` was finite, the sandwich
+    makes them equal. They differ only when it was not: an infinite value
+    (an overflow, or a non-finite sample in a clip built without the finite
+    check) makes ``z1 = 0 * inf`` NaN, the state stays NaN from there, and
+    every later output is that NaN whatever the (finite) input. So the tail
+    is rerun from the exact state, over zeros, since ``out`` may hold the
+    helper's values, NaN among them, where the input was.
+
+    Block maxima are taken over the sequential loop's blocks (a block split
+    at ``S`` gets the NaN-propagating maximum of its halves), so the peak is
+    the sequential loop's too.
+    """
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
     # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n],
@@ -508,13 +569,109 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray) -> Env
     # lfilter([1 - a], [1, -a])'s bits
     a = np.exp(-1.0 / (smoothing_ms * 1e-3 * clip.sample_rate))
     sos = np.array([[1.0 - a, 0.0, 0.0, 1.0, -a, 0.0]])
-    x = clip.samples
+    x, n = clip.samples, len(clip.samples)
     z = np.zeros((1, 2))
+    maxima = []  # one per block of the sequential loop
+    warmup = _warmup(a, n) if helper is not None else None
+    start, split, tail = 0, n, None
+    while start < split:
+        if (tail is None and warmup is not None and n - start >= 2 * warmup + 4 * _BLOCK
+                and helper[1]() and _cpu_count() > 1):
+            split = start + (n - start) // 2
+            ready = threading.Event()
+            tail = helper[0].submit(_smooth_tail, sos, x, out, split, warmup, ready)
+        stop = min(start + _BLOCK, split)
+        if tail is not None and stop > split - warmup:
+            ready.wait()  # the helper has read its warm-up input
+        z = _smooth(sos, x, out, start, stop, z, maxima)
+        start = stop
+    if tail is not None:
+        taken, rest = tail.result(), []
+        if taken is None:
+            _smooth(sos, x, out, split, n, z, rest)
+        elif taken[0].tobytes() == z.tobytes():
+            rest = taken[1]
+        else:
+            if np.isfinite(z).all():
+                raise RuntimeError("the envelope's split tail does not continue its exact state")
+            out[split:] = 0.0
+            _smooth(sos, out, out, split, n, z, rest)
+        if split % _BLOCK:
+            maxima[-1] = float(np.maximum(maxima[-1], rest.pop(0)))
+        maxima += rest
     peak = 0.0
-    for start in range(0, len(x), _BLOCK):
-        block = np.abs(x[start:start + _BLOCK], out=out[start:start + _BLOCK])
-        _, z = _signal.sosfilt(sos, block, z, out=block)
-        peak = max(peak, float(block.max()))
+    for block_max in maxima:
+        peak = max(peak, block_max)
     if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal._checked(out, clip.sample_rate, 0.0, True)
-    return EnvelopeSignal._checked(np.divide(out, peak, out=out), clip.sample_rate, peak, False)
+    if tail is None:
+        np.divide(out, peak, out=out)
+    else:
+        half = helper[0].submit(np.divide, out[n // 2:], peak, out=out[n // 2:])
+        np.divide(out[:n // 2], peak, out=out[:n // 2])
+        half.result()
+    finite = bool(np.isfinite(maxima).all())
+    return EnvelopeSignal._checked(out, clip.sample_rate, peak, False, finite)
+
+
+def _smooth(sos, x, out, start, stop, z, maxima) -> np.ndarray:
+    """Rectify and smooth ``x[start:stop]`` into ``out`` from state ``z``,
+    in blocks that end on multiples of ``_BLOCK``, appending each block's
+    maximum to ``maxima``; the state after ``stop``."""
+    from . import _signal  # local import; the CSV path never needs it
+
+    while start < stop:
+        end = min((start // _BLOCK + 1) * _BLOCK, stop)
+        block = np.abs(x[start:end], out=out[start:end])
+        _, z = _signal.sosfilt(sos, block, z, out=block)
+        maxima.append(float(block.max()))
+        start = end
+    return z
+
+
+def _smooth_tail(sos, x, out, split, warmup, ready):
+    """The helper's part of :func:`_envelope_into`: its state at ``split``
+    and the tail's block maxima, with ``[split, n)`` smoothed into ``out``;
+    or None, with nothing written, when the warm-up from the two bounds does
+    not end in one finite state. ``ready`` is set once the warm-up input is
+    read."""
+    from . import _signal  # local import; the CSV path never needs it
+
+    low, high = np.zeros((1, 2)), np.array([[np.finfo(np.float64).max, 0.0]])
+    scratch = np.empty((2, _WARM_BLOCK))
+    try:
+        for start in range(split - warmup, split, _WARM_BLOCK):
+            stop = min(start + _WARM_BLOCK, split)
+            lo, hi = scratch[0, :stop - start], scratch[1, :stop - start]
+            np.abs(x[start:stop], out=lo)
+            hi[...] = lo
+            _, low = _signal.sosfilt(sos, lo, low, out=lo)
+            _, high = _signal.sosfilt(sos, hi, high, out=hi)
+    finally:
+        ready.set()
+    if not (np.isfinite(low).all() and low.tobytes() == high.tobytes()):
+        return None
+    maxima = []
+    _smooth(sos, x, out, split, len(x), low, maxima)
+    return low, maxima
+
+
+def _warmup(a: float, n: int) -> int | None:
+    """Samples of warm-up ``W`` before a split point: the smallest power of
+    two at least ``1100 / -ln(a)`` (1100 time constants; a state of DBL_MAX
+    decays to the signal's scale in about 710), or a power of two past ``n``
+    when that is longer than the clip. None when ``a`` is 0 or 1."""
+    if not 0 < a < 1:
+        return None
+    need, w = 1100.0 / -math.log(a), 1
+    while w < need and w <= n:
+        w <<= 1
+    return w
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

@@ -80,15 +80,17 @@ def _add_detection_flags(parser: argparse.ArgumentParser) -> None:
                         help="envelope smoothing time constant (default 2)")
 
 
-def _detect_from_audio(source, args) -> tuple:
+def _detect_from_audio(source, args, helper=None) -> tuple:
     """Onsets and envelope of a WavReader or an AudioClip.
 
     The high-pass buffer is the only clip-sized array: the high-pass fills it
     from ``source`` block by block, and it is then rectified, smoothed and
     normalized in place into the envelope that peak picking reads.
+    ``helper``, ``(executor, idle)``, lends the envelope a second thread
+    (see ``audio._envelope_into``).
     """
     clip = highpass(source, cutoff_hz=args.cutoff_hz)
-    env = _envelope_into(clip, args.smoothing_ms, out=clip.samples)
+    env = _envelope_into(clip, args.smoothing_ms, out=clip.samples, helper=helper)
     series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
     series = merge_close_onsets(series, window_ms=args.merge_ms)
     return series, env
@@ -131,10 +133,12 @@ def _cmd_analyze(args) -> int:
         # filters of both release the GIL, so it runs on a second thread
         # meanwhile, reading its own blocks. Its result is taken before any file
         # is written, so an error in any stage leaves no output; its sidecars
-        # follow report.json. The pool is joined before the file is closed.
+        # follow report.json. Once the tempogram is done, its thread takes
+        # half of the envelope. The pool is joined before the file is closed.
         with WavReader(args.input) as reader, ThreadPoolExecutor(max_workers=1) as pool:
             tempogram = pool.submit(_tempogram, reader)
-            result = _analyze_series(args, _detect_from_audio(reader, args)[0])
+            series, _ = _detect_from_audio(reader, args, helper=(pool, tempogram.done))
+            result = _analyze_series(args, series)
             tg = tempogram.result()
             report_path = write_analysis_outputs(args.out_dir, result)
             _write_tempogram_outputs(Path(args.out_dir), tg)

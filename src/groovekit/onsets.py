@@ -294,8 +294,11 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
             block = block[:cut + 1]
         if len(scratch) < len(block):
             scratch = np.empty(len(block))
-        # values below height zeroed; the values are finite, as detect_onsets checked
-        masked = np.multiply(block, block >= height, out=scratch[:len(block)])
+        # values below height zeroed (a -0.0 among them turns +0.0, which
+        # find_peaks treats alike); the values are finite, as detect_onsets checked
+        masked = scratch[:len(block)]
+        masked.fill(0.0)
+        np.copyto(masked, block, where=block >= height)
         found.append(_signal.find_peaks(masked, height) + start)
         if stop == len(values):
             return np.concatenate(found)
@@ -357,7 +360,9 @@ def detect_onsets(
     if env.silent or len(values) < 3:
         return OnsetSeries((), (), (), (), ())
 
-    peak = float(np.max(values))
+    # an envelope that audio built from finite values knows its maximum, 1.0;
+    # any other is scanned
+    peak = env._max if env._max is not None else float(np.max(values))
     if not math.isfinite(peak):
         raise ParameterError("envelope values must be finite")
     height = threshold * peak

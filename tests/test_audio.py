@@ -10,6 +10,7 @@ from groovekit import (
     EnvelopeSignal,
     FormatError,
     ParameterError,
+    detect_onsets,
     envelope,
     highpass,
     load_audio,
@@ -209,6 +210,70 @@ class TestEnvelope:
         scaled = envelope(AudioClip(samples=scale * samples, sample_rate=sr))
         np.testing.assert_allclose(scaled.values, base.values, rtol=1e-9, atol=1e-12)
         assert scaled.source_max == pytest.approx(scale * base.source_max, rel=1e-9)
+
+    def test_known_maximum_is_one(self):
+        """The in-place envelope marks that every value was finite before its
+        divide, so its maximum is exactly 1.0 and detect_onsets need not scan
+        for it; envelope() and the public constructor leave it unknown, and
+        detection gives the same onsets either way."""
+        samples = np.random.default_rng(5).normal(size=20000)
+        samples[::997] *= 40.0
+        clip = AudioClip(samples=samples, sample_rate=8000.0)
+        env = audio_mod._envelope_into(clip, 2.0, out=clip.samples.copy())
+        assert env._max == 1.0 == np.max(env.values)
+        public = envelope(clip)
+        assert public._max is None and public.values.tobytes() == env.values.tobytes()
+        built = EnvelopeSignal(env.values.copy(), env.sample_rate, env.source_max, env.silent)
+        assert built._max is None
+        assert len(detect_onsets(env, threshold=0.2, refractory_ms=5.0)) > 10
+        for other in (public, built):
+            assert detect_onsets(env, threshold=0.2, refractory_ms=5.0) == detect_onsets(
+                other, threshold=0.2, refractory_ms=5.0)
+        assert envelope(AudioClip(samples=np.zeros(100), sample_rate=8000.0))._max is None
+
+    @pytest.mark.parametrize("edit", ["gate", "rescale", "inf", "nan"])
+    def test_envelope_edited_in_place_is_scanned(self, edit):
+        """envelope() hands its values to the caller, who may change them in
+        place; detection must then take the threshold from their true
+        maximum and reject a non-finite value, as for a constructed one."""
+        samples = np.random.default_rng(7).normal(size=20000)
+        samples[::997] *= 40.0
+        env = envelope(AudioClip(samples=samples, sample_rate=8000.0))
+        top = int(np.argmax(env.values))
+        if edit == "gate":
+            env.values[max(top - 50, 0):top + 50] = 0.0
+        elif edit == "rescale":
+            env.values[:] *= 0.25
+        else:
+            env.values[top] = np.inf if edit == "inf" else np.nan
+        built = EnvelopeSignal(env.values.copy(), env.sample_rate, env.source_max, env.silent)
+        if edit in ("inf", "nan"):
+            for e in (env, built):
+                with pytest.raises(ParameterError, match="must be finite"):
+                    detect_onsets(e)
+        else:
+            got = detect_onsets(env, threshold=0.2, refractory_ms=5.0)
+            assert len(got) > 10
+            assert got == detect_onsets(built, threshold=0.2, refractory_ms=5.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_envelope_has_no_known_maximum(self, bad):
+        """A clip built without the finite check can hold an infinite or NaN
+        sample; its envelope is not finite, so its maximum is not known and
+        detection scans and rejects it, as it rejects such a public one. (The
+        bad sample is in the second block: a block holding NaN has a NaN
+        maximum, which the peak skips.)"""
+        samples = np.random.default_rng(6).normal(size=_BLOCK + 5000)
+        samples[_BLOCK + 1000] = bad
+        clip = AudioClip._checked(samples, 8000.0, 1)
+        env = audio_mod._envelope_into(clip, 2.0, out=np.empty(len(samples)))
+        assert env._max is None and not np.isfinite(env.values).all()
+        with pytest.raises(ParameterError, match="must be finite"):
+            detect_onsets(env)
+        values = np.linspace(0.0, 1.0, 50)
+        values[20] = np.inf
+        with pytest.raises(ParameterError, match="must be finite"):
+            detect_onsets(EnvelopeSignal(values, 8000.0, 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -151,6 +151,20 @@ def test_runs_longer_than_the_block(monkeypatch, shape):
             env, 0.25, refractory_ms)[1]
 
 
+@pytest.mark.parametrize("block", [4, 5000])
+def test_signed_zeros_below_the_height(monkeypatch, block):
+    """The masked block holds +0.0 wherever a value is below the height, so a
+    -0.0 there turns +0.0; zeros of either sign beside peaks and plateaus
+    must leave the peaks where plain ``find_peaks`` puts them."""
+    monkeypatch.setattr(onsets_mod, "_PEAK_BLOCK", block)
+    values = np.array([-0.0, 0.5, -0.0, 0.0, 0.7, 0.7, -0.0, 0.3, 0.3, -0.0, 0.0, 0.9, -0.0, -0.0] * 5)
+    for height in (0.2, 0.4, 0.6, 0.8):
+        np.testing.assert_array_equal(
+            onsets_mod._candidate_peaks(values, height), find_peaks(values, height=height)[0])
+    env = make_envelope(values, sample_rate=SAMPLE_RATE)
+    assert detect_onsets(env, threshold=0.45, refractory_ms=1.0) == ref_detect(env, 0.45, 1.0)[1]
+
+
 # ---------------------------------------------------------------------------
 # peak widths
 

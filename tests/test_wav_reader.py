@@ -279,6 +279,48 @@ def test_non_finite_sample_names_the_file(tmp_path, capsys, command, dtype, valu
     assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, ">f4", ">f8"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+def test_mono_float_checked_before_widening(tmp_path, dtype, value, at):
+    """Mono float samples are checked in their own type, before the
+    conversion to float64; the first non-finite sample is named by its
+    frame in the file, whatever the read's start, as before. Big-endian
+    samples come from a RIFX file."""
+    samples = np.random.default_rng(at).uniform(-1, 1, 3 * _BLOCK).astype(dtype)
+    samples[at] = value
+    samples[at + 3] = np.nan
+    dtype = np.dtype(dtype)
+    order = "big" if dtype.byteorder == ">" else "little"
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(riff([chunk(b"fmt ", fmt_body(3, 1, 44100, dtype.itemsize, 8 * dtype.itemsize, order), order),
+                          chunk(b"data", samples.tobytes(), order)], b"RIFX" if order == "big" else b"RIFF", order))
+    message = f"samples must be finite in {str(wav)!r}: sample {at} is {float(value)}"
+    with WavReader(str(wav)) as reader:
+        assert reader.read(0, at).tobytes() == samples[:at].astype(np.float64).tobytes()
+        for start in (0, at - 7, at):
+            with pytest.raises(FormatError) as exc:
+                reader.read(start, len(reader))
+            assert str(exc.value) == message
+
+
+def test_stereo_mean_overflow_is_rejected(tmp_path):
+    """Two finite float64 channels near DBL_MAX average to infinity (their
+    sum overflows), so a multichannel file is checked on the mean; the same
+    value in a mono file is finite and read as it is."""
+    big = np.finfo(np.float64).max
+    stereo = np.zeros((4096, 2))
+    stereo[100] = [big, big]
+    wav = tmp_path / "stereo.wav"
+    wavfile.write(wav, 44100, stereo)
+    with WavReader(str(wav)) as reader, pytest.raises(FormatError) as exc:
+        reader.read(0, len(reader))
+    assert str(exc.value) == f"samples must be finite in {str(wav)!r}: sample 100 is inf"
+    mono = tmp_path / "mono.wav"
+    wavfile.write(mono, 44100, stereo[:, 0].copy())
+    assert reader_samples(str(mono))[1][100] == big
+
+
 def test_opposite_infinities_in_one_frame(tmp_path, capsys):
     """Their mean is NaN; the downmix must not warn about it on the way."""
     samples = np.zeros((4096, 2), dtype=np.float32)
