@@ -47,6 +47,13 @@ __all__ = ["AnalysisParams", "AnalysisResult", "DegenerateInputError", "run_anal
 MIN_ONSETS = 8
 # DFA needs at least four windows of the smallest scale
 MIN_DFA_LENGTH = 16
+# the series DFA runs on (see _dfa_series), in report order
+DFA_SERIES = ("intervals_all", *(f"intervals_{klass.value}s" for klass in CLASSES), "amplitudes")
+# every name analyze can write; a run removes those of them it did not write
+_OUTPUT_NAMES = frozenset({
+    "report.json", "drift.csv", "phrase_interval.csv", "phrase_amplitude.csv", "tempogram.csv",
+    "tempogram.json", *(f"dfa_{name}.csv" for name in DFA_SERIES),
+    *(f"histogram_{klass.value}s.csv" for klass in CLASSES)})
 
 
 class DegenerateInputError(GrooveKitError):
@@ -164,11 +171,8 @@ def _dfa_series(
         members = values[multiples == klass.multiple]
         if len(members):
             class_mean[klass.multiple] = float(np.mean(members))
-    out = {"intervals_all": values - class_mean[multiples]}
-    for klass in CLASSES:
-        out[f"intervals_{klass.value}s"] = taus[multiples == klass.multiple]
-    out["amplitudes"] = onsets.amplitudes()
-    return out
+    per_class = [taus[multiples == klass.multiple] for klass in CLASSES]
+    return dict(zip(DFA_SERIES, [values - class_mean[multiples], *per_class, onsets.amplitudes()]))
 
 
 def run_analysis(
@@ -230,19 +234,7 @@ def run_analysis(
 
 
 # ---------------------------------------------------------------------------
-# Output files (temp + rename so partially written files never appear)
-
-
-def _atomic(path: Path, write_fn) -> None:
-    """``write_fn(tmp)`` and then rename ``tmp`` to ``path``; a write that
-    raises leaves neither file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write_fn(tmp)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+# Output files (every file of a run staged under a .tmp name, then renamed)
 
 
 def _write_dfa_csv(path, result: dfa_mod.FluctuationResult) -> None:
@@ -258,24 +250,43 @@ def _write_histogram_csv(path, hist: dict) -> None:
                [edges_ms[:-1], edges_ms[1:], hist["counts"]])
 
 
-def write_analysis_outputs(out_dir, result: AnalysisResult) -> Path:
-    """Write report.json and all CSV sidecars; returns the report path."""
+def write_analysis_outputs(out_dir, result: AnalysisResult, sidecars=()) -> Path:
+    """Write report.json, the CSV sidecars and ``sidecars``, more ``(name,
+    write)`` pairs, into ``out_dir``; returns the report path.
+
+    Every file is first written as ``<name>.tmp``, by ``write(path)``; a
+    write that raises unlinks the run's ``.tmp`` files, leaving ``out_dir`` as
+    it was. Then they are renamed into place, report.json last, and before it
+    the files of ``_OUTPUT_NAMES`` this run did not write are unlinked. A
+    rename or unlink that fails is not rolled back.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic(out / "drift.csv", lambda p: write_drift_csv(
-        p, result.onsets.times()[1:], result.drift, result.series.multiples() == 0))
-    _atomic(out / "phrase_interval.csv", lambda p: write_profile_csv(p, result.phrase_interval))
-    _atomic(out / "phrase_amplitude.csv", lambda p: write_profile_csv(p, result.phrase_amplitude))
-    for name, res in result.dfa_results.items():
-        _atomic(out / f"dfa_{name}.csv", lambda p, r=res: _write_dfa_csv(p, r))
-    for klass in CLASSES:
-        entry = result.stats[klass.value]
-        if entry["count"] > 0:
-            _atomic(
-                out / f"histogram_{klass.value}s.csv",
-                lambda p, h=entry["histogram"]: _write_histogram_csv(p, h),
-            )
-    report_path = out / "report.json"
-    text = json.dumps(result.report_dict(), indent=2)
-    _atomic(report_path, lambda p: Path(p).write_text(text + "\n", encoding="utf-8"))
-    return report_path
+    stats = [(klass.value, result.stats[klass.value]) for klass in CLASSES]
+    files = [
+        ("drift.csv", lambda p: write_drift_csv(
+            p, result.onsets.times()[1:], result.drift, result.series.multiples() == 0)),
+        ("phrase_interval.csv", lambda p: write_profile_csv(p, result.phrase_interval)),
+        ("phrase_amplitude.csv", lambda p: write_profile_csv(p, result.phrase_amplitude)),
+        *((f"dfa_{name}.csv", lambda p, r=res: _write_dfa_csv(p, r)) for name, res in result.dfa_results.items()),
+        *((f"histogram_{name}s.csv", lambda p, h=entry["histogram"]: _write_histogram_csv(p, h))
+          for name, entry in stats if entry["count"] > 0),
+        *sidecars,
+        ("report.json", lambda p: p.write_text(
+            json.dumps(result.report_dict(), indent=2) + "\n", encoding="utf-8")),
+    ]
+    staged = []
+    try:
+        for name, write in files:
+            staged.append(out / f"{name}.tmp")
+            write(staged[-1])
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for name, _ in files[:-1]:
+        os.replace(out / f"{name}.tmp", out / name)
+    for stale in _OUTPUT_NAMES.difference(name for name, _ in files):
+        (out / stale).unlink(missing_ok=True)
+    os.replace(staged[-1], out / "report.json")
+    return out / "report.json"

@@ -558,9 +558,9 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
     is rerun from the exact state, over zeros, since ``out`` may hold the
     helper's values, NaN among them, where the input was.
 
-    Block maxima are taken over the sequential loop's blocks (a block split
-    at ``S`` gets the NaN-propagating maximum of its halves), so the peak is
-    the sequential loop's too.
+    The peak is the NaN-propagating maximum of the block maxima, so it is
+    the sequential loop's wherever ``S`` cuts a block, and a non-finite
+    envelope keeps a NaN peak, which leaves its maximum unknown.
     """
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
@@ -586,22 +586,17 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
         z = _smooth(sos, x, out, start, stop, z, maxima)
         start = stop
     if tail is not None:
-        taken, rest = tail.result(), []
+        taken = tail.result()
         if taken is None:
-            _smooth(sos, x, out, split, n, z, rest)
+            _smooth(sos, x, out, split, n, z, maxima)
         elif taken[0].tobytes() == z.tobytes():
-            rest = taken[1]
+            maxima += taken[1]
         else:
             if np.isfinite(z).all():
                 raise RuntimeError("the envelope's split tail does not continue its exact state")
             out[split:] = 0.0
-            _smooth(sos, out, out, split, n, z, rest)
-        if split % _BLOCK:
-            maxima[-1] = float(np.maximum(maxima[-1], rest.pop(0)))
-        maxima += rest
-    peak = 0.0
-    for block_max in maxima:
-        peak = max(peak, block_max)
+            _smooth(sos, out, out, split, n, z, maxima)
+    peak = float(np.max(maxima)) if maxima else 0.0
     if peak <= 0.0:  # every smoothed value is then +0.0
         return EnvelopeSignal._checked(out, clip.sample_rate, 0.0, True)
     if tail is None:

@@ -24,7 +24,6 @@ from .analysis import (
     AnalysisParams,
     AnalysisResult,
     DegenerateInputError,
-    _atomic,
     run_analysis,
     write_analysis_outputs,
 )
@@ -122,26 +121,31 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_analyze(args) -> int:
     in_path = Path(args.input)
+    sidecars = ()
     if in_path.suffix.lower() == ".csv":
         result = _analyze_series(args, read_onsets_csv(in_path))
-        report_path = write_analysis_outputs(args.out_dir, result)
     else:
         # local import; CSV analysis never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         # The tempogram shares only the file with detection, and the FFTs and
         # filters of both release the GIL, so it runs on a second thread
-        # meanwhile, reading its own blocks. Its result is taken before any file
-        # is written, so an error in any stage leaves no output; its sidecars
-        # follow report.json. Once the tempogram is done, its thread takes
+        # meanwhile, reading its own blocks. Once it is done, its thread takes
         # half of the envelope. The pool is joined before the file is closed.
+        # Its files are written with the others, after every stage, so an
+        # error in any stage or write leaves no output.
         with WavReader(args.input) as reader, ThreadPoolExecutor(max_workers=1) as pool:
             tempogram = pool.submit(_tempogram, reader)
             series, _ = _detect_from_audio(reader, args, helper=(pool, tempogram.done))
             result = _analyze_series(args, series)
             tg = tempogram.result()
-            report_path = write_analysis_outputs(args.out_dir, result)
-            _write_tempogram_outputs(Path(args.out_dir), tg)
+        if tg is None:
+            print("clip shorter than one tempogram window; skipping tempogram outputs")
+        else:
+            sidecars = [("tempogram.csv", lambda p: write_tempogram_csv(p, tg)),
+                        ("tempogram.json", lambda p: p.write_text(
+                            json.dumps(tempogram_summary(tg), indent=2) + "\n", encoding="utf-8"))]
+    report_path = write_analysis_outputs(args.out_dir, result, sidecars=sidecars)
     print(f"wrote {report_path}")
     return 0
 
@@ -167,16 +171,6 @@ def _tempogram(source):
     if len(nov) < params.window_length:
         return None
     return fourier_tempogram(nov, params)
-
-
-def _write_tempogram_outputs(out_dir: Path, tg) -> None:
-    """Tempogram sidecars for audio inputs; skipped when there is no tempogram."""
-    if tg is None:
-        print("clip shorter than one tempogram window; skipping tempogram outputs")
-        return
-    _atomic(out_dir / "tempogram.csv", lambda p: write_tempogram_csv(p, tg))
-    text = json.dumps(tempogram_summary(tg), indent=2) + "\n"
-    _atomic(out_dir / "tempogram.json", lambda p: p.write_text(text, encoding="utf-8"))
 
 
 def _cmd_synth(args) -> int:

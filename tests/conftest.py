@@ -35,3 +35,12 @@ def series_from_times(times, amplitudes=None, labels=None):
 def select_onsets(series, keep):
     """The onsets of ``series`` where the boolean mask ``keep`` is true."""
     return OnsetSeries(*(c[keep] for c in series._cols))
+
+
+def with_triples(series):
+    """``series``, a shuffle from ``gen_shuffle_onsets``, less the second
+    onset of every fourth triplet group: that group's double and the single
+    after it join into one triple."""
+    keep = np.ones(len(series), dtype=bool)
+    keep[1::8] = False
+    return select_onsets(series, keep)

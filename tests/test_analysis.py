@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from groovekit.analysis import (
 from groovekit.cli import main
 from groovekit.tempogram import Tempogram, tempogram_summary
 
-from conftest import series_from_times
+from conftest import series_from_times, with_triples
 
 
 class TestRunAnalysis:
@@ -81,6 +83,52 @@ class TestWriteOutputs:
         assert leftovers == []
         report = json.loads(report_path.read_text())
         assert report["onset_count"] == 160
+
+    @staticmethod
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_a_later_run_removes_the_files_it_does_not_write(self, tmp_path):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=20, jitter_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=0)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        write_analysis_outputs(out, run_analysis(with_triples(onsets)))
+        assert {"histogram_triples.csv", "dfa_intervals_triples.csv"} <= set(self.files(out))
+        result = run_analysis(onsets)
+        write_analysis_outputs(out, result)
+        write_analysis_outputs(fresh, result)
+        assert "histogram_triples.csv" not in self.files(out)
+        assert "dfa_intervals_triples.csv" not in self.files(out)
+        assert self.files(out) == self.files(fresh)
+
+    def test_report_is_renamed_last_after_the_stale_files_go(self, tmp_path, monkeypatch):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=20, jitter_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=0)
+        out = tmp_path / "out"
+        write_analysis_outputs(out, run_analysis(with_triples(onsets)))
+        events = []
+        replace, unlink = os.replace, Path.unlink
+
+        def replaced(src, dst):
+            events.append(("rename", Path(dst).name))
+            replace(src, dst)
+
+        def unlinked(path, missing_ok=False):
+            events.append(("unlink", path.name))
+            unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(os, "replace", replaced)
+        monkeypatch.setattr(Path, "unlink", unlinked)
+        write_analysis_outputs(out, run_analysis(onsets))
+        # the sidecars renamed, then the stale names unlinked, then report.json
+        renamed = sum(kind == "rename" for kind, _ in events)
+        unlinked_count = len(events) - renamed
+        assert [kind for kind, _ in events] == (
+            ["rename"] * (renamed - 1) + ["unlink"] * unlinked_count + ["rename"])
+        assert events[-1] == ("rename", "report.json")
+        gone = {name for kind, name in events if kind == "unlink"}
+        assert {"histogram_triples.csv", "dfa_intervals_triples.csv"} <= gone
+        assert not any((out / name).exists() for name in gone)
 
     def test_dfa_csv_schema(self, tmp_path):
         spec = GrooveSpec(bpm=84.0, swing_ratio=2.0, bars=30, jitter_sigma_ms=2.0)

@@ -260,9 +260,7 @@ class TestEnvelope:
     def test_non_finite_envelope_has_no_known_maximum(self, bad):
         """A clip built without the finite check can hold an infinite or NaN
         sample; its envelope is not finite, so its maximum is not known and
-        detection scans and rejects it, as it rejects such a public one. (The
-        bad sample is in the second block: a block holding NaN has a NaN
-        maximum, which the peak skips.)"""
+        detection scans and rejects it, as it rejects such a public one."""
         samples = np.random.default_rng(6).normal(size=_BLOCK + 5000)
         samples[_BLOCK + 1000] = bad
         clip = AudioClip._checked(samples, 8000.0, 1)

@@ -35,6 +35,7 @@ from scipy.io import wavfile
 
 from groovekit import _signal, audio, cli
 from groovekit.audio import _BLOCK, AudioClip, WavReader, envelope, highpass, load_audio
+from groovekit.errors import ParameterError
 from groovekit.onsets import detect_onsets, merge_close_onsets
 from groovekit.tempogram import novelty_curve
 
@@ -345,8 +346,9 @@ def _sequential(x, smoothing_ms, sample_rate=RATE):
 
 def _assert_same_envelope(got, want):
     assert got.values.tobytes() == want.values.tobytes()
-    assert (got.sample_rate, got.source_max, got.silent, got._max) == (
-        want.sample_rate, want.source_max, want.silent, want._max)
+    # bitwise, so that a NaN peak equals a NaN peak
+    assert np.float64(got.source_max).tobytes() == np.float64(want.source_max).tobytes()
+    assert (got.sample_rate, got.silent, got._max) == (want.sample_rate, want.silent, want._max)
 
 
 def _warmup_at(smoothing_ms, sample_rate=RATE):
@@ -452,15 +454,30 @@ def test_state_already_nan_at_the_split_reruns_the_tail(monkeypatch, bad, in_pla
     assert got._max is None
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("helper", [False, True], ids=["sequential", "helper"])
+def test_non_finite_sample_in_the_first_block_is_rejected(monkeypatch, bad, helper):
+    """An infinite or NaN sample in the first block (of a clip built without
+    the finite check) makes that block's maximum and every later one NaN.
+    The peak is then NaN, not 0: the envelope is not flagged silent, its
+    maximum is unknown, and detection scans it and raises."""
+    _small_blocks(monkeypatch)
+    x = _signal_of("clicks", 2 * _warmup_at(2.0) + 8 * SMALL_BLOCK + 333, seed=14)
+    x[10] = bad
+    env = _with_helper(x, 2.0) if helper else _sequential(x, 2.0)
+    assert not env.silent and np.isnan(env.source_max) and env._max is None
+    with pytest.raises(ParameterError, match="must be finite"):
+        detect_onsets(env)
+
+
 @pytest.mark.parametrize("where", ["after-the-split", "before-and-after"])
 @pytest.mark.parametrize("extra", [0, SMALL_BLOCK // 2], ids=["split-on-a-block-end", "mid-block"])
 def test_nan_just_after_the_split(monkeypatch, where, extra):
     """The clip's largest value just before ``S`` and an infinite sample just
-    after it. Mid-block, the sequential loop's maximum of the block the split
-    cuts is NaN, which the peak skips, so its halves' maxima must be merged
-    NaN-first; on a block end, the two blocks must not be merged. With a bad
-    sample before ``S - W`` as well, the tail is rerun from a NaN state over
-    values the helper wrote, some of them NaN themselves."""
+    after it, with the split mid-block or on a block end: the peak is NaN, as
+    the sequential loop's is, however the block maxima fall on either side.
+    With a bad sample before ``S - W`` as well, the tail is rerun from a NaN
+    state over values the helper wrote, some of them NaN themselves."""
     _small_blocks(monkeypatch)
     tails = _spy_tails(monkeypatch)
     n = 2 * (2 * _warmup_at(2.0) + 4 * SMALL_BLOCK + extra)
@@ -474,8 +491,7 @@ def test_nan_just_after_the_split(monkeypatch, where, extra):
     got = _with_helper(x, 2.0)
     assert len(tails) == 1 and tails[0] is not None
     want = _sequential(x, 2.0)
-    if where == "after-the-split":
-        assert (want.source_max > 1.0) == (extra == 0)
+    assert np.isnan(want.source_max) and want._max is None
     _assert_same_envelope(got, want)
 
 

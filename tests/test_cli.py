@@ -1,16 +1,19 @@
+import builtins
 import csv
 import importlib.util
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from groovekit import dfa_fluctuation, fit_alpha, write_onsets_csv
+from groovekit import GrooveSpec, dfa_fluctuation, fit_alpha, gen_shuffle_onsets, write_onsets_csv
 from groovekit.cli import main
 
-from conftest import series_from_times
+from conftest import series_from_times, with_triples
 
 
 def run_cli(*argv):
@@ -200,9 +203,8 @@ class TestAnalyzeCommand:
         out_dir = tmp_path / "out"
         assert run_cli("analyze", str(wav), "--out-dir", str(out_dir)) == 2
         assert "No space left on device" in capsys.readouterr().err
-        assert (out_dir / "report.json").exists()
-        assert not (out_dir / "tempogram.csv").exists()
-        assert list(out_dir.glob("*.tmp")) == []
+        # the run's other files were staged, not committed: none is left
+        assert list(out_dir.iterdir()) == []
 
     def test_ramp_drift_profile_recovered(self, tmp_path):
         # synth a 84->86 BPM ramp, analyze the CSV, and compare the final
@@ -246,6 +248,92 @@ class TestAnalyzeCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["dfa"]["amplitudes"]["s_ranges"]["alpha1"] == [4, 12]
         assert report["dfa"]["amplitudes"]["s_ranges"]["alpha2"] == [12, 64]
+
+
+class TestOutputSet:
+    """An analyze run leaves exactly its own groovekit-named files in
+    --out-dir, beside whatever other files were there, and a write that fails
+    anywhere leaves the directory as it was."""
+
+    OTHERS = {"notes.txt": b"mine\n", "dfa_custom.csv": b"s,F\r\n4,1\r\n", "report.json.bak": b"{}\n"}
+
+    @staticmethod
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    @staticmethod
+    def inputs(tmp_path):
+        """An 8-bar click track (long enough for a tempogram) and a 20-bar
+        annotation with triples."""
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth", "-o", str(tmp_path / "t.csv"), "--bars", "8", "--render", str(wav)) == 0
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=20, jitter_sigma_ms=2.0)
+        triples = tmp_path / "triples.csv"
+        write_onsets_csv(triples, with_triples(gen_shuffle_onsets(spec, seed=0)[0]))
+        return wav, triples
+
+    @staticmethod
+    def failing_writes(monkeypatch, directory, fail_at):
+        """Files opened for writing in ``directory``: their names, in order;
+        the one at ``fail_at`` gets a byte and then ENOSPC."""
+        names, real_open = [], io.open
+
+        def opened(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and Path(file).parent == directory:
+                names.append(Path(file).name)
+                if len(names) - 1 == fail_at:
+                    fh.write(b"x" if "b" in mode else "x")
+                    fh.close()
+                    raise OSError(28, "No space left on device")
+            return fh
+
+        monkeypatch.setattr(builtins, "open", opened)
+        monkeypatch.setattr(io, "open", opened)
+        return names
+
+    def test_csv_after_wav_leaves_no_tempogram(self, tmp_path):
+        wav, triples = self.inputs(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli("analyze", str(wav), "--out-dir", str(out)) == 0
+        assert {"tempogram.csv", "tempogram.json"} <= set(self.files(out))
+        assert run_cli("analyze", str(triples), "--out-dir", str(out)) == 0
+        assert run_cli("analyze", str(triples), "--out-dir", str(fresh)) == 0
+        assert self.files(out) == self.files(fresh)
+
+    def test_other_files_survive_a_run(self, tmp_path):
+        wav, _ = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, data in self.OTHERS.items():
+            (out / name).write_bytes(data)
+        assert run_cli("analyze", str(wav), "--out-dir", str(out)) == 0
+        files = self.files(out)
+        assert {name: files[name] for name in self.OTHERS} == self.OTHERS
+        assert "report.json" in files and "tempogram.json" in files
+
+    def test_failed_write_anywhere_leaves_the_directory_as_it_was(self, tmp_path, capsys, monkeypatch):
+        wav, triples = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        # an earlier run whose triples files the WAV run would remove
+        assert run_cli("analyze", str(triples), "--out-dir", str(out)) == 0
+        for name, data in self.OTHERS.items():
+            (out / name).write_bytes(data)
+        before = self.files(out)
+        assert {"histogram_triples.csv", "dfa_intervals_triples.csv"} <= set(before)
+        scratch = tmp_path / "scratch"
+        with monkeypatch.context() as patch:
+            staged = self.failing_writes(patch, scratch, None)
+            assert run_cli("analyze", str(wav), "--out-dir", str(scratch)) == 0
+        assert sorted(staged) == sorted(f"{name}.tmp" for name in self.files(scratch))
+        assert staged[-1] == "report.json.tmp" and "tempogram.json.tmp" in staged
+        for at in range(len(staged)):
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                self.failing_writes(patch, out, at)
+                assert run_cli("analyze", str(wav), "--out-dir", str(out)) == 2, staged[at]
+            assert "No space left on device" in capsys.readouterr().err
+            assert self.files(out) == before, staged[at]
 
 
 class TestExitCodeContract:
@@ -355,16 +443,31 @@ class TestTracedNames:
             missing = [attr for attr, _ in names if not callable(getattr(namespace, attr, None))]
             assert missing == [], namespace.__name__
 
-    def test_audio_stages_called_through_cli_names(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, names):
         import groovekit.cli
 
-        wav = tmp_path / "clicks.wav"
-        assert run_cli("synth", "-o", str(tmp_path / "g.csv"), "--bars", "24", "--render", str(wav)) == 0
         calls = []
-        for attr in ("highpass", "detect_onsets", "merge_close_onsets", "novelty_curve"):
+        for attr in names:
             def counted(*args, _fn=getattr(groovekit.cli, attr), _attr=attr, **kwargs):
                 calls.append(_attr)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(groovekit.cli, attr, counted)
+        return calls
+
+    def test_audio_stages_called_through_cli_names(self, tmp_path, monkeypatch):
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth", "-o", str(tmp_path / "g.csv"), "--bars", "24", "--render", str(wav)) == 0
+        names = ["detect_onsets", "highpass", "merge_close_onsets", "novelty_curve",
+                 "tempogram_summary", "write_analysis_outputs", "write_tempogram_csv"]
+        calls = self.count_calls(monkeypatch, names)
         assert run_cli("analyze", str(wav), "--out-dir", str(tmp_path / "out")) == 0
-        assert sorted(calls) == ["detect_onsets", "highpass", "merge_close_onsets", "novelty_curve"]
+        assert sorted(calls) == names
+
+    def test_csv_stages_called_through_cli_names(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.csv"
+        assert run_cli("synth", "-o", str(path), "--bars", "24") == 0
+        names = ["read_onsets_csv", "run_analysis", "write_analysis_outputs"]
+        calls = self.count_calls(monkeypatch, names)
+        assert run_cli("analyze", str(path), "--out-dir", str(tmp_path / "out")) == 0
+        assert sorted(calls) == names
