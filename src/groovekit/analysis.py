@@ -7,6 +7,8 @@ reported number can be recomputed.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -254,13 +256,17 @@ def write_analysis_outputs(out_dir, result: AnalysisResult, sidecars=()) -> Path
     """Write report.json, the CSV sidecars and ``sidecars``, more ``(name,
     write)`` pairs, into ``out_dir``; returns the report path.
 
-    Every file is first written as ``<name>.tmp``, by ``write(path)``; a
-    write that raises unlinks the run's ``.tmp`` files, leaving ``out_dir`` as
-    it was. Then they are renamed into place, report.json last, and before it
-    the files of ``_OUTPUT_NAMES`` this run did not write are unlinked. A
-    rename or unlink that fails is not rolled back.
+    Every file is first written as ``<name>.tmp``, by ``write(path)``. Then
+    the files of ``_OUTPUT_NAMES`` this run did not write are unlinked; a
+    name that is not a file (a directory, say) is left alone. A write or
+    unlink that raises unlinks the run's ``.tmp`` files and removes the
+    directories this call created, if they are empty, leaving ``out_dir`` as
+    it was but for the stale files already unlinked. Last the files are
+    renamed into place, report.json last; a rename that fails is not rolled
+    back.
     """
     out = Path(out_dir)
+    created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
     stats = [(klass.value, result.stats[klass.value]) for klass in CLASSES]
     files = [
@@ -280,13 +286,16 @@ def write_analysis_outputs(out_dir, result: AnalysisResult, sidecars=()) -> Path
         for name, write in files:
             staged.append(out / f"{name}.tmp")
             write(staged[-1])
+        for stale in _OUTPUT_NAMES.difference(name for name, _ in files):
+            if (out / stale).is_file():
+                (out / stale).unlink(missing_ok=True)
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+        for made in created:
+            with contextlib.suppress(OSError):
+                made.rmdir()
         raise
-    for name, _ in files[:-1]:
+    for name, _ in files:
         os.replace(out / f"{name}.tmp", out / name)
-    for stale in _OUTPUT_NAMES.difference(name for name, _ in files):
-        (out / stale).unlink(missing_ok=True)
-    os.replace(staged[-1], out / "report.json")
     return out / "report.json"

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 degenerate analysis (e.g. too few onsets),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -268,9 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args keeps no state between
+    calls, so a batch of main() calls shares one parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegenerateInputError as exc:

@@ -8,10 +8,11 @@ are written, each window less its first sample, as the rows of one buffer
 allocated per call, and detrended by projection with no solver: the Gram
 polynomials on the window positions give an orthonormal basis of the order-n
 trends, built once per (scale, order) and kept read-only in a process-wide
-cache. Subtracting the first sample makes rounding follow the variation inside
-a window, not its level. F(s) is the root mean residual variance. Scaling
-exponents are least-squares slopes of log F against log s: global, over
-short/long ranges, or in a sliding window for a scale-resolved alpha(s).
+cache, as is the default scale grid per largest scale. Subtracting the first
+sample makes rounding follow the variation inside a window, not its level.
+F(s) is the root mean residual variance. Scaling exponents are least-squares
+slopes of log F against log s: global, over short/long ranges, or in a
+sliding window for a scale-resolved alpha(s).
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def default_scales(n: int, s_max: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
+def _default_grid(s_max: int) -> np.ndarray:
+    """``default_scales`` up to ``s_max``; read-only, because every caller
+    shares the cached array."""
+    grid = default_scales(4 * s_max, s_max)
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=256)
 def _gram_basis(s: int, order: int) -> np.ndarray:
     """(s, order + 1) orthonormal Gram polynomials from their three-term
     recurrence; read-only, because every caller shares the cached array."""
@@ -108,8 +118,10 @@ def dfa_fluctuation(
         raise ParameterError("series contains non-finite values")
     n = len(x)
     if scales is None:
-        scales = default_scales(n)
-    scales = np.unique(np.asarray(scales, dtype=np.int64))
+        # the default grid is already sorted and unique; the copy is the result's own
+        scales = _default_grid(n // 4).copy()
+    else:
+        scales = np.unique(np.asarray(scales, dtype=np.int64))
     if len(scales) == 0:
         raise ParameterError("no scales given")
     if detrend_order < 0 or int(scales[0]) < detrend_order + 2:

@@ -234,6 +234,21 @@ def _slot_stats(per_slot) -> tuple[tuple, tuple, tuple]:
     return tuple(mean), tuple(std), tuple(n)
 
 
+def _row_stats(rows: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """``_slot_stats`` of the rows of a C-contiguous 2-D array, whose slots
+    all hold the same count, in one reduction per statistic.
+
+    numpy sums each contiguous row pairwise just as it sums that row alone,
+    so every value equals ``_slot_stats``' bit for bit.
+    """
+    slots, count = rows.shape
+    if count == 0:
+        return (None,) * slots, (None,) * slots, (0,) * slots
+    mean = tuple(np.mean(rows, axis=1).tolist())
+    std = tuple(np.std(rows, axis=1, ddof=1).tolist()) if count > 1 else (0.0,) * slots
+    return mean, std, (count,) * slots
+
+
 def phrase_interval_profile(
     series: IntervalSeries,
     onsets: OnsetSeries,
@@ -256,8 +271,8 @@ def phrase_interval_profile(
     phrase_base = ((slot_times[:, -1] - slot_times[:, 0]) / template.units_per_phrase)[:, None]
     slot_multiples = np.array([template.slot_multiple(s) for s in range(len(template))])
     deviation = 100.0 * (taus / slot_multiples - phrase_base) / phrase_base
-    mean, std, n = _slot_stats(np.ascontiguousarray(taus.T))
-    dev, _, _ = _slot_stats(np.ascontiguousarray(deviation.T))
+    mean, std, n = _row_stats(np.ascontiguousarray(taus.T))
+    dev, _, _ = _row_stats(np.ascontiguousarray(deviation.T))
     return PhraseProfile(
         kind="interval",
         template=template,

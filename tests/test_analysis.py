@@ -120,11 +120,11 @@ class TestWriteOutputs:
         monkeypatch.setattr(os, "replace", replaced)
         monkeypatch.setattr(Path, "unlink", unlinked)
         write_analysis_outputs(out, run_analysis(onsets))
-        # the sidecars renamed, then the stale names unlinked, then report.json
+        # the stale names unlinked before any rename, then every file renamed,
+        # report.json last
         renamed = sum(kind == "rename" for kind, _ in events)
         unlinked_count = len(events) - renamed
-        assert [kind for kind, _ in events] == (
-            ["rename"] * (renamed - 1) + ["unlink"] * unlinked_count + ["rename"])
+        assert [kind for kind, _ in events] == ["unlink"] * unlinked_count + ["rename"] * renamed
         assert events[-1] == ("rename", "report.json")
         gone = {name for kind, name in events if kind == "unlink"}
         assert {"histogram_triples.csv", "dfa_intervals_triples.csv"} <= gone

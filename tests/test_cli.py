@@ -203,8 +203,10 @@ class TestAnalyzeCommand:
         out_dir = tmp_path / "out"
         assert run_cli("analyze", str(wav), "--out-dir", str(out_dir)) == 2
         assert "No space left on device" in capsys.readouterr().err
-        # the run's other files were staged, not committed: none is left
-        assert list(out_dir.iterdir()) == []
+        # the run's other files were staged, not committed, and the directory
+        # the run created is gone with them
+        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clicks.wav", "t.csv"]
 
     def test_ramp_drift_profile_recovered(self, tmp_path):
         # synth a 84->86 BPM ramp, analyze the CSV, and compare the final
@@ -334,6 +336,81 @@ class TestOutputSet:
                 assert run_cli("analyze", str(wav), "--out-dir", str(out)) == 2, staged[at]
             assert "No space left on device" in capsys.readouterr().err
             assert self.files(out) == before, staged[at]
+
+    def test_stale_name_that_is_a_directory_is_left_alone(self, tmp_path):
+        _, triples = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        (out / "tempogram.csv").mkdir(parents=True)
+        (out / "tempogram.csv" / "inside.txt").write_bytes(b"mine\n")
+        assert run_cli("analyze", str(triples), "--out-dir", str(out)) == 0
+        assert (out / "report.json").is_file()
+        assert list(out.glob("*.tmp")) == []
+        assert [p.name for p in (out / "tempogram.csv").iterdir()] == ["inside.txt"]
+        assert (out / "tempogram.csv" / "inside.txt").read_bytes() == b"mine\n"
+
+    def test_failed_stale_unlink_commits_nothing(self, tmp_path, capsys, monkeypatch):
+        wav, triples = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("analyze", str(wav), "--out-dir", str(out)) == 0
+        before = self.files(out)
+        unlink = Path.unlink
+
+        def refuse_stale(path, missing_ok=False):
+            if path.name in ("tempogram.csv", "tempogram.json"):
+                raise PermissionError(13, "Permission denied", str(path))
+            unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", refuse_stale)
+        assert run_cli("analyze", str(triples), "--out-dir", str(out)) == 2
+        assert "Permission denied" in capsys.readouterr().err
+        # no file of the CSV run was renamed in, and its .tmp files are gone
+        assert self.files(out) == before
+
+    def test_failed_write_removes_only_the_directories_it_created(self, tmp_path, capsys, monkeypatch):
+        _, triples = self.inputs(tmp_path)
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "a" / "b"
+        with monkeypatch.context() as patch:
+            self.failing_writes(patch, out, 0)
+            assert run_cli("analyze", str(triples), "--out-dir", str(out)) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list((tmp_path / "kept").iterdir()) == []
+
+
+class TestParserCache:
+    """main parses with one parser per process; a call with other flags must
+    write what a call with a freshly built parser writes."""
+
+    def test_calls_share_one_parser_and_write_what_a_fresh_call_writes(self, tmp_path, monkeypatch):
+        import groovekit.cli as cli
+
+        groove = tmp_path / "g.csv"
+        assert run_cli("synth", "-o", str(groove), "--bars", "30", "--jitter-ms", "3") == 0
+        sections = tmp_path / "sections.csv"
+        sections.write_text("start_s,end_s,tag\r\n0.0,21.0,A1-verse\r\n21.0,90.0,B-chorus\r\n")
+        runs = [["--raw-intervals"], ["--phrase-len", "12"], ["--sections", str(sections)], []]
+        built, build = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for k, flags in enumerate(runs):
+                assert run_cli("analyze", str(groove), "--out-dir", str(tmp_path / f"shared{k}"), *flags) == 0
+            assert len(built) == 1
+            for k, flags in enumerate(runs):
+                cli._parser.cache_clear()
+                assert run_cli("analyze", str(groove), "--out-dir", str(tmp_path / f"fresh{k}"), *flags) == 0
+                assert TestOutputSet.files(tmp_path / f"shared{k}") == TestOutputSet.files(tmp_path / f"fresh{k}")
+        finally:
+            cli._parser.cache_clear()
+        reports = [json.loads((tmp_path / f"shared{k}" / "report.json").read_text()) for k in range(4)]
+        assert [r["parameters"]["raw_intervals"] for r in reports] == [True, False, False, False]
+        assert [r["parameters"]["phrase_positions"] for r in reports] == [16, 12, 16, 16]
+        assert reports[2] != reports[3]
 
 
 class TestExitCodeContract:

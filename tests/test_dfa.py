@@ -232,6 +232,17 @@ class TestDfaAnalyze:
         assert result.alpha1 is not None and result.alpha1_r2 is not None
         assert result.alpha2 is None and result.alpha2_r2 is None
 
+    def test_returned_scales_are_the_callers_own(self):
+        x = gen_powerlaw_noise(1.0, 1000, seed=3)
+        expected = default_scales(1000).copy()
+        default_scales(1000)[:] = 7
+        for result in (dfa_fluctuation(x), dfa_analyze(x)):
+            assert result.scales.flags.writeable
+            result.scales[:] = 5
+        assert np.array_equal(default_scales(1000), expected)
+        assert np.array_equal(dfa_fluctuation(x).scales, expected)
+        assert np.array_equal(dfa_analyze(x).scales, expected)
+
     def test_default_scale_grid(self):
         scales = default_scales(10_000)
         assert scales[0] == 4

@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from groovekit import (
@@ -20,6 +25,8 @@ from groovekit import (
     phrase_interval_profile,
     swing_ratio,
 )
+
+from groovekit.groove import _row_stats, _slot_stats
 
 from conftest import select_onsets, series_from_times
 
@@ -246,6 +253,44 @@ class TestPhraseIntervalProfile:
         profile = phrase_interval_profile(series, onsets)
         assert profile.n_phrases == 0
         assert all(n == 0 for n in profile.n)
+
+
+def _bits(values):
+    return [None if v is None else struct.pack("<d", v) for v in values]
+
+
+def _assert_row_stats_match(rows):
+    with np.errstate(all="ignore"):
+        fast, slow = _row_stats(rows), _slot_stats(rows)
+    assert [_bits(fast[0]), _bits(fast[1]), list(fast[2])] == [
+        _bits(slow[0]), _bits(slow[1]), list(slow[2])]
+
+
+class TestSlotStatsInOneReduction:
+    """The interval profile's rectangular slot tables are reduced along their
+    rows in one call per statistic; each value must equal the one-slot-at-a-
+    time reduction's bit for bit."""
+
+    MAGNITUDES = st.floats(min_value=-300.0, max_value=300.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        slots=st.integers(min_value=1, max_value=24),
+        phrases=st.sampled_from([0, 1, 2]) | st.integers(min_value=3, max_value=600),
+    )
+    def test_equals_per_slot_statistics(self, data, slots, phrases):
+        mantissas = data.draw(arrays(np.float64, (slots, phrases),
+                                     elements=st.floats(min_value=-10.0, max_value=10.0)))
+        exponents = data.draw(arrays(np.float64, (slots, phrases), elements=self.MAGNITUDES))
+        _assert_row_stats_match(np.ascontiguousarray(mantissas * 10.0 ** exponents))
+
+    @pytest.mark.parametrize("phrases", [8191, 8192, 8193, 20_000])
+    def test_many_phrases(self, phrases):
+        rng = np.random.default_rng(phrases)
+        rows = rng.standard_normal((16, phrases)) * 10.0 ** rng.uniform(-300, 300, (16, phrases))
+        _assert_row_stats_match(rows)
+        _assert_row_stats_match(1.0 + 1e-3 * rng.standard_normal((16, phrases)))
 
 
 class TestPhraseAmplitudeProfile:
