@@ -364,16 +364,17 @@ def read_rows(path, header: list[str], kind: str, parse):
     The line number is the file's physical line on which the row ends, so a
     quoted field that spans lines does not shift the numbers after it.
 
-    A different first row, text that is not UTF-8, a row ``csv.reader``
+    A leading UTF-8 byte order mark (as spreadsheets save "CSV UTF-8") is
+    skipped. A different first row, text that is not UTF-8, a row ``csv.reader``
     rejects, or a row on which ``parse`` raises :class:`ValueError` raises
     :class:`FormatError` naming the file (and the line, for a row).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first != header:
-                raise FormatError(f"bad {kind} header in {path!r}: {first}")
+                raise FormatError(f"bad {kind} header in {path!s}: {first}")
             for fields in reader:
                 if fields:
                     try:

@@ -65,7 +65,6 @@ class Onset:
     amplitude: float
     label: str
     source: str
-    uncertainty_ms: float
 
 
 _LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
@@ -79,15 +78,13 @@ def _code(name: str, codes: dict[str, int], what: str) -> int:
         raise ParameterError(f"unknown onset {what} {name!r}") from None
 
 
-def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray, uncertainty_ms: np.ndarray):
+def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray):
     """(row, problem) of the first row that breaks a column rule, or None."""
     with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check names that row
         steps = np.diff(times)
     checks = (
         (~np.isfinite(times), "onset time must be finite"),
         (~((amplitudes >= 0.0) & (amplitudes <= 1.0)), "onset amplitude must lie in [0, 1]"),
-        (~((uncertainty_ms >= 0.0) & (uncertainty_ms < np.inf)),
-         "uncertainty_ms must be non-negative and finite"),
         (np.concatenate(([False], steps <= 0.0)), "onset times must be strictly increasing"),
     )
     found = [(int(np.argmax(bad)), why) for bad, why in checks if bad.any()]
@@ -126,21 +123,21 @@ class ColumnSeries:
 
 
 class OnsetSeries(ColumnSeries):
-    """Strictly time-ordered onsets with amplitudes and provenance.
+    """Strictly time-ordered onsets with amplitudes and provenance: the
+    columns of an annotation file but its index.
 
-    ``OnsetSeries(times, amplitudes, label_codes, source_codes,
-    uncertainty_ms)``: the codes index ``LABELS``/``SOURCES``, and
-    :meth:`from_columns` takes the names instead. ``series[i]`` is the
-    :class:`Onset` at integer index ``i``.
+    ``OnsetSeries(times, amplitudes, label_codes, source_codes)``: the codes
+    index ``LABELS``/``SOURCES``, and :meth:`from_columns` takes the names
+    instead. ``series[i]`` is the :class:`Onset` at integer index ``i``.
     """
 
     __slots__ = ()
-    _DTYPES = (np.float64, np.float64, np.int8, np.int8, np.float64)
+    _DTYPES = (np.float64, np.float64, np.int8, np.int8)
 
     @classmethod
-    def from_columns(cls, times, amplitudes, labels=None, sources=None, uncertainty_ms=None):
+    def from_columns(cls, times, amplitudes, labels=None, sources=None):
         """Series from per-onset arrays; ``labels``/``sources`` are names
-        (default unknown/auto), ``uncertainty_ms`` defaults to zero."""
+        (default unknown/auto)."""
         n = len(times)
         labels = ["unknown"] * n if labels is None else labels
         sources = ["auto"] * n if sources is None else sources
@@ -149,12 +146,11 @@ class OnsetSeries(ColumnSeries):
             amplitudes,
             [_code(x, _LABEL_CODES, "label") for x in labels],
             [_code(x, _SOURCE_CODES, "source") for x in sources],
-            np.zeros(n) if uncertainty_ms is None else uncertainty_ms,
         )
 
     @staticmethod
-    def _check(times, amplitudes, labels, sources, uncertainty_ms) -> None:
-        bad = _first_bad_row(times, amplitudes, uncertainty_ms)
+    def _check(times, amplitudes, labels, sources) -> None:
+        bad = _first_bad_row(times, amplitudes)
         if bad is not None:
             raise ParameterError(f"onset {bad[0]}: {bad[1]}")
         if np.any((labels < 0) | (labels >= len(LABELS)) | (sources < 0) | (sources >= len(SOURCES))):
@@ -162,8 +158,8 @@ class OnsetSeries(ColumnSeries):
 
     def __getitem__(self, i) -> Onset:
         k = operator.index(i)  # an integer; negative counts from the end
-        time_s, amplitude, label, source, unc = (c[k].item() for c in self._cols)
-        return Onset(time_s, amplitude, LABELS[label], SOURCES[source], unc)
+        time_s, amplitude, label, source = (c[k].item() for c in self._cols)
+        return Onset(time_s, amplitude, LABELS[label], SOURCES[source])
 
     def times(self) -> np.ndarray:
         return self._cols[0]
@@ -346,9 +342,10 @@ def detect_onsets(
 
     ``threshold`` is a fraction of the envelope peak. Peaks closer than
     ``refractory_ms`` are pruned smaller-first, so the survivors respect the
-    spacing exactly. Each onset carries a timing uncertainty estimated as
-    half the peak's width above 90% of its height; onsets beyond 5 ms
-    uncertainty are discarded. A silent envelope yields an empty series.
+    spacing exactly. A peak whose timing uncertainty, half its width above
+    90% of its height, exceeds 5 ms is discarded; the uncertainty decides
+    which peaks are kept and is not stored. A silent envelope yields an
+    empty series.
     The peaks are those of ``scipy.signal.find_peaks`` with the same height
     and distance, found without a copy of the envelope.
     """
@@ -358,7 +355,7 @@ def detect_onsets(
         raise ParameterError("refractory_ms must be positive and finite")
     values = env.values
     if env.silent or len(values) < 3:
-        return OnsetSeries((), (), (), (), ())
+        return OnsetSeries((), (), (), ())
 
     # an envelope that audio built from finite values knows its maximum, 1.0;
     # any other is scanned
@@ -373,12 +370,9 @@ def detect_onsets(
     peaks = _candidate_peaks(values, height)
     peaks = peaks[_spaced(peaks, values[peaks], distance)]
 
-    unc = _uncertainty_ms(values, peaks, env.sample_rate)
-    keep = unc <= MAX_UNCERTAINTY_MS
+    keep = _uncertainty_ms(values, peaks, env.sample_rate) <= MAX_UNCERTAINTY_MS
     peaks = peaks[keep]
-    return OnsetSeries.from_columns(
-        peaks / env.sample_rate, values[peaks], uncertainty_ms=unc[keep]
-    )
+    return OnsetSeries.from_columns(peaks / env.sample_rate, values[peaks])
 
 
 def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeries:
@@ -391,14 +385,13 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
         raise ParameterError("window_ms must be positive and finite")
     if len(series) <= 1:
         return series
-    times, amplitudes, labels, sources, unc = series._cols
+    times, amplitudes, labels, sources = series._cols
     starts = np.flatnonzero(np.concatenate(([True], np.diff(times) >= window_ms * 1e-3)))
     return OnsetSeries(
         times[starts],
         np.maximum.reduceat(amplitudes, starts),
         labels[starts],
         sources[starts],
-        unc[starts],
     )
 
 
@@ -454,7 +447,7 @@ def apply_edits(
             amplitude = _amplitude_at(env, t)
             if not 0.0 <= amplitude <= 1.0:
                 raise ParameterError("onset amplitude must lie in [0, 1]")
-            row = (t, amplitude, label, _SOURCE_CODES["manual-add"], 0.0)
+            row = (t, amplitude, label, _SOURCE_CODES["manual-add"])
             k = bisect_right(times, t)
         else:
             target = _nearest(times, edit.target_time_s)
@@ -505,7 +498,7 @@ _SCAN_BLOCK = 1 << 16
 
 
 def write_onsets_csv(path, series: OnsetSeries) -> None:
-    times, amplitudes, labels, sources, _ = series._cols
+    times, amplitudes, labels, sources = series._cols
     write_rows(path, _ONSET_HEADER, "%d,%.6f,%.6f,%s,%s\r\n", [
         range(len(series)),
         times,
@@ -527,7 +520,7 @@ def read_onsets_csv(path) -> OnsetSeries:
         with open(path, "rb") as raw:
             if _plain_bytes(raw):
                 raw.seek(0)
-                with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+                with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="") as fh:
                     return _read_onsets_plain(fh)
     except ValueError:
         pass
@@ -567,7 +560,7 @@ def _read_onsets_plain(fh) -> OnsetSeries:
             raise ValueError(f"unknown onset {field}")
         codes.append(code)
     # a row that breaks a column rule raises ParameterError, a ValueError
-    return OnsetSeries(rows["time_s"], rows["amplitude"], *codes, np.zeros(len(rows)))
+    return OnsetSeries(rows["time_s"], rows["amplitude"], *codes)
 
 
 def _parse_onset_row(fields) -> tuple[float, float, int, int]:
@@ -581,11 +574,10 @@ def _read_onsets_rows(path) -> OnsetSeries:
     times, amplitudes, labels, sources = np.array(
         [values for _, values in rows], dtype=np.float64
     ).reshape(-1, 4).T
-    uncertainty_ms = np.zeros(len(rows))
-    bad = _first_bad_row(times, amplitudes, uncertainty_ms)
+    bad = _first_bad_row(times, amplitudes)
     if bad is not None:
         raise row_error(path, rows[bad[0]][0], "annotation", bad[1])
-    return OnsetSeries(times, amplitudes, labels, sources, uncertainty_ms)
+    return OnsetSeries(times, amplitudes, labels, sources)
 
 
 def write_edits_csv(path, edits: list[AnnotationEdit]) -> None:

@@ -1,8 +1,9 @@
 """Audio ``analyze`` computes the tempogram on a second thread.
 
 The outputs, stdout lines, exit codes and errors must be those of the serial
-pipeline: detection, analysis and report first, then the tempogram sidecars.
-Every stage returns before any file is written, so a failed call writes
+pipeline. Every stage returns before any file is written; then the tempogram
+sidecars are staged under ``.tmp`` names with the report's other files and
+renamed into place with them, ``report.json`` last, so a failed call writes
 nothing. Every call must also leave no thread behind.
 """
 

@@ -348,16 +348,13 @@ class TestRowViews:
     def test_onset_fields_match_their_columns(self):
         groove = _groove(4, 0, ghost_probability=1.0)
         n = len(groove)
-        unc = np.linspace(0.0, 4.0, n)
         sources = [("auto", "manual-add", "manual-move")[i % 3] for i in range(n)]
-        s = OnsetSeries.from_columns(
-            groove.times(), groove.amplitudes(), groove.labels(), sources, unc
-        )
+        s = OnsetSeries.from_columns(groove.times(), groove.amplitudes(), groove.labels(), sources)
         assert len(set(s.labels())) > 1
         for i in range(n):
             o = s[i]
-            assert (o.time_s, o.amplitude, o.label, o.source, o.uncertainty_ms) == (
-                s.times()[i], s.amplitudes()[i], s.labels()[i], sources[i], unc[i]
+            assert (o.time_s, o.amplitude, o.label, o.source) == (
+                s.times()[i], s.amplitudes()[i], s.labels()[i], sources[i]
             )
             assert type(o.time_s) is float and type(o.label) is str
 

@@ -52,7 +52,7 @@ def ref_detect(env, threshold, refractory_ms):
     """(peak indices of plain find_peaks, the series built from them)."""
     values = env.values
     if env.silent or len(values) < 3:
-        return np.zeros(0, dtype=np.intp), OnsetSeries((), (), (), (), ())
+        return np.zeros(0, dtype=np.intp), OnsetSeries((), (), (), ())
     height = threshold * float(np.max(values))
     distance = max(1, int(round(refractory_ms * 1e-3 * env.sample_rate)))
     peaks, _ = find_peaks(values, height=height, distance=distance)
@@ -60,9 +60,7 @@ def ref_detect(env, threshold, refractory_ms):
         [ref_uncertainty_ms(values, int(p), env.sample_rate) for p in peaks], dtype=np.float64
     )
     keep = unc <= MAX_UNCERTAINTY_MS
-    series = OnsetSeries.from_columns(
-        peaks[keep] / env.sample_rate, values[peaks[keep]], uncertainty_ms=unc[keep]
-    )
+    series = OnsetSeries.from_columns(peaks[keep] / env.sample_rate, values[peaks[keep]])
     return peaks, series
 
 

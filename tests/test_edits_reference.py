@@ -29,7 +29,6 @@ class OnsetRow:
     amplitude: float
     label: str
     source: str
-    uncertainty_ms: float
 
     def __post_init__(self):
         if self.label not in LABELS:
@@ -40,8 +39,6 @@ class OnsetRow:
             raise ParameterError("onset time must be finite")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ParameterError("onset amplitude must lie in [0, 1]")
-        if not 0.0 <= self.uncertainty_ms < np.inf:
-            raise ParameterError("uncertainty_ms must be non-negative and finite")
 
 
 def _ref_resolve_target(onsets, target_time_s):
@@ -73,7 +70,6 @@ def ref_apply_edits(series, edits, env=None):
                     amplitude=_ref_amplitude_at(env, edit.target_time_s),
                     label=edit.label or "unknown",
                     source="manual-add",
-                    uncertainty_ms=0.0,
                 )
             )
             onsets.sort(key=lambda o: o.time_s)
@@ -93,7 +89,7 @@ def ref_apply_edits(series, edits, env=None):
             onsets.sort(key=lambda o: o.time_s)
         elif edit.kind == "relabel":
             onsets[target] = replace(onsets[target], label=edit.label)
-    return OnsetSeries.from_columns(*(list(zip(*map(astuple, onsets))) or [()] * 5))
+    return OnsetSeries.from_columns(*(list(zip(*map(astuple, onsets))) or [()] * 4))
 
 
 def _outcome(fn, series, edits, env):
@@ -136,7 +132,6 @@ def _random_series(rng) -> OnsetSeries:
         rng.choice([0.0, 0.25, 1.0], size=n),
         labels=rng.choice(LABELS, size=n).tolist(),
         sources=rng.choice(SOURCES, size=n).tolist(),
-        uncertainty_ms=rng.choice([0.0, 1.5], size=n),
     )
 
 

@@ -31,11 +31,14 @@ from groovekit import (
     highpass,
     intervals,
     merge_close_onsets,
+    read_edits_csv,
     read_onsets_csv,
     render_clicks,
     run_analysis,
 )
+from groovekit import onsets as onsets_mod
 from groovekit.cli import main
+from groovekit.intervals import read_sections_csv
 
 from conftest import make_envelope, series_from_times
 
@@ -89,9 +92,7 @@ class TestNonFiniteRejected:
             read_onsets_csv(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_columns_reject_non_finite_uncertainty_and_tau(self, value):
-        with pytest.raises(ParameterError, match="onset 1: uncertainty_ms must be non-negative"):
-            OnsetSeries.from_columns([0.1, 0.2], [0.5, 0.5], uncertainty_ms=[0.0, value])
+    def test_interval_columns_reject_non_finite_tau(self, value):
         with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
             IntervalSeries([0.1, value], [-1, -1])
 
@@ -119,11 +120,13 @@ class TestNonFiniteRejected:
     )
     def test_column_constructor_rejects_codes_out_of_range(self, labels, sources):
         with pytest.raises(ParameterError, match="codes must index LABELS and SOURCES"):
-            OnsetSeries([0.1, 0.2], [0.5, 0.5], labels, sources, [0.0, 0.0])
+            OnsetSeries([0.1, 0.2], [0.5, 0.5], labels, sources)
 
     def test_column_constructor_takes_one_array_per_column(self):
         with pytest.raises(ValueError):
-            OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0], [0, 0])
+            OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0])
+        with pytest.raises(ValueError):
+            OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0], [0, 0], [0.0, 0.0])
         with pytest.raises(ValueError):
             IntervalSeries([0.1], [-1], [0])
 
@@ -198,6 +201,43 @@ class TestNonFiniteSectionAndEditTimes:
             AnnotationEdit("add", value)
         with pytest.raises(ParameterError, match="finite"):
             AnnotationEdit("move", 0.5, new_time_s=value)
+
+
+class TestCsvHeaders:
+    @pytest.mark.parametrize("body", [
+        "0,0.100000,0.500000,hihat,auto\n1,0.250000,0.750000,ghost,manual-add\n",
+        '"0",0.100000,0.500000,hihat,auto\n1,0.250000,0.750000,"ghost",manual-add\n',
+    ], ids=["plain", "quoted"])
+    def test_annotation_with_bom(self, tmp_path, monkeypatch, body):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(HEADER + body, encoding="utf-8")
+        bom.write_text(HEADER + body, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = read_onsets_csv(plain)
+        if body[0] != '"':  # a plain file keeps numpy's reader
+            monkeypatch.setattr(onsets_mod, "_read_onsets_rows", lambda p: pytest.fail("row reader"))
+        assert read_onsets_csv(bom) == want
+        assert want.labels() == ["hihat", "ghost"]
+
+    def test_sections_with_bom(self, tmp_path):
+        path = tmp_path / "sections.csv"
+        path.write_text("start_s,end_s,tag\n0.0,1.5,B-chorus\n", encoding="utf-8-sig")
+        assert read_sections_csv(path).sections == (Section(0.0, 1.5, "B-chorus"),)
+
+    def test_edits_with_bom(self, tmp_path):
+        path = tmp_path / "edits.csv"
+        path.write_text("kind,target_time_s,new_time_s,label\nadd,0.25,,hihat\n",
+                        encoding="utf-8-sig")
+        assert read_edits_csv(path) == [AnnotationEdit("add", 0.25, None, "hihat")]
+
+    def test_bad_header_names_the_file_as_text(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("idx,time_s,amplitude,label,source\n0,0.1,0.5,hihat,auto\n")
+        assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"groovekit: bad annotation header in {path}: "
+            "['idx', 'time_s', 'amplitude', 'label', 'source']\n"
+        )
 
 
 class TestShortAudio:

@@ -15,6 +15,7 @@ from groovekit import (
     GrooveSpec,
     highpass,
     merge_close_onsets,
+    OnsetSeries,
     read_edits_csv,
     read_onsets_csv,
     render_clicks,
@@ -140,9 +141,7 @@ class TestApplyEdits:
         assert list(out.times()) == pytest.approx([1.0, 3.0])
 
     def test_add_into_empty(self):
-        from groovekit import OnsetSeries
-
-        empty = OnsetSeries((), (), (), (), ())
+        empty = OnsetSeries((), (), (), ())
         out = apply_edits(empty, [AnnotationEdit(kind="add", target_time_s=3.5)])
         assert len(out) == 1
         assert out[0].source == "manual-add"
@@ -152,10 +151,8 @@ class TestApplyEdits:
     def test_add_reads_amplitude_from_envelope(self):
         values = _bump(0.5, 0.01, 0.8, 1000)
         env = make_envelope(values)
-        from groovekit import OnsetSeries
-
         out = apply_edits(
-            OnsetSeries((), (), (), (), ()),
+            OnsetSeries((), (), (), ()),
             [AnnotationEdit(kind="add", target_time_s=0.5, label="snare")],
             env=env,
         )
@@ -215,6 +212,21 @@ class TestCsvRoundTrip:
         write_onsets_csv(p2, again)
         assert p1.read_bytes() == p2.read_bytes()
         assert [o.label for o in again] == ["hihat", "snare", "ghost"]
+
+    def test_detected_onsets_roundtrip(self, tmp_path):
+        # a render with noise: every detected peak has a nonzero width, and
+        # what detection keeps of it is what the annotation file holds
+        spec = GrooveSpec(bpm=84.0, swing_ratio=2.0, bars=16, jitter_sigma_ms=2.0)
+        clip = render_clicks(gen_shuffle_onsets(spec, seed=7)[0], noise_db=-40.0, seed=3)
+        detected = detect_onsets(envelope(highpass(clip, 1000.0)))
+        assert len(detected) > 100
+        path = tmp_path / "detected.csv"
+        write_onsets_csv(path, detected)
+        times, amplitudes = (
+            np.array([float(f"{x:.6f}") for x in c.tolist()]) for c in detected._cols[:2]
+        )
+        rounded = OnsetSeries(times, amplitudes, *detected._cols[2:])
+        assert read_onsets_csv(path) == rounded
 
     def test_edits_roundtrip(self, tmp_path):
         edits = [

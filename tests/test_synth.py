@@ -202,7 +202,7 @@ class TestRenderClicks:
     def test_empty_onsets_silent_clip(self):
         from groovekit import OnsetSeries
 
-        clip = render_clicks(OnsetSeries((), (), (), (), ()))
+        clip = render_clicks(OnsetSeries((), (), (), ()))
         assert np.all(clip.samples == 0.0)
 
     def test_single_onset_recovered_through_pipeline(self):
