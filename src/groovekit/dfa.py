@@ -10,9 +10,11 @@ polynomials on the window positions give an orthonormal basis of the order-n
 trends, built once per (scale, order) and kept read-only in a process-wide
 cache, as is the default scale grid per largest scale. Subtracting the first
 sample makes rounding follow the variation inside a window, not its level.
-F(s) is the root mean residual variance. Scaling exponents are least-squares
-slopes of log F against log s: global, over short/long ranges, or in a
-sliding window for a scale-resolved alpha(s).
+F(s) is the root mean residual variance, summed by numpy's own loop rather
+than BLAS, so its bits do not depend on the BLAS thread count. Scaling
+exponents are least-squares slopes of log F against log s, in closed form from
+centred sums: global, over short/long ranges, or in a sliding window for a
+scale-resolved alpha(s).
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def dfa_fluctuation(
         np.subtract(backward, backward[:, :1], out=resid[m:])
         basis = _gram_basis(s, detrend_order)
         resid -= (resid @ basis) @ basis.T
-        F[i] = np.sqrt(np.vdot(resid, resid) / resid.size)
+        # not np.vdot: BLAS ddot splits a long sum across its threads
+        F[i] = np.sqrt(np.einsum("ij,ij->", resid, resid) / resid.size)
     degenerate = bool(np.all(F == 0.0))
     return FluctuationResult(
         scales=scales, F=F, detrend_order=detrend_order, degenerate=degenerate
@@ -176,12 +179,13 @@ def fit_loglog(
         raise FitError("degenerate fluctuation values (F <= 0) in the fit range")
     log_s = np.log(result.scales[mask].astype(np.float64))
     log_f = np.log(F)
-    slope, intercept = np.polyfit(log_s, log_f, 1)
-    fitted = slope * log_s + intercept
-    ss_res = float(np.sum((log_f - fitted) ** 2))
-    ss_tot = float(np.sum((log_f - np.mean(log_f)) ** 2))
+    mean_s, mean_f = np.mean(log_s), np.mean(log_f)
+    ds, df = log_s - mean_s, log_f - mean_f
+    slope = np.sum(ds * df) / np.sum(ds * ds)
+    ss_res = float(np.sum((df - slope * ds) ** 2))
+    ss_tot = float(np.sum(df * df))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), float(mean_f - slope * mean_s), r2
 
 
 def fit_alpha(result: FluctuationResult, s_min: int, s_max: int) -> float:

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,15 @@ import pytest
 from groovekit import (
     GrooveSpec,
     TempogramParams,
+    dfa_analyze,
     gen_shuffle_onsets,
     read_onsets_csv,
     write_onsets_csv,
 )
+from groovekit import analysis, audio
 from groovekit import dfa as dfa_mod
 from groovekit.analysis import (
+    DFA_THREAD_MIN_LENGTH,
     AnalysisParams,
     DegenerateInputError,
     run_analysis,
@@ -71,6 +76,106 @@ class TestRunAnalysis:
         a_norm = norm.dfa_results["intervals_all"].F
         a_raw = raw.dfa_results["intervals_all"].F
         assert not np.allclose(a_norm, a_raw)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestDfaHelperThread:
+    """DFA's series on the main thread and one helper, when the longest has
+    at least ``DFA_THREAD_MIN_LENGTH`` points. Two CPUs are reported, so the
+    helper is taken on any host."""
+
+    @pytest.fixture(scope="class")
+    def onsets(self):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=2100, jitter_sigma_ms=5.0,
+                          lrc_beta=1.0, lrc_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=3)
+        assert len(onsets) - 1 >= DFA_THREAD_MIN_LENGTH
+        return onsets
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Names of the threads that call ``dfa_analyze``. While the helper
+        runs, the main thread's calls wait until it has made one, so both
+        take part."""
+        monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+        names, helper_called = [], threading.Event()
+
+        def recorded(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            if threading.current_thread() is not threading.main_thread():
+                helper_called.set()
+            elif any(t.name == "groovekit-dfa" for t in threading.enumerate()):
+                helper_called.wait(10)
+            return dfa_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(dfa_mod, "dfa_analyze", recorded)
+        return names
+
+    def test_results_are_the_serial_ones_in_report_order(self, onsets, threads):
+        before = threading.active_count()
+        result = run_analysis(onsets)
+        assert threading.active_count() == before
+        assert len(threads) == len(result.dfa_results)
+        assert set(threads) == {threading.main_thread().name, "groovekit-dfa"}
+        named = analysis._dfa_series(result.series, onsets, result.params)
+        assert list(result.dfa_results) == [
+            name for name in analysis.DFA_SERIES if name not in result.dfa_notes]
+        for name, got in result.dfa_results.items():
+            want = dfa_analyze(named[name])  # the package's name, not the recorded one
+            assert got.F.tobytes() == want.F.tobytes(), name
+            fields = ("alpha1", "alpha2", "alpha1_r2", "alpha2_r2", "alpha_local")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], name
+
+    @pytest.mark.parametrize("on_main", [False, True], ids=["on_helper", "on_main"])
+    def test_an_error_reaches_the_caller_and_no_thread_is_left(self, onsets, threads,
+                                                               monkeypatch, on_main):
+        recorded = dfa_mod.dfa_analyze
+
+        def failing(*args, **kwargs):
+            result = recorded(*args, **kwargs)
+            if (threading.current_thread() is threading.main_thread()) == on_main:
+                raise Boom(threading.current_thread().name)
+            return result
+
+        monkeypatch.setattr(dfa_mod, "dfa_analyze", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            run_analysis(onsets)
+        assert threading.active_count() == before
+        assert "groovekit-dfa" in threads
+
+    def test_each_series_analyzed_once_under_fast_thread_switches(self, threads):
+        """The two threads share one list; with a switch interval of 1 µs,
+        every series is still analyzed exactly once, by one thread."""
+        rng = np.random.default_rng(5)
+        named = {"long": rng.normal(size=DFA_THREAD_MIN_LENGTH),
+                 **{f"s{i}": rng.normal(size=64 + i) for i in range(40)}}
+        want = {name: dfa_analyze(values).F.tobytes() for name, values in named.items()}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threads.clear()
+                before = threading.active_count()
+                got = analysis._run_dfa(named, AnalysisParams())
+                assert threading.active_count() == before
+                assert list(got) == list(named)
+                assert {name: res.F.tobytes() for name, res in got.items()} == want
+                assert len(threads) == len(named)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_short_series_stay_on_the_main_thread(self, threads):
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=60, jitter_sigma_ms=2.0)
+        onsets, _ = gen_shuffle_onsets(spec, seed=1)
+        before = threading.active_count()
+        result = run_analysis(onsets)
+        assert threading.active_count() == before
+        assert len(threads) == len(result.dfa_results) == 4
+        assert set(threads) == {threading.main_thread().name}
 
 
 class TestWriteOutputs:

@@ -14,7 +14,11 @@ therefore checked against an exact ``Fraction`` oracle, and the 26k grid runs
 on white noise.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +213,8 @@ def _concat_gram_basis(s, order):
 
 
 def concat_fluctuation(series, scales, order):
-    """The kernel as it was: a fresh (2m, s) array per scale and a fresh basis."""
+    """The kernel as it was: a fresh (2m, s) array per scale and a fresh basis.
+    Its sum of squares is the library's BLAS-free einsum reduction."""
     profile = _profile(series)
     F = np.empty(len(scales), dtype=np.float64)
     for i, s in enumerate(scales):
@@ -218,7 +223,7 @@ def concat_fluctuation(series, scales, order):
         resid -= resid[:, :1]
         basis = _concat_gram_basis(s, order)
         resid -= (resid @ basis) @ basis.T
-        F[i] = np.sqrt(np.vdot(resid, resid) / resid.size)
+        F[i] = np.sqrt(np.einsum("ij,ij->", resid, resid) / resid.size)
     return F
 
 
@@ -265,3 +270,41 @@ def test_fluctuation_same_with_cold_and_warm_cache(order):
     warm = dfa_fluctuation(x, scales=scales, detrend_order=order).F
     assert _gram_basis.cache_info().hits >= len(scales)
     assert np.array_equal(cold, warm)
+
+
+# ---------------------------------------------------------------------------
+# F does not depend on the OpenBLAS thread count
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# prints F of a 26,417-point white and Brownian series, at orders 1 and 2, as hex
+F_BYTES = """
+import numpy as np
+from groovekit import dfa_fluctuation
+x = np.random.default_rng(15).normal(size=26_417)
+print("".join(dfa_fluctuation(series, detrend_order=order).F.tobytes().hex()
+              for series in (x, np.cumsum(x)) for order in (1, 2)))
+"""
+
+
+def _f_bytes(blas_threads: int) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", F_BYTES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_fluctuation_same_bytes_under_one_and_three_openblas_threads():
+    """F is the same bytes under 1 and 3 OpenBLAS threads.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when numpy loads, so each count
+    runs in a fresh interpreter. OpenBLAS's ddot splits a long sum across
+    its threads, so a sum of squares through BLAS (``np.vdot``) made F differ
+    here at about half the scales of each series, in the last bits. On a
+    one-CPU host both settings may run one thread, and the test then proves
+    nothing.
+    """
+    one = _f_bytes(1)
+    assert len(one) > 0
+    assert _f_bytes(3) == one

@@ -95,8 +95,11 @@ def test_wav_commands_load_no_scipy_io(tmp_path):
 
 
 def test_csv_analyze_loads_no_thread_pool(tmp_path):
-    csv_path = tmp_path / "groove.csv"
-    assert main(["synth", "-o", str(csv_path), "--bars", "16", "--seed", "1"]) == 0
-    result = _probe(["analyze", str(csv_path), "--out-dir", str(tmp_path / "out")],
-                    modules=("concurrent.futures",))
-    assert result == {"before": [], "rc": 0, "after": []}
+    """Also at 2100 bars, where DFA's longest series is long enough for its
+    helper thread on a host with two CPUs."""
+    for bars in (16, 2100):
+        csv_path = tmp_path / f"groove{bars}.csv"
+        assert main(["synth", "-o", str(csv_path), "--bars", str(bars), "--seed", "1"]) == 0
+        result = _probe(["analyze", str(csv_path), "--out-dir", str(tmp_path / f"out{bars}")],
+                        modules=("concurrent.futures",))
+        assert result == {"before": [], "rc": 0, "after": []}, bars
