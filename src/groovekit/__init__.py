@@ -7,9 +7,10 @@ long-range correlations via detrended fluctuation analysis. A synthetic
 groove generator supplies ground truth for every metric.
 """
 
+import importlib
+
 from ._version import __version__
 from .analysis import AnalysisParams, AnalysisResult, run_analysis, write_analysis_outputs
-from .audio import AudioClip, EnvelopeSignal, envelope, highpass, load_audio, save_audio
 from .dfa import (
     FluctuationResult,
     default_scales,
@@ -57,26 +58,6 @@ from .onsets import (
     read_onsets_csv,
     write_edits_csv,
     write_onsets_csv,
-)
-from .synth import (
-    GrooveSpec,
-    ShuffleGroundTruth,
-    bar_time_s,
-    gen_crossover_series,
-    gen_powerlaw_noise,
-    gen_shuffle_onsets,
-    render_clicks,
-    unit_duration_s,
-)
-from .tempogram import (
-    NoveltyCurve,
-    Tempogram,
-    TempogramParams,
-    argmax_track,
-    fourier_tempogram,
-    novelty_curve,
-    tempogram_summary,
-    write_tempogram_csv,
 )
 
 __all__ = [
@@ -146,3 +127,41 @@ __all__ = [
     "write_onsets_csv",
     "write_tempogram_csv",
 ]
+
+# The audio stack loads on first use (PEP 562): `import groovekit` and an
+# annotation CSV analysis never import these three modules.
+_LAZY = {
+    "audio": ("AudioClip", "EnvelopeSignal", "envelope", "highpass", "load_audio", "save_audio"),
+    "synth": (
+        "GrooveSpec",
+        "ShuffleGroundTruth",
+        "bar_time_s",
+        "gen_crossover_series",
+        "gen_powerlaw_noise",
+        "gen_shuffle_onsets",
+        "render_clicks",
+        "unit_duration_s",
+    ),
+    "tempogram": (
+        "NoveltyCurve",
+        "Tempogram",
+        "TempogramParams",
+        "argmax_track",
+        "fourier_tempogram",
+        "novelty_curve",
+        "tempogram_summary",
+        "write_tempogram_csv",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *__all__})

@@ -365,14 +365,17 @@ def read_rows(path, header: list[str], kind: str, parse):
     quoted field that spans lines does not shift the numbers after it.
 
     A leading UTF-8 byte order mark (as spreadsheets save "CSV UTF-8") is
-    skipped. A different first row, text that is not UTF-8, a row ``csv.reader``
-    rejects, or a row on which ``parse`` raises :class:`ValueError` raises
-    :class:`FormatError` naming the file (and the line, for a row).
+    skipped. An empty file, a different first row, text that is not UTF-8, a
+    row ``csv.reader`` rejects, or a row on which ``parse`` raises
+    :class:`ValueError` raises :class:`FormatError` naming the file (and the
+    line, for a row).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
+            if first is None:
+                raise FormatError(f"{path!s}: empty {kind} file")
             if first != header:
                 raise FormatError(f"bad {kind} header in {path!s}: {first}")
             for fields in reader:

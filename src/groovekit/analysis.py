@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio
+from . import _cpu
 from . import dfa as dfa_mod
 from ._csvio import write_rows
 from ._version import __version__
@@ -214,7 +214,7 @@ def _run_dfa(
                 return
 
     helper = None
-    if todo and len(named[todo[-1]]) >= DFA_THREAD_MIN_LENGTH and audio._cpu_count() > 1:
+    if todo and len(named[todo[-1]]) >= DFA_THREAD_MIN_LENGTH and _cpu.cpu_count() > 1:
         helper = threading.Thread(target=work, name="groovekit-dfa")
         helper.start()
     work()

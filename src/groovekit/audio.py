@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cpu
 from .errors import FormatError, ParameterError
 
 __all__ = ["AudioClip", "EnvelopeSignal", "load_audio", "save_audio", "highpass", "envelope"]
@@ -576,7 +577,7 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
     start, split, tail = 0, n, None
     while start < split:
         if (tail is None and warmup is not None and n - start >= 2 * warmup + 4 * _BLOCK
-                and helper[1]() and _cpu_count() > 1):
+                and helper[1]() and _cpu.cpu_count() > 1):
             split = start + (n - start) // 2
             ready = threading.Event()
             tail = helper[0].submit(_smooth_tail, sos, x, out, split, warmup, ready)
@@ -662,11 +663,3 @@ def _warmup(a: float, n: int) -> int | None:
     while w < need and w <= n:
         w <<= 1
     return w
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1

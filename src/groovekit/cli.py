@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -28,9 +29,6 @@ from .analysis import (
     run_analysis,
     write_analysis_outputs,
 )
-# load_audio and envelope are not called here; they stay bound because
-# perfbench/tracer.py wraps every name of the analyze path in this module
-from .audio import WavReader, _envelope_into, envelope, highpass, load_audio, save_audio
 from .errors import EditError, GrooveKitError
 from .intervals import read_sections_csv
 from .onsets import (
@@ -41,10 +39,38 @@ from .onsets import (
     read_onsets_csv,
     write_onsets_csv,
 )
-from .synth import GrooveSpec, gen_powerlaw_noise, gen_shuffle_onsets, render_clicks
-from .tempogram import TempogramParams, fourier_tempogram, novelty_curve, tempogram_summary, write_tempogram_csv
 
 __all__ = ["main"]
+
+# The names of the audio, synth and tempogram modules this module uses, bound
+# into its globals on first use, so that a CSV analyze never loads those
+# modules. perfbench/tracer.py wraps every name of the analyze path in this
+# module; load_audio and envelope are not called here and are listed only for
+# it.
+_LAZY = {
+    "audio": ("WavReader", "_envelope_into", "envelope", "highpass", "load_audio", "save_audio"),
+    "synth": ("GrooveSpec", "gen_powerlaw_noise", "gen_shuffle_onsets", "render_clicks"),
+    "tempogram": ("TempogramParams", "fourier_tempogram", "novelty_curve", "tempogram_summary",
+                  "write_tempogram_csv"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind their ``_LAZY`` names here. A name already
+    bound (a tracer's span, a test's monkeypatch) is kept."""
+    namespace = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            namespace.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -89,6 +115,7 @@ def _detect_from_audio(source, args, helper=None) -> tuple:
     ``helper``, ``(executor, idle)``, lends the envelope a second thread
     (see ``audio._envelope_into``).
     """
+    _bind("audio")
     clip = highpass(source, cutoff_hz=args.cutoff_hz)
     env = _envelope_into(clip, args.smoothing_ms, out=clip.samples, helper=helper)
     series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
@@ -97,8 +124,12 @@ def _detect_from_audio(source, args, helper=None) -> tuple:
 
 
 def _cmd_onsets(args) -> int:
-    with WavReader(args.audio) as reader:
-        series, env = _detect_from_audio(reader, args)
+    from concurrent.futures import ThreadPoolExecutor
+
+    _bind("audio")
+    # the pool runs nothing else, so its thread is always idle for the envelope
+    with WavReader(args.audio) as reader, ThreadPoolExecutor(max_workers=1) as pool:
+        series, env = _detect_from_audio(reader, args, helper=(pool, lambda: True))
     if args.edits:
         edits = read_edits_csv(args.edits)
         try:
@@ -129,6 +160,7 @@ def _cmd_analyze(args) -> int:
         # local import; CSV analysis never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
+        _bind("audio", "tempogram")
         # The tempogram shares only the file with detection, and the FFTs and
         # filters of both release the GIL, so it runs on a second thread
         # meanwhile, reading its own blocks. Once it is done, its thread takes
@@ -167,6 +199,7 @@ def _analyze_series(args, series) -> AnalysisResult:
 def _tempogram(source):
     """Tempogram of a WavReader or an AudioClip, or None when its novelty is
     shorter than one tempogram window."""
+    _bind("tempogram")
     nov = novelty_curve(source)
     params = TempogramParams()
     if len(nov) < params.window_length:
@@ -175,6 +208,7 @@ def _tempogram(source):
 
 
 def _cmd_synth(args) -> int:
+    _bind("audio", "synth")
     if args.series_only:
         rows = gen_powerlaw_noise(args.beta, args.length, seed=args.seed)
         write_rows(args.output, ["value"], "%.12g\r\n", [rows])

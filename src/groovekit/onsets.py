@@ -13,12 +13,15 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._csvio import quote, read_rows, row_error, write_rows
-from .audio import EnvelopeSignal
 from .errors import EditError, ParameterError
+
+if TYPE_CHECKING:  # annotations only; the CSV path never loads audio
+    from .audio import EnvelopeSignal
 
 __all__ = [
     "Onset",

@@ -15,7 +15,7 @@ from groovekit import (
     read_onsets_csv,
     write_onsets_csv,
 )
-from groovekit import analysis, audio
+from groovekit import _cpu, analysis
 from groovekit import dfa as dfa_mod
 from groovekit.analysis import (
     DFA_THREAD_MIN_LENGTH,
@@ -100,7 +100,7 @@ class TestDfaHelperThread:
         """Names of the threads that call ``dfa_analyze``. While the helper
         runs, the main thread's calls wait until it has made one, so both
         take part."""
-        monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_cpu, "cpu_count", lambda: 2)
         names, helper_called = [], threading.Event()
 
         def recorded(*args, **kwargs):

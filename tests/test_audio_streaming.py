@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from scipy import signal
 from scipy.io import wavfile
 
-from groovekit import _signal, audio, cli
+from groovekit import _cpu, _signal, audio, cli
 from groovekit.audio import _BLOCK, AudioClip, WavReader, envelope, highpass, load_audio
 from groovekit.errors import ParameterError
 from groovekit.onsets import detect_onsets, merge_close_onsets
@@ -243,7 +243,7 @@ def test_fused_path_with_envelope_helper_holds_one_clip(tmp_path, monkeypatch, w
     the tempogram having finished first (``after``, where the split is sure
     to be taken). The helper smooths its half in place and reads its warm-up
     through two small scratch blocks, so the bound is unchanged."""
-    monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_cpu, "cpu_count", lambda: 2)
     n = 8 * 1024 * 1024
     wav = tmp_path / "long.wav"
     _write_wav(wav, "float32", _clicks(n, 1, seed=1))
@@ -324,7 +324,7 @@ def _spy_tails(monkeypatch):
 def _small_blocks(monkeypatch):
     monkeypatch.setattr(audio, "_BLOCK", SMALL_BLOCK)
     monkeypatch.setattr(audio, "_WARM_BLOCK", 300)
-    monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_cpu, "cpu_count", lambda: 2)
 
 
 def _with_helper(x, smoothing_ms, idle=None, in_place=True, sample_rate=RATE):
@@ -545,7 +545,7 @@ def test_busy_helper_is_offered_nothing(monkeypatch):
 
 def test_one_cpu_offers_nothing(monkeypatch):
     _small_blocks(monkeypatch)
-    monkeypatch.setattr(audio, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_cpu, "cpu_count", lambda: 1)
     tails = _spy_tails(monkeypatch)
     x = _signal_of("noise", 20 * SMALL_BLOCK, seed=8)
     _assert_same_envelope(_with_helper(x, 2.0), _sequential(x, 2.0))
@@ -603,11 +603,34 @@ def test_helper_exception_surfaces_on_the_main_thread(monkeypatch, stage):
     assert [str(exc) for exc in raised] == [stage]
 
 
+def test_onsets_split_writes_the_serial_bytes(tmp_path, monkeypatch):
+    """``onsets`` on a render of 24 bars (1.68M samples, more than the
+    1,310,720 of twice the warm-up plus four blocks) writes the same file with
+    one CPU, where nothing is offered, and with two, where its idle pool
+    thread smooths the second half."""
+    wav = tmp_path / "groove.wav"
+    assert cli.main(["synth", "-o", str(tmp_path / "groove.csv"), "--bars", "24",
+                     "--jitter-ms", "3", "--noise-db", "-40", "--render", str(wav)]) == 0
+    with WavReader(str(wav)) as reader:
+        assert len(reader) > 2 * _warmup_at(2.0, 44100.0) + 4 * _BLOCK
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_cpu, "cpu_count", lambda: cpus)
+        tails = _spy_tails(monkeypatch)
+        out = tmp_path / f"onsets{cpus}.csv"
+        assert cli.main(["onsets", str(wav), "-o", str(out)]) == 0
+        assert len(tails) == cpus - 1 and None not in tails
+        written[cpus] = out.read_bytes()
+    assert written[1] == written[2]
+    assert written[1].count(b"\n") > 100
+
+
 @pytest.mark.parametrize("command", ["onsets", "analyze"])
 def test_commands_leave_no_thread_behind(tmp_path, monkeypatch, command):
-    """A clip long enough (32 s at 44.1 kHz) for the split to be offered;
-    ``onsets`` lends the envelope no helper, so it offers nothing."""
-    monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+    """A clip long enough (32 s at 44.1 kHz) for the split to be offered.
+    ``onsets`` lends the envelope a pool that runs nothing else, so the split
+    is taken; in ``analyze`` it waits for the tempogram."""
+    monkeypatch.setattr(_cpu, "cpu_count", lambda: 2)
     tails = _spy_tails(monkeypatch)
     wav = tmp_path / "clip.wav"
     _write_wav(wav, "float32", _clicks(32 * 44100, 1, seed=11))
@@ -616,4 +639,4 @@ def test_commands_leave_no_thread_behind(tmp_path, monkeypatch, command):
     assert cli.main([command, str(wav), *out]) == 0
     assert set(threading.enumerate()) == before
     if command == "onsets":
-        assert tails == []
+        assert len(tails) == 1 and tails[0] is not None

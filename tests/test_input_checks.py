@@ -239,6 +239,32 @@ class TestCsvHeaders:
             "['idx', 'time_s', 'amplitude', 'label', 'source']\n"
         )
 
+    @pytest.mark.parametrize("which, text", [
+        ("annotation", ""), ("annotation", "\ufeff"), ("section", ""),
+    ], ids=["annotation", "annotation-bom-only", "section"])
+    def test_empty_file_is_named_as_empty(self, tmp_path, capsys, which, text):
+        """Not as a bad header ``None``; a byte order mark alone is empty too."""
+        path = tmp_path / "h.csv"
+        path.write_text(text, encoding="utf-8")
+        out = ["--out-dir", str(tmp_path / "out")]
+        if which == "annotation":
+            argv = ["analyze", str(path), *out]
+        else:
+            groove = tmp_path / "groove.csv"
+            assert main(["synth", "-o", str(groove), "--bars", "4"]) == 0
+            argv = ["analyze", str(groove), "--sections", str(path), *out]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"groovekit: {path}: empty {which} file\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_edits_file_is_named_as_empty(self, tmp_path):
+        path = tmp_path / "edits.csv"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError) as exc:
+            read_edits_csv(path)
+        assert str(exc.value) == f"{path}: empty edit file"
+
 
 class TestShortAudio:
     @pytest.mark.parametrize("n_samples", [0, 10, 15])

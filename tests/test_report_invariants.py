@@ -18,22 +18,30 @@ A run that writes a report must satisfy:
 - each ``s_ranges`` is the requested range clipped to the series' largest
   scale, the last ``s`` of its ``dfa_<series>.csv``.
 
+Apart from the drawn files, a gap-free synth groove's ``drift.final_s`` is 0
+up to a stated rounding bound.
+
 A file with no interval within the cutoff has no base unit: it exits 2 and
 writes nothing. So may a drawn file under a tight ``--max-multiple``, and a
 gappy one left with fewer than 8 onsets exits 1.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groovekit.analysis import DFA_SERIES
 from groovekit.cli import main
+from groovekit.onsets import read_onsets_csv
 
 HEADER = "index,time_s,amplitude,label,source\r\n"
 # what a run that writes no report may say, by exit code: too few onsets
@@ -159,3 +167,31 @@ def test_report_invariants(data, capsys):
 
         for profile in report["phrase"].values():
             assert all(n <= profile["n_phrases"] for n in profile["n"])
+
+
+@pytest.mark.parametrize("groove", [
+    ["--jitter-ms", "5", "--lrc-beta", "1", "--lrc-sigma-ms", "2"],
+    ["--jitter-ms", "3", "--ramp-bpm", "96"],
+], ids=["lrc", "ramp"])
+@pytest.mark.parametrize("bars", [60, 600])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gap_free_final_drift_is_rounding(tmp_path, groove, bars, seed):
+    """With no gap, the drift sums ``tau/multiple - base`` over every interval,
+    and ``base`` is the mean of those same ``n`` normalized intervals, so the
+    sum is 0 in exact arithmetic. Each of its rounded steps (the mean's ``n``
+    additions and its division, the ``n`` subtractions of ``base`` and the
+    ``n`` additions of the running drift) errs by at most half an ulp of a
+    value no larger than the track length ``T``, so ``|final_s|`` stays under
+    ``2 n ulp(T)``. Measured over 96 gap-free grooves (seeds 0-7; 16, 60, 300
+    and 1200 bars; plain, with LRC noise, and ramped from 84 to 96 BPM): at
+    most 0.0034 n ulp(T), or 26 ulp(T). A base unit other than that mean
+    shows far above the bound."""
+    csv_path, out = tmp_path / "groove.csv", tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "-o", str(csv_path), "--bars", str(bars), "--seed", str(seed), *groove]) == 0
+        assert main(["analyze", str(csv_path), "--out-dir", str(out)]) == 0
+    drift = json.loads((out / "report.json").read_text())["drift"]
+    times = read_onsets_csv(csv_path).times()
+    n, track_s = len(times) - 1, float(times[-1] - times[0])
+    assert drift["gap_count"] == 0
+    assert abs(drift["final_s"]) < 2 * n * math.ulp(track_s), drift
