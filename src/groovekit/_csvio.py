@@ -365,15 +365,16 @@ def read_rows(path, header: list[str], kind: str, parse):
     quoted field that spans lines does not shift the numbers after it.
 
     A leading UTF-8 byte order mark (as spreadsheets save "CSV UTF-8") is
-    skipped. An empty file, a different first row, text that is not UTF-8, a
-    row ``csv.reader`` rejects, or a row on which ``parse`` raises
+    skipped, and so are blank lines before the header. A file of blank lines
+    only, a different first row, text that is not UTF-8, a row
+    ``csv.reader`` rejects, or a row on which ``parse`` raises
     :class:`ValueError` raises :class:`FormatError` naming the file (and the
     line, for a row).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
+            first = next(filter(None, reader), None)
             if first is None:
                 raise FormatError(f"{path!s}: empty {kind} file")
             if first != header:

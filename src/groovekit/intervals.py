@@ -132,18 +132,32 @@ def intervals(onsets: OnsetSeries) -> IntervalSeries:
 
 
 def _first_edge(taus: np.ndarray, width_s: float) -> float:
-    """The multiple of ``width_s`` at or below the shortest interval, once
-    every interval is known to be a finite number of bins long."""
-    if not taus.max() < np.finfo(np.float64).max * width_s:
-        raise EstimationError(
-            f"intervals up to {taus.max():g} s are too long to count in {width_s * 1e3:g} ms bins"
-        )
-    return np.floor(taus.min() / width_s) * width_s
+    """The multiple of ``width_s`` at or below the shortest interval."""
+    if taus.max() < np.finfo(np.float64).max * width_s:
+        first = np.floor(taus.min() / width_s)
+        if first * width_s > taus.min():  # the quotient rounded up to a whole number
+            first -= 1
+        # from 2**53 bins on, one bin less can be the same float
+        if first * width_s <= taus.min():
+            return first * width_s
+    raise EstimationError(
+        f"intervals up to {taus.max():g} s are too long to count in {width_s * 1e3:g} ms bins"
+    )
+
+
+def _bin_index(taus: np.ndarray, lo: float, width_s: float) -> np.ndarray:
+    """Index k, as a float, of the bin ``[lo + w*k, lo + w*(k + 1))`` that
+    holds each interval, for ``lo`` at or below every interval."""
+    k = np.floor((taus - lo) / width_s)
+    # the quotient can round one bin off either way; the edges decide
+    k -= lo + width_s * k > taus
+    k += lo + width_s * (k + 1) <= taus
+    return k
 
 
 def _histogram(taus: np.ndarray, width_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts and edges of bins ``width_s`` wide, the first edge at
-    :func:`_first_edge`."""
+    :func:`_first_edge`, counting every interval."""
     lo = _first_edge(taus, width_s)
     span = np.ceil((taus.max() - lo) / width_s)
     if not span < np.iinfo(np.intp).max // 8:  # more float64 edges than one array holds
@@ -151,9 +165,8 @@ def _histogram(taus: np.ndarray, width_s: float) -> tuple[np.ndarray, np.ndarray
             f"intervals spread over {taus.max() - taus.min():g} s need more "
             f"{width_s * 1e3:g} ms histogram bins than an array can hold"
         )
-    n_bins = max(1, int(span) + 1)
-    edges = lo + width_s * np.arange(n_bins + 1)
-    counts, _ = np.histogram(taus, bins=edges)
+    counts = np.bincount(_bin_index(taus, lo, width_s).astype(np.intp), minlength=int(span) + 1)
+    edges = lo + width_s * np.arange(len(counts) + 1)
     return counts, edges
 
 
@@ -161,21 +174,22 @@ def _seed_from_minimum_mode(taus: np.ndarray) -> float:
     """Center of the lowest well-populated histogram bin.
 
     Picks the shortest interval cluster (the singles) while ignoring stray
-    short outliers that fill no bin. Only occupied bins are counted, each
-    value placed against the edges ``lo + w*k`` as :func:`_histogram` would
-    place it, so a long gap costs no memory.
+    short outliers that fill no bin. Only occupied bins are counted, so a
+    long gap costs no memory.
     """
     w = SEED_BIN_S
     lo = _first_edge(taus, w)
-    k = np.floor((taus - lo) / w)
-    # the quotient can round one bin off either way; the edges decide
-    k -= lo + w * k > taus
-    k += lo + w * (k + 1) <= taus
-    bins, counts = np.unique(k[k >= 0], return_counts=True)
-    if len(counts):
-        first = np.argmax(counts >= max(1.0, 0.5 * counts.max()))
-        return float(lo + w * bins[first] + 0.5 * w)
-    return float(np.median(taus))
+    bins, counts = np.unique(_bin_index(taus, lo, w), return_counts=True)
+    first = np.argmax(counts >= max(1.0, 0.5 * counts.max()))
+    return float(lo + w * bins[first] + 0.5 * w)
+
+
+def _class_multiples(ratios: np.ndarray, max_multiple: float) -> np.ndarray:
+    """Class multiple of each ratio to the base unit: 1 below 1.5, 2 below
+    2.5, 3 up to ``max_multiple``, 0 (discarded) beyond."""
+    multiples = 1 + (ratios >= 1.5).astype(np.int8) + (ratios >= 2.5)
+    multiples[ratios > max_multiple] = 0
+    return multiples
 
 
 def estimate_base_unit(
@@ -186,10 +200,11 @@ def estimate_base_unit(
     """Fixed-point estimate of the eighth-note-triplet duration.
 
     Starting from ``60/(hint_bpm*6)`` (12 triplet units per half-time shuffle
-    bar) or from the minimum-mode of the interval histogram, each interval's
-    ratio to the current estimate is rounded to the nearest of {1, 2, 3}
-    (ratios beyond ``max_multiple`` are ignored) and the estimate becomes the
-    mean normalized duration. Stops when the update falls below 0.1 ms.
+    bar) or from the minimum-mode of the interval histogram, each interval is
+    classed against the current estimate in the bands of
+    :func:`classify_intervals` (intervals beyond ``max_multiple`` are
+    ignored), and the estimate becomes the mean normalized duration. Stops
+    when the update falls below 0.1 ms.
     """
     if len(series) == 0:
         raise ParameterError("cannot estimate a base unit from an empty series")
@@ -206,9 +221,8 @@ def estimate_base_unit(
     else:
         base = _seed_from_minimum_mode(taus)
     for step in range(BASE_UNIT_MAX_ITER):
-        ratios = taus / base
-        rounded = np.clip(np.round(ratios), 1, 3)
-        keep = ratios <= max_multiple
+        multiples = _class_multiples(taus / base, max_multiple)
+        keep = multiples > 0
         if not np.any(keep):
             if step == 0 and hint_bpm is not None:
                 raise EstimationError(
@@ -216,7 +230,7 @@ def estimate_base_unit(
                     "against which no interval is within the class cutoff"
                 )
             raise EstimationError("no intervals within the class cutoff; base unit undefined")
-        new_base = float(np.mean(taus[keep] / rounded[keep]))
+        new_base = float(np.mean(taus[keep] / multiples[keep]))
         if abs(new_base - base) < BASE_UNIT_TOL_S:
             return new_base
         base = new_base
@@ -239,13 +253,11 @@ def classify_intervals(
 
     Ratio bands: under 1.5 is a single, [1.5, 2.5) a double, [2.5,
     ``max_multiple``] a triple; anything beyond comes from missing onsets and
-    is discarded (``valid=False``).
+    is discarded (multiple 0).
     """
     _check_base(base)
     taus = series.taus()
-    multiples = np.digitize(taus / base, (1.5, 2.5)) + 1
-    multiples[taus / base > max_multiple] = 0
-    return IntervalSeries(taus, multiples)
+    return IntervalSeries(taus, _class_multiples(taus / base, max_multiple))
 
 
 def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:

@@ -166,6 +166,26 @@ class TestAnalyzeCommand:
             onset_rows = list(csv.DictReader(fh))
         assert [r["time_s"] for r in drift_rows] == [r["time_s"] for r in onset_rows[1:]]
 
+    def test_histograms_count_every_interval_of_their_class(self, tmp_path):
+        # the shortest single is exactly 0.208 s, and 0.208 / 0.002 rounds up to 104
+        taus_us = [208_000] + [420_000, 209_000, 420_000, 210_000] * 20
+        times = np.concatenate(([0], np.cumsum(taus_us))) / 1e6
+        onsets_csv, out_dir = tmp_path / "g.csv", tmp_path / "out"
+        write_onsets_csv(onsets_csv, series_from_times(times))
+        assert run_cli("analyze", str(onsets_csv), "--out-dir", str(out_dir)) == 0
+        counts = json.loads((out_dir / "report.json").read_text())["interval_counts"]
+        assert (counts["single"], counts["double"]) == (41, 40)
+        for klass in ("single", "double", "triple"):
+            path = out_dir / f"histogram_{klass}s.csv"
+            if not counts[klass]:
+                assert not path.exists()
+                continue
+            with open(path) as fh:
+                rows = list(csv.DictReader(fh))
+            assert sum(int(r["count"]) for r in rows) == counts[klass], klass
+            if klass == "single":
+                assert rows[0]["bin_start_ms"] == "206.000"
+
     def test_too_few_onsets_exit_1(self, tmp_path, capsys):
         onsets_csv = tmp_path / "few.csv"
         write_onsets_csv(onsets_csv, series_from_times([0.1, 0.2, 0.3]))

@@ -277,6 +277,10 @@ CASES = {
     "two_onsets": lambda: (series_from_times([0.5, 0.62]), 0.12, 3.5, None, None),
     "all_discarded": lambda: (series_from_times(np.arange(10) * 1.0), 0.1, 3.5, None, None),
     "no_complete_phrase": lambda: (_groove(1, 7), None, 3.5, None, None),
+    # intervals of exactly 1.5, 2.5, 3.5 (the cutoff) and 1 base units
+    "band_edges": lambda: (
+        series_from_times([0.0, 0.1875, 0.5, 0.9375, 1.0625]), 0.125, 3.5, None, None
+    ),
 }
 
 

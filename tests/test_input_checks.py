@@ -265,6 +265,37 @@ class TestCsvHeaders:
             read_edits_csv(path)
         assert str(exc.value) == f"{path}: empty edit file"
 
+    @pytest.mark.parametrize("blank", ["\n", "\r\n\n", "\ufeff\n\n"], ids=["lf", "crlf-lf", "bom"])
+    def test_annotation_after_blank_lines(self, tmp_path, blank):
+        groove, padded = tmp_path / "groove.csv", tmp_path / "padded.csv"
+        assert main(["synth", "-o", str(groove), "--bars", "4"]) == 0
+        padded.write_text(blank + groove.read_text(), encoding="utf-8")
+        reports = []
+        for path in (groove, padded):
+            out = tmp_path / f"out_{path.stem}"
+            assert main(["analyze", str(path), "--out-dir", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report.pop("input") == str(path)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_sections_after_blank_lines(self, tmp_path):
+        path = tmp_path / "sections.csv"
+        path.write_text("\n\r\nstart_s,end_s,tag\n0.0,1.5,B-chorus\n")
+        assert read_sections_csv(path).sections == (Section(0.0, 1.5, "B-chorus"),)
+
+    def test_edits_after_blank_lines(self, tmp_path):
+        path = tmp_path / "edits.csv"
+        path.write_text("\n\nkind,target_time_s,new_time_s,label\nadd,0.25,,hihat\n")
+        assert read_edits_csv(path) == [AnnotationEdit("add", 0.25, None, "hihat")]
+
+    def test_blank_lines_only_are_named_as_empty(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n")
+        assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"groovekit: {path}: empty annotation file\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestShortAudio:
     @pytest.mark.parametrize("n_samples", [0, 10, 15])

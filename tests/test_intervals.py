@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from groovekit import (
     BeatClass,
+    EstimationError,
     ParameterError,
     Section,
     SectionMap,
@@ -97,6 +98,20 @@ class TestEstimateBaseUnit:
         with pytest.raises(ParameterError):
             estimate_base_unit(IntervalSeries((), ()))
 
+    def test_fixed_point_classes_as_classify_does_at_two_and_a_half(self):
+        from groovekit import IntervalSeries
+
+        # against the hint's base of exactly 0.1 s, 0.25 s is 2.5 units: a triple
+        taus = np.array([0.1] * 20 + [0.25])
+        series = IntervalSeries(taus, np.full(len(taus), -1))
+        hint_base = 60.0 / (100.0 * 6.0)
+        assert classify_intervals(series, hint_base).multiples()[-1] == BeatClass.TRIPLE.multiple
+        base = estimate_base_unit(series, hint_bpm=100.0)
+        for at in (hint_base, base):
+            multiples = classify_intervals(series, at).multiples()
+            assert base == np.mean(taus / multiples)
+        assert base == pytest.approx((20 * 0.1 + 0.25 / 3) / 21, abs=1e-12)
+
 
 def _dense_seed(taus):
     """The base-unit seed read off the full 4 ms histogram, every bin from
@@ -121,6 +136,19 @@ def _seed_taus(draw):
             edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), edge + 0.5 * SEED_BIN_S,
         ])))
     values += draw(st.lists(st.floats(0.0, 3000 * SEED_BIN_S).map(lambda x: lo + x), max_size=10))
+    return np.array(values)
+
+
+@st.composite
+def _histogram_taus(draw):
+    """Whole multiples of a 2 ms bin, the floats beside them, and values
+    between them, from 2 ms to 20 s."""
+    values = []
+    for k in draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=30)):
+        edge = k * 2e-3
+        values.append(draw(st.sampled_from([
+            edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), edge + 1e-3,
+        ])))
     return np.array(values)
 
 
@@ -219,6 +247,20 @@ class TestIntervalStats:
         stats = interval_stats(series)
         assert abs(stats["single"]["mean_s"] - 0.128) <= 1e-3
         assert abs(stats["single"]["std_s"] - 0.008) <= 1.5e-3
+
+    @given(_histogram_taus())
+    @example(np.array([0.208, 0.21, 0.212]))  # 0.208 / 0.002 rounds up to 104
+    @settings(max_examples=300, deadline=None)
+    def test_histogram_counts_every_interval(self, taus):
+        counts, edges = _histogram(taus, 2e-3)
+        assert counts.sum() == len(taus)
+        assert edges[0] <= taus.min()
+        np.testing.assert_array_equal(counts, np.histogram(taus, bins=edges)[0])
+
+    def test_histogram_past_2_53_bins_is_too_long_to_count(self):
+        # 1.4485449323423048e18 / 0.002 rounds up, and one bin less rounds to the same edge
+        with pytest.raises(EstimationError, match="too long to count in 2 ms bins"):
+            _histogram(np.array([1.4485449323423048e18]), 2e-3)
 
     def test_histogram_covers_all_values(self):
         series = classify_intervals(intervals(_grid_series([1, 2] * 30)), base=0.120)
