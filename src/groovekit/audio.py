@@ -79,51 +79,52 @@ class EnvelopeSignal:
 
     ``source_max`` keeps the pre-normalization peak so absolute units can be
     recovered; ``silent`` marks an all-zero input that was left unnormalized.
+    ``values`` are finite and read-only; the constructor copies them. Their
+    maximum is kept as ``_max`` (0.0 when there are none), which detection
+    reads instead of scanning.
     """
 
     values: np.ndarray
     sample_rate: float
     source_max: float
     silent: bool = False
-    # the values' maximum when it is known without a scan (see _checked), else
-    # None; a class attribute, not a field
-    _max = None
 
     def __post_init__(self):
         _check_rate(self.sample_rate)
-        values = np.asarray(self.values, dtype=np.float64)
-        # a reduction, not a clip-sized mask; fmin skips NaN, which detection rejects
+        values = np.array(self.values, dtype=np.float64)
+        # reductions, not a clip-sized mask; fmin skips NaN, and a NaN makes max() NaN
         if values.size and np.fmin.reduce(values, axis=None) < 0:
             raise ParameterError("envelope values must be non-negative")
+        peak = float(values.max()) if values.size else 0.0
+        if not math.isfinite(peak):
+            raise ParameterError("envelope values must be finite")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_max", peak)
 
     @classmethod
     def _checked(
-        cls, values: np.ndarray, sample_rate: float, source_max: float, silent: bool, finite: bool = False
+        cls, values: np.ndarray, sample_rate: float, source_max: float, silent: bool, maximum: float
     ) -> EnvelopeSignal:
-        """An envelope of float64 ``values`` that are non-negative (or NaN) by
-        construction, at a checked rate: built without scanning them again.
-        ``finite`` says that ``values`` were divided by ``source_max`` and
-        that every value was finite before the divide; the maximum is then
-        exactly 1.0 (``P / P`` is 1.0, and ``u <= P`` gives ``u / P <= 1``
-        under correct rounding), and is kept as ``_max``, which detection
-        trusts instead of scanning: so only for values that nothing changes
-        afterwards (:func:`envelope`'s caller may, so it keeps none).
+        """An envelope of finite, non-negative float64 ``values`` whose
+        maximum is ``maximum``, at a checked rate: built without scanning
+        them again, and without a copy, so ``values`` are marked read-only.
 
         :func:`envelope` builds its values so: ``|x|`` is +0.0 or positive,
         the one-pole smoother scales it by ``1 - a >= 0`` and its state by
         ``a >= 0`` (``a = exp(-1/(smoothing_ms * 1e-3 * rate))`` lies in
         [0, 1]), and sums and products of non-negative floats are
-        non-negative or +inf; the division is by a positive peak, so a value
-        is non-negative, or NaN where an infinite one meets an infinite peak.
+        non-negative; it rejects a non-finite peak, and divides by a positive
+        finite one, so the maximum is exactly 1.0 (``P / P`` is 1.0, and
+        ``u <= P`` gives ``u / P <= 1`` under correct rounding).
         """
+        values.setflags(write=False)
         env = object.__new__(cls)
         object.__setattr__(env, "values", values)
         object.__setattr__(env, "sample_rate", sample_rate)
         object.__setattr__(env, "source_max", source_max)
         object.__setattr__(env, "silent", silent)
-        if finite:
-            object.__setattr__(env, "_max", 1.0)
+        object.__setattr__(env, "_max", maximum)
         return env
 
     @property
@@ -515,10 +516,7 @@ def envelope(clip: AudioClip, smoothing_ms: float = 2.0) -> EnvelopeSignal:
     a time into the output array, the smoother's state carried across blocks,
     so the call holds one clip-sized buffer.
     """
-    env = _envelope_into(clip, smoothing_ms, out=np.empty(len(clip.samples)))
-    # the caller holds these values and may change them, so their maximum is
-    # not kept: detection scans them (and checks them finite)
-    return EnvelopeSignal._checked(env.values, env.sample_rate, env.source_max, env.silent)
+    return _envelope_into(clip, smoothing_ms, out=np.empty(len(clip.samples)))
 
 
 # the smoother's warm-up before a split point is read through scratch
@@ -552,16 +550,13 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
 
     At the join this thread's exact state at ``S`` is compared with the
     tail's, bitwise. If the exact state at ``S - W`` was finite, the sandwich
-    makes them equal. They differ only when it was not: an infinite value
-    (an overflow, or a non-finite sample in a clip built without the finite
-    check) makes ``z1 = 0 * inf`` NaN, the state stays NaN from there, and
-    every later output is that NaN whatever the (finite) input. So the tail
-    is rerun from the exact state, over zeros, since ``out`` may hold the
-    helper's values, NaN among them, where the input was.
+    makes them equal. They differ only when it was not, which a non-finite
+    output before ``S`` shows, so the peak check below rejects the envelope.
 
     The peak is the NaN-propagating maximum of the block maxima, so it is
-    the sequential loop's wherever ``S`` cuts a block, and a non-finite
-    envelope keeps a NaN peak, which leaves its maximum unknown.
+    the sequential loop's wherever ``S`` cuts a block. A peak that is not
+    finite (a non-finite sample, in a clip built without the finite check)
+    raises :class:`ParameterError`.
     """
     if not 0 < smoothing_ms < np.inf:
         raise ParameterError("smoothing_ms must be positive and finite")
@@ -592,22 +587,20 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
             _smooth(sos, x, out, split, n, z, maxima)
         elif taken[0].tobytes() == z.tobytes():
             maxima += taken[1]
-        else:
-            if np.isfinite(z).all():
-                raise RuntimeError("the envelope's split tail does not continue its exact state")
-            out[split:] = 0.0
-            _smooth(sos, out, out, split, n, z, maxima)
+        elif np.isfinite(z).all():
+            raise RuntimeError("the envelope's split tail does not continue its exact state")
     peak = float(np.max(maxima)) if maxima else 0.0
+    if not math.isfinite(peak):
+        raise ParameterError(f"envelope values must be finite: the samples{_of(clip)} smooth to {peak}")
     if peak <= 0.0:  # every smoothed value is then +0.0
-        return EnvelopeSignal._checked(out, clip.sample_rate, 0.0, True)
+        return EnvelopeSignal._checked(out, clip.sample_rate, 0.0, True, 0.0)
     if tail is None:
         np.divide(out, peak, out=out)
     else:
         half = helper[0].submit(np.divide, out[n // 2:], peak, out=out[n // 2:])
         np.divide(out[:n // 2], peak, out=out[:n // 2])
         half.result()
-    finite = bool(np.isfinite(maxima).all())
-    return EnvelopeSignal._checked(out, clip.sample_rate, peak, False, finite)
+    return EnvelopeSignal._checked(out, clip.sample_rate, peak, False, 1.0)
 
 
 def _smooth(sos, x, out, start, stop, z, maxima) -> np.ndarray:

@@ -74,8 +74,10 @@ def default_scales(n: int, s_max: int | None = None) -> np.ndarray:
     if s_max < MIN_SCALE:
         raise ParameterError(f"series too short for scales >= {MIN_SCALE} (max is {s_max})")
     count = max(2, int(np.ceil(SCALES_PER_DECADE * np.log10(s_max / MIN_SCALE))) + 1)
-    grid = np.geomspace(MIN_SCALE, s_max, num=count)
-    return np.unique(np.round(grid).astype(np.int64))
+    grid = np.round(np.geomspace(MIN_SCALE, s_max, num=count)).astype(np.int64)
+    # rounded from an increasing grid, so repeats are neighbours: np.unique
+    # without its sort, nor its import of numpy.ma on a process's first call
+    return grid[np.r_[True, grid[1:] != grid[:-1]]]
 
 
 @lru_cache(maxsize=256)

@@ -137,8 +137,8 @@ def _first_edge(taus: np.ndarray, width_s: float) -> float:
         first = np.floor(taus.min() / width_s)
         if first * width_s > taus.min():  # the quotient rounded up to a whole number
             first -= 1
-        # from 2**53 bins on, one bin less can be the same float
-        if first * width_s <= taus.min():
+        # from 2**52 bins on, consecutive edges stop being distinct floats
+        if first < 2.0**52 and first * width_s <= taus.min():
             return first * width_s
     raise EstimationError(
         f"intervals up to {taus.max():g} s are too long to count in {width_s * 1e3:g} ms bins"
@@ -206,6 +206,7 @@ def estimate_base_unit(
     ignored), and the estimate becomes the mean normalized duration. Stops
     when the update falls below 0.1 ms.
     """
+    _check_max_multiple(max_multiple)
     if len(series) == 0:
         raise ParameterError("cannot estimate a base unit from an empty series")
     taus = series.taus()
@@ -244,6 +245,11 @@ def _check_base(base: float) -> None:
         raise ParameterError(f"base unit must be positive and finite, got {base}")
 
 
+def _check_max_multiple(max_multiple: float) -> None:
+    if not 0.0 < max_multiple < math.inf:
+        raise ParameterError(f"max_multiple must be positive and finite, got {max_multiple}")
+
+
 def classify_intervals(
     series: IntervalSeries,
     base: float,
@@ -256,6 +262,7 @@ def classify_intervals(
     is discarded (multiple 0).
     """
     _check_base(base)
+    _check_max_multiple(max_multiple)
     taus = series.taus()
     return IntervalSeries(taus, _class_multiples(taus / base, max_multiple))
 

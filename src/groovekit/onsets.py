@@ -294,7 +294,7 @@ def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
         if len(scratch) < len(block):
             scratch = np.empty(len(block))
         # values below height zeroed (a -0.0 among them turns +0.0, which
-        # find_peaks treats alike); the values are finite, as detect_onsets checked
+        # find_peaks treats alike); the values are finite, as EnvelopeSignal checked
         masked = scratch[:len(block)]
         masked.fill(0.0)
         np.copyto(masked, block, where=block >= height)
@@ -360,12 +360,7 @@ def detect_onsets(
     if env.silent or len(values) < 3:
         return OnsetSeries((), (), (), ())
 
-    # an envelope that audio built from finite values knows its maximum, 1.0;
-    # any other is scanned
-    peak = env._max if env._max is not None else float(np.max(values))
-    if not math.isfinite(peak):
-        raise ParameterError("envelope values must be finite")
-    height = threshold * peak
+    height = threshold * env._max
     samples = refractory_ms * 1e-3 * env.sample_rate
     if samples == math.inf:
         raise ParameterError(f"refractory_ms {refractory_ms:g} overflows at sample rate {env.sample_rate:g}")

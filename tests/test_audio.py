@@ -212,66 +212,80 @@ class TestEnvelope:
         assert scaled.source_max == pytest.approx(scale * base.source_max, rel=1e-9)
 
     def test_known_maximum_is_one(self):
-        """The in-place envelope marks that every value was finite before its
-        divide, so its maximum is exactly 1.0 and detect_onsets need not scan
-        for it; envelope() and the public constructor leave it unknown, and
-        detection gives the same onsets either way."""
+        """Every envelope records its values' maximum, so detect_onsets need
+        not scan for it: exactly 1.0 from the in-place envelope and from
+        envelope(), 0.0 when silent, and the scanned maximum from the public
+        constructor. Detection gives the same onsets from each."""
         samples = np.random.default_rng(5).normal(size=20000)
         samples[::997] *= 40.0
         clip = AudioClip(samples=samples, sample_rate=8000.0)
         env = audio_mod._envelope_into(clip, 2.0, out=clip.samples.copy())
         assert env._max == 1.0 == np.max(env.values)
         public = envelope(clip)
-        assert public._max is None and public.values.tobytes() == env.values.tobytes()
-        built = EnvelopeSignal(env.values.copy(), env.sample_rate, env.source_max, env.silent)
-        assert built._max is None
+        assert public._max == 1.0 and public.values.tobytes() == env.values.tobytes()
+        built = EnvelopeSignal(env.values, env.sample_rate, env.source_max, env.silent)
+        assert built._max == 1.0
+        halved = EnvelopeSignal(env.values / 2, env.sample_rate, env.source_max, env.silent)
+        assert halved._max == 0.5 == np.max(halved.values)
         assert len(detect_onsets(env, threshold=0.2, refractory_ms=5.0)) > 10
         for other in (public, built):
             assert detect_onsets(env, threshold=0.2, refractory_ms=5.0) == detect_onsets(
                 other, threshold=0.2, refractory_ms=5.0)
-        assert envelope(AudioClip(samples=np.zeros(100), sample_rate=8000.0))._max is None
+        got = detect_onsets(halved, threshold=0.2, refractory_ms=5.0)
+        want = detect_onsets(env, threshold=0.2, refractory_ms=5.0)
+        assert got.times().tobytes() == want.times().tobytes()
+        assert envelope(AudioClip(samples=np.zeros(100), sample_rate=8000.0))._max == 0.0
+        assert EnvelopeSignal(np.zeros(0), 8000.0, 0.0, True)._max == 0.0
 
     @pytest.mark.parametrize("edit", ["gate", "rescale", "inf", "nan"])
     def test_envelope_edited_in_place_is_scanned(self, edit):
-        """envelope() hands its values to the caller, who may change them in
-        place; detection must then take the threshold from their true
-        maximum and reject a non-finite value, as for a constructed one."""
+        """The values of envelope() and of the constructor are read-only, so
+        the maximum they recorded cannot go stale. Edited values are a new
+        envelope: the constructor takes the threshold's maximum from them,
+        and rejects a non-finite value."""
         samples = np.random.default_rng(7).normal(size=20000)
         samples[::997] *= 40.0
         env = envelope(AudioClip(samples=samples, sample_rate=8000.0))
-        top = int(np.argmax(env.values))
+        built = EnvelopeSignal(env.values, env.sample_rate, env.source_max, env.silent)
+        values = env.values.copy()
+        top = int(np.argmax(values))
         if edit == "gate":
-            env.values[max(top - 50, 0):top + 50] = 0.0
+            values[max(top - 50, 0):top + 50] = 0.0
         elif edit == "rescale":
-            env.values[:] *= 0.25
+            values[:] *= 0.25
         else:
-            env.values[top] = np.inf if edit == "inf" else np.nan
-        built = EnvelopeSignal(env.values.copy(), env.sample_rate, env.source_max, env.silent)
+            values[top] = np.inf if edit == "inf" else np.nan
+        for e in (env, built):
+            assert not e.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                e.values[...] = values
         if edit in ("inf", "nan"):
-            for e in (env, built):
-                with pytest.raises(ParameterError, match="must be finite"):
-                    detect_onsets(e)
-        else:
-            got = detect_onsets(env, threshold=0.2, refractory_ms=5.0)
-            assert len(got) > 10
-            assert got == detect_onsets(built, threshold=0.2, refractory_ms=5.0)
+            with pytest.raises(ParameterError, match="must be finite"):
+                EnvelopeSignal(values, env.sample_rate, env.source_max, env.silent)
+            return
+        edited = EnvelopeSignal(values, env.sample_rate, env.source_max, env.silent)
+        assert edited._max == np.max(values) < 1.0
+        got = detect_onsets(edited, threshold=0.2, refractory_ms=5.0)
+        assert len(got) > 10
+        assert np.min(got.amplitudes()) >= 0.2 * edited._max
+        if edit == "rescale":  # a power-of-two scale moves no peak
+            want = detect_onsets(env, threshold=0.2, refractory_ms=5.0)
+            assert got.times().tobytes() == want.times().tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_envelope_has_no_known_maximum(self, bad):
         """A clip built without the finite check can hold an infinite or NaN
-        sample; its envelope is not finite, so its maximum is not known and
-        detection scans and rejects it, as it rejects such a public one."""
+        sample; its envelope is not finite, so it has no maximum and is
+        rejected where it is built, as the constructor rejects such values."""
         samples = np.random.default_rng(6).normal(size=_BLOCK + 5000)
         samples[_BLOCK + 1000] = bad
         clip = AudioClip._checked(samples, 8000.0, 1)
-        env = audio_mod._envelope_into(clip, 2.0, out=np.empty(len(samples)))
-        assert env._max is None and not np.isfinite(env.values).all()
         with pytest.raises(ParameterError, match="must be finite"):
-            detect_onsets(env)
+            audio_mod._envelope_into(clip, 2.0, out=np.empty(len(samples)))
         values = np.linspace(0.0, 1.0, 50)
-        values[20] = np.inf
+        values[20] = bad
         with pytest.raises(ParameterError, match="must be finite"):
-            detect_onsets(EnvelopeSignal(values, 8000.0, 1.0))
+            EnvelopeSignal(values, 8000.0, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(

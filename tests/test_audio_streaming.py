@@ -14,8 +14,9 @@ The tempogram branch itself must hold its outputs and one small block.
 Given a helper thread, the envelope's smoother hands it the second half of
 the clip once the thread is idle, and the result must still be the bytes of
 the sequential loop: for any signal, split point and smoothing, when the
-helper's warm-up does not coalesce, when the exact state is already NaN at
-the split, when the helper is busy, and when the helper raises. The commands
+helper's warm-up does not coalesce, when the helper is busy, and when the
+helper raises; a non-finite sample is rejected with or without a split,
+also when the exact state is already NaN at the split. The commands
 that lend the envelope a thread must leave none behind.
 """
 
@@ -200,9 +201,9 @@ def test_fused_path_matches_public_composition(tmp_path, encoding, channels, n):
     assert env.values.tobytes() == want_env.values.tobytes()
     assert (env.sample_rate, env.source_max, env.silent) == (
         want_env.sample_rate, want_env.source_max, want_env.silent)
-    # the fused path's envelope is held by nobody else, so it keeps its
-    # known maximum; envelope() hands its values out and keeps none
-    assert (env._max, want_env._max) == (1.0, None)
+    # both envelopes know their maximum, and neither's values can be changed
+    assert (env._max, want_env._max, env.values.flags.writeable, want_env.values.flags.writeable) == (
+        1.0, 1.0, False, False)
     assert len(series) > 10
     for got_col, want_col in zip(series._cols, want._cols):
         assert got_col.tobytes() == want_col.tobytes()
@@ -434,24 +435,32 @@ def test_near_max_samples_make_the_upper_bound_overflow(monkeypatch):
     _assert_same_envelope(got, _sequential(x, 2.0))
 
 
+def _assert_both_reject(x, smoothing_ms, **kwargs):
+    """The sequential loop and the split one reject ``x``'s envelope as not
+    finite, and the split leaves no thread running."""
+    with pytest.raises(ParameterError, match="envelope values must be finite"):
+        _sequential(x, smoothing_ms)
+    before = set(threading.enumerate())
+    with pytest.raises(ParameterError, match="envelope values must be finite"):
+        _with_helper(x, smoothing_ms, **kwargs)
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "separate-out"])
 def test_state_already_nan_at_the_split_reruns_the_tail(monkeypatch, bad, in_place):
     """An infinite or NaN sample early on (in a clip built without the finite
     check) makes the exact state NaN long before the split. The helper's
     warm-up, over finite samples, still coalesces, so it smooths the tail
-    from a finite state; the join sees the mismatch and reruns the tail from
-    the NaN state, whose outputs are that NaN whatever the input was."""
+    from a finite state; the join sees the mismatch, and the NaN peak of the
+    blocks before the split rejects the envelope, as the sequential loop's
+    NaN peak does."""
     _small_blocks(monkeypatch)
     tails = _spy_tails(monkeypatch)
     x = _signal_of("clicks", 2 * _warmup_at(2.0) + 8 * SMALL_BLOCK + 333, seed=5)
     x[100] = bad
-    got = _with_helper(x, 2.0, in_place=in_place)
+    _assert_both_reject(x, 2.0, in_place=in_place)
     assert len(tails) == 1 and tails[0] is not None and np.isfinite(tails[0][0]).all()
-    want = _sequential(x, 2.0)
-    assert np.isnan(want.values[-1])
-    _assert_same_envelope(got, want)
-    assert got._max is None
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -459,15 +468,16 @@ def test_state_already_nan_at_the_split_reruns_the_tail(monkeypatch, bad, in_pla
 def test_non_finite_sample_in_the_first_block_is_rejected(monkeypatch, bad, helper):
     """An infinite or NaN sample in the first block (of a clip built without
     the finite check) makes that block's maximum and every later one NaN.
-    The peak is then NaN, not 0: the envelope is not flagged silent, its
-    maximum is unknown, and detection scans it and raises."""
+    The peak is then NaN, not 0, so the envelope is rejected rather than
+    flagged silent."""
     _small_blocks(monkeypatch)
     x = _signal_of("clicks", 2 * _warmup_at(2.0) + 8 * SMALL_BLOCK + 333, seed=14)
     x[10] = bad
-    env = _with_helper(x, 2.0) if helper else _sequential(x, 2.0)
-    assert not env.silent and np.isnan(env.source_max) and env._max is None
-    with pytest.raises(ParameterError, match="must be finite"):
-        detect_onsets(env)
+    if helper:
+        _assert_both_reject(x, 2.0)
+    else:
+        with pytest.raises(ParameterError, match="envelope values must be finite"):
+            _sequential(x, 2.0)
 
 
 @pytest.mark.parametrize("where", ["after-the-split", "before-and-after"])
@@ -475,9 +485,9 @@ def test_non_finite_sample_in_the_first_block_is_rejected(monkeypatch, bad, help
 def test_nan_just_after_the_split(monkeypatch, where, extra):
     """The clip's largest value just before ``S`` and an infinite sample just
     after it, with the split mid-block or on a block end: the peak is NaN, as
-    the sequential loop's is, however the block maxima fall on either side.
-    With a bad sample before ``S - W`` as well, the tail is rerun from a NaN
-    state over values the helper wrote, some of them NaN themselves."""
+    the sequential loop's is, however the block maxima fall on either side,
+    so both reject the envelope. With a bad sample before ``S - W`` as well,
+    the states also differ at the join."""
     _small_blocks(monkeypatch)
     tails = _spy_tails(monkeypatch)
     n = 2 * (2 * _warmup_at(2.0) + 4 * SMALL_BLOCK + extra)
@@ -488,11 +498,8 @@ def test_nan_just_after_the_split(monkeypatch, where, extra):
     x[split + 10] = np.inf
     if where == "before-and-after":
         x[100] = np.inf
-    got = _with_helper(x, 2.0)
+    _assert_both_reject(x, 2.0)
     assert len(tails) == 1 and tails[0] is not None
-    want = _sequential(x, 2.0)
-    assert np.isnan(want.source_max) and want._max is None
-    _assert_same_envelope(got, want)
 
 
 def test_main_thread_waits_for_the_warmup_read(monkeypatch):

@@ -243,6 +243,18 @@ class TestDfaAnalyze:
         assert np.array_equal(dfa_fluctuation(x).scales, expected)
         assert np.array_equal(dfa_analyze(x).scales, expected)
 
+    def test_default_scales_equal_the_unique_form(self):
+        """The grid drops repeated neighbours instead of calling np.unique:
+        the same array at the lengths that matter here and on a sweep."""
+        from groovekit.dfa import MIN_SCALE, SCALES_PER_DECADE
+
+        for n in [16, 64, 100, 530, 1000, 26_000, 100_000, *range(16, 20_000, 13)]:
+            s_max = n // 4
+            count = max(2, int(np.ceil(SCALES_PER_DECADE * np.log10(s_max / MIN_SCALE))) + 1)
+            want = np.unique(np.round(np.geomspace(MIN_SCALE, s_max, num=count)).astype(np.int64))
+            got = default_scales(n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+
     def test_default_scale_grid(self):
         scales = default_scales(10_000)
         assert scales[0] == 4

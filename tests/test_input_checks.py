@@ -456,6 +456,15 @@ class TestNonFiniteLibraryInputs:
         with pytest.raises(ParameterError, match="base unit must be positive and finite"):
             compute_drift(classify_intervals(series, 0.12), base)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_max_multiple_must_be_positive_and_finite(self, value):
+        # nan used to discard nothing: [0.1]*5 + [0.5] at base 0.1 gave a triple
+        series = intervals(series_from_times(np.cumsum([0.0] + [0.1] * 5 + [0.5])))
+        with pytest.raises(ParameterError, match="max_multiple must be positive and finite"):
+            classify_intervals(series, 0.1, max_multiple=value)
+        with pytest.raises(ParameterError, match="max_multiple must be positive and finite"):
+            estimate_base_unit(series, max_multiple=value)
+
     @pytest.mark.parametrize("hint", [1e308, 3e307, 5e-308, 1e-320, math.nan])
     def test_bpm_hint_without_a_finite_starting_base(self, hint):
         series = intervals(series_from_times([0.0, 0.12, 0.36]))
@@ -546,10 +555,11 @@ class TestAudioContainers:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_detect_onsets_rejects_non_finite_envelope(self, value):
+        """A non-finite envelope is rejected where it is built, so detection
+        never sees one."""
         values = np.array([0.0, 0.2, 1.0, 0.2, 0.0, 0.3, value, 0.3, 0.0])
-        env = EnvelopeSignal(values=values, sample_rate=1000.0, source_max=1.0)
         with pytest.raises(ParameterError, match="envelope values must be finite"):
-            detect_onsets(env)
+            EnvelopeSignal(values=values, sample_rate=1000.0, source_max=1.0)
 
 
 class TestSynthContract:
@@ -619,16 +629,35 @@ class TestHugeIntervals:
     """Intervals too long to bin exit 2 with one line instead of a
     ValueError traceback from the histogram."""
 
-    @pytest.mark.parametrize("n, spacing, message", [
-        (40, 1e300, "need more 2 ms histogram bins than an array can hold"),
-        (12, 1e306, "are too long to count in 4 ms bins"),
-    ])
-    def test_analyze_exit_2(self, tmp_path, capsys, n, spacing, message):
+    def _assert_exit_2(self, tmp_path, capsys, times, message, flags=()):
         path = tmp_path / "far.csv"
-        path.write_text(HEADER + "".join(f"{i},{i * spacing!r},0.5,hihat,auto\n" for i in range(n)))
+        path.write_text(HEADER + "".join(f"{i},{t!r},0.5,hihat,auto\n" for i, t in enumerate(times)))
         out = tmp_path / "out"
-        assert main(["analyze", str(path), "--out-dir", str(out)]) == 2
+        assert main(["analyze", str(path), "--out-dir", str(out), *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("groovekit: intervals ")
         assert message in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("n, spacing, message", [
+        (12, 1e306, "are too long to count in 4 ms bins"),
+    ])
+    def test_analyze_exit_2(self, tmp_path, capsys, n, spacing, message):
+        self._assert_exit_2(tmp_path, capsys, [i * spacing for i in range(n)], message)
+
+    def test_singles_spread_past_an_array_exit_2(self, tmp_path, capsys):
+        """Seven singles of 2**52 s and one of 8 s (base 0.875 * 2**52 s):
+        2.25e18 histogram bins, more than an array of edges can hold."""
+        times = [k * 2.0**52 for k in range(8)] + [7 * 2.0**52 + 8]
+        self._assert_exit_2(tmp_path, capsys, times, "need more 2 ms histogram bins than an array can hold")
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "are too long to count in 4 ms bins"),
+        (("--bpm-hint", "2e-13"), "are too long to count in 2 ms bins"),
+    ], ids=["seed", "histogram"])
+    def test_shortest_interval_past_2_52_bins_exit_2(self, tmp_path, capsys, flags, message):
+        """Singles of 5e13 s and triples of 1.5e14 s: bin edges that far out
+        are no longer distinct floats. The minimum-mode seed refuses them,
+        and so does the histogram when a hint skips the seed (base 5e13 s)."""
+        times = [i * 1e14 + (i % 2) * 5e13 for i in range(10)]
+        self._assert_exit_2(tmp_path, capsys, times, message, flags)

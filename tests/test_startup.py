@@ -119,6 +119,18 @@ def test_csv_analyze_loads_no_audio_stack(tmp_path):
         assert result == {"before": [], "rc": 0, "after": []}, bars
 
 
+def test_first_analyze_loads_no_numpy_ma(tmp_path):
+    """numpy.ma is imported by numpy's ``np.unique`` on its first use in a
+    process, which the DFA scale grid does not need: the first CSV or WAV
+    ``analyze`` of a fresh interpreter leaves it unloaded."""
+    csv_path, wav_path = tmp_path / "groove.csv", tmp_path / "groove.wav"
+    assert main(["synth", "-o", str(csv_path), "--bars", "16", "--seed", "1", "--render", str(wav_path)]) == 0
+    for path in (csv_path, wav_path):
+        result = _probe(["analyze", str(path), "--out-dir", str(tmp_path / f"out{path.suffix}")],
+                        modules=("numpy.ma",))
+        assert result == {"before": [], "rc": 0, "after": []}, path.suffix
+
+
 def test_audio_commands_load_the_audio_stack_on_first_use(tmp_path):
     """Each audio or synth command, as the first call of a fresh interpreter,
     binds the names it needs and succeeds."""
