@@ -13,12 +13,14 @@ fixed notation is ``%.{N-1-X}f`` with trailing zeros and a bare ``.``
 stripped, X being the decimal exponent after rounding to N significant
 digits; X is decided exactly against the exact powers of ten (see
 :func:`_general`). A block is written by ``fmt * rows % values`` instead
-(:func:`_percent_block`) when the format holds another conversion, a value is
-out of the encoder's range (not finite; ``|x|*10**N >= 2**52`` for ``%.Nf``;
-for ``%.Ng``, a value ``%`` writes in exponent notation, or a block whose
-values span more than 18 digits between them) or a column's dtype is not the
-one its conversion takes (integer or bool for ``%d``, floating for ``%.Nf``
-and ``%.Ng``).
+(:func:`_percent_block`) when it has fewer than ``SHORT_BLOCK_ROWS`` rows (the
+encoder costs about 70 µs a block whatever its size, which ``%`` beats below
+about 150 rows: a whole histogram, or the last block of a long file), the
+format holds another conversion, a value is out of the encoder's range (not
+finite; ``|x|*10**N >= 2**52`` for ``%.Nf``; for ``%.Ng``, a value ``%``
+writes in exponent notation, or a block whose values span more than 18
+digits between them) or a column's dtype is not the one its conversion takes
+(integer or bool for ``%d``, floating for ``%.Nf`` and ``%.Ng``).
 
 :func:`read_rows` reads any CSV the ``csv`` module reads (quoted fields
 included), parses each row with the caller's function, and reports a bad row
@@ -38,6 +40,8 @@ import numpy as np
 from .errors import FormatError
 
 BLOCK_ROWS = 4096
+# a block of fewer rows is written by ``%`` (see the module docstring)
+SHORT_BLOCK_ROWS = 128
 
 # a conversion: %d, %.Nf, %.Ng, a literal %%, or (no group) anything else
 _CONVERSION = re.compile(r"%(d|\.(\d+)([fg])|%)?")
@@ -122,15 +126,16 @@ def write_rows(path, header, fmt: str, columns) -> None:
     never copied whole, so memory stays at one block. Columns of unequal
     length raise :class:`ValueError` before the file is opened.
     """
-    plan = _plan(fmt)
     n = len(columns[0])
     if any(len(c) != n for c in columns):  # numpy would broadcast a 1-row column
         raise ValueError(f"columns of {', '.join(str(len(c)) for c in columns)} rows")
+    plan = _plan(fmt) if n >= SHORT_BLOCK_ROWS else None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n, BLOCK_ROWS):
             block = [c[start:start + BLOCK_ROWS] for c in columns]
-            encoded = None if plan is None else _encode(*plan, block)
+            short = len(block[0]) < SHORT_BLOCK_ROWS
+            encoded = None if plan is None or short else _encode(*plan, block)
             fh.write(_percent_block(fmt, block) if encoded is None else encoded)
 
 

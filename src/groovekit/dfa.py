@@ -3,22 +3,24 @@
 The series is mean-centered and integrated into a profile that starts at an
 explicit zero, so it is antisymmetric under time reversal. For each scale the
 profile is cut into non-overlapping windows tiled from both ends, so no tail
-samples are dropped and reversing the input leaves F(s) unchanged. Both tilings
-are written, each window less its first sample, as the rows of one buffer
-allocated per call, and detrended by projection with no solver: the Gram
-polynomials on the window positions give an orthonormal basis of the order-n
-trends, built once per (scale, order) and kept read-only in a process-wide
-cache, as is the default scale grid per largest scale. Subtracting the first
-sample makes rounding follow the variation inside a window, not its level.
-F(s) is the root mean residual variance, summed by numpy's own loop rather
-than BLAS, so its bits do not depend on the BLAS thread count. Scaling
-exponents are least-squares slopes of log F against log s, in closed form from
-centred sums: global, over short/long ranges, or in a sliding window for a
-scale-resolved alpha(s).
+samples are dropped and reversing the input leaves F(s) unchanged. The profile
+and its reversal are the two rows of one array, so both tilings are written,
+each window less its first sample, by one subtract per scale into the rows of
+one buffer allocated per call, and detrended by projection with no solver:
+the Gram polynomials on the window positions give an orthonormal basis of the
+order-n trends, built once per (scale, order) and kept read-only in a
+process-wide cache, as is the default scale grid per largest scale.
+Subtracting the first sample makes rounding follow the variation inside a
+window, not its level. F(s) is the root mean residual variance, summed by
+numpy's own loop rather than BLAS, so its bits do not depend on the BLAS
+thread count. Scaling exponents are least-squares slopes of log F against
+log s, in closed form from centred sums: global, over short/long ranges, or in
+a sliding window for a scale-resolved alpha(s).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,21 +145,23 @@ def dfa_fluctuation(
             degenerate=True,
         )
 
-    profile = np.concatenate(([0.0], np.cumsum(x - np.mean(x))))
+    # the profile and its reversal, as the two rows of one array
+    both = np.empty((2, n + 1), dtype=np.float64)
+    both[0, 0] = 0.0
+    np.cumsum(x - np.mean(x), out=both[0, 1:])
+    both[1] = both[0, ::-1]
     # rows of the forward tiling, then of the reversed one, each less its first sample
-    buf = np.empty(2 * len(profile), dtype=np.float64)
+    buf = np.empty(2 * (n + 1), dtype=np.float64)
     F = np.empty(len(scales), dtype=np.float64)
     for i, s in enumerate(scales.tolist()):
-        m = len(profile) // s
+        m = (n + 1) // s
         resid = buf[: 2 * m * s].reshape(2 * m, s)
-        forward = profile[: m * s].reshape(m, s)
-        backward = profile[::-1][: m * s].reshape(m, s)
-        np.subtract(forward, forward[:, :1], out=resid[:m])
-        np.subtract(backward, backward[:, :1], out=resid[m:])
+        tiles = both[:, : m * s].reshape(2, m, s)
+        np.subtract(tiles, tiles[..., :1], out=resid.reshape(2, m, s))
         basis = _gram_basis(s, detrend_order)
         resid -= (resid @ basis) @ basis.T
         # not np.vdot: BLAS ddot splits a long sum across its threads
-        F[i] = np.sqrt(np.einsum("ij,ij->", resid, resid) / resid.size)
+        F[i] = math.sqrt(np.einsum("ij,ij->", resid, resid) / resid.size)
     degenerate = bool(np.all(F == 0.0))
     return FluctuationResult(
         scales=scales, F=F, detrend_order=detrend_order, degenerate=degenerate

@@ -219,27 +219,14 @@ def _phrase_grid(
     return grid, closer
 
 
-def _slot_stats(per_slot) -> tuple[tuple, tuple, tuple]:
-    """Mean, std and count of each slot's values (a contiguous 1-D array in
-    phrase order, so numpy sums in a fixed order); None for an empty slot."""
-    mean, std, n = [], [], []
-    for vals in per_slot:
-        n.append(len(vals))
-        if len(vals):
-            mean.append(float(np.mean(vals)))
-            std.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
-        else:
-            mean.append(None)
-            std.append(None)
-    return tuple(mean), tuple(std), tuple(n)
-
-
 def _row_stats(rows: np.ndarray) -> tuple[tuple, tuple, tuple]:
-    """``_slot_stats`` of the rows of a C-contiguous 2-D array, whose slots
-    all hold the same count, in one reduction per statistic.
+    """Mean, std (ddof 1; 0.0 for one value) and count of each row of a
+    C-contiguous 2-D array, one row per slot in phrase order, in one
+    reduction per statistic; None for the mean and std of an empty row.
 
     numpy sums each contiguous row pairwise just as it sums that row alone,
-    so every value equals ``_slot_stats``' bit for bit.
+    so every value equals the one ``np.mean`` and ``np.std`` give the row
+    reduced on its own, bit for bit.
     """
     slots, count = rows.shape
     if count == 0:
@@ -290,17 +277,30 @@ def phrase_amplitude_profile(
     template: PhraseTemplate | None = None,
     sections: SectionMap | None = None,
 ) -> PhraseProfile:
-    """Per-slot amplitude statistics over all phrases, complete or not."""
+    """Per-slot amplitude statistics over all phrases, complete or not.
+
+    Slots holding the same number of onsets are reduced together, so a full
+    grid takes one reduction per statistic.
+    """
     template = template or PhraseTemplate()
     grid, _ = _phrase_grid(series, onsets, template, sections)
     amps = onsets.amplitudes()
-    mean, std, n = _slot_stats(amps[col[col >= 0]] for col in grid.T)
+    cols = grid.T
+    hit = cols >= 0
+    counts = np.count_nonzero(hit, axis=1)
+    mean, std = [None] * len(template), [None] * len(template)
+    for count in set(counts.tolist()):
+        slots = np.flatnonzero(counts == count)
+        # a boolean index takes each row's onsets in phrase order
+        rows = amps[cols[slots][hit[slots]]].reshape(len(slots), count)
+        for slot, m, sd in zip(slots.tolist(), *_row_stats(rows)[:2]):
+            mean[slot], std[slot] = m, sd
     return PhraseProfile(
         kind="amplitude",
         template=template,
-        mean=mean,
-        std=std,
-        n=n,
+        mean=tuple(mean),
+        std=tuple(std),
+        n=tuple(counts.tolist()),
         deviation_pct=(None,) * len(template),
         n_phrases=len(grid),
     )

@@ -1,10 +1,11 @@
 """Inter-onset intervals and their shuffle-grid classification.
 
-Consecutive onsets define intervals; against an estimated base unit (the
-duration of one eighth-note triplet), each interval is a single, double, or
-triple in nominal 1:2:3 ratio, or discarded when it exceeds a cutoff multiple
-(missing onsets). The base unit itself is defined circularly, so a fixed-point
-iteration recovers it from the data.
+Consecutive onsets define intervals; against an estimated base unit, each
+interval is a single, double, or triple in nominal 1:2:3 ratio, or discarded
+when it exceeds a cutoff multiple (missing onsets). The base unit is the mean
+of each classed interval's duration over its multiple. That is defined
+circularly, so a fixed-point iteration recovers it from the data. It is the
+eighth-note triplet only at swing 2 (see :func:`estimate_base_unit`).
 """
 
 from __future__ import annotations
@@ -197,8 +198,12 @@ def estimate_base_unit(
     hint_bpm: float | None = None,
     max_multiple: float = DEFAULT_MAX_MULTIPLE,
 ) -> float:
-    """Fixed-point estimate of the eighth-note-triplet duration.
+    """Fixed-point estimate of the base unit: the mean of each classed
+    interval's duration over its class multiple.
 
+    On a shuffle of swing ratio r, with a double and a single per triplet
+    group, that is ``3(r+2)/(4(r+1))`` eighth-note triplets: the triplet
+    only at r = 2, about 1.019 triplets at r = 1.79 and 1.05 at r = 1.5.
     Starting from ``60/(hint_bpm*6)`` (12 triplet units per half-time shuffle
     bar) or from the minimum-mode of the interval histogram, each interval is
     classed against the current estimate in the bands of

@@ -24,7 +24,7 @@ from groovekit import (
     write_onsets_csv,
 )
 import groovekit._csvio as csvio
-from groovekit._csvio import BLOCK_ROWS, write_rows
+from groovekit._csvio import BLOCK_ROWS, SHORT_BLOCK_ROWS, write_rows
 from groovekit.analysis import _write_dfa_csv, _write_histogram_csv
 from groovekit.cli import main
 from groovekit.dfa import FluctuationResult
@@ -316,11 +316,12 @@ def test_general_encoder_matches_percent(tmp_path, n, digits, data):
     (-np.inf, "-inf", False),
 ])
 def test_general_edges(tmp_path, percent_calls, value, text, encoded):
+    """The edge value and 1.5s, a block long enough for the encoder."""
     path = tmp_path / "got.csv"
-    write_rows(path, ["x"], "%.9g\r\n", [np.array([value, 1.5])])
-    assert path.read_bytes() == f"x\r\n{text}\r\n1.5\r\n".encode()
+    write_rows(path, ["x"], "%.9g\r\n", [np.array([value] + [1.5] * (SHORT_BLOCK_ROWS - 1))])
+    assert path.read_bytes() == f"x\r\n{text}\r\n".encode() + b"1.5\r\n" * (SHORT_BLOCK_ROWS - 1)
     assert f"{value:.9g}" == text
-    assert percent_calls == ([] if encoded else [2])
+    assert percent_calls == ([] if encoded else [SHORT_BLOCK_ROWS])
 
 
 def test_general_block_spanning_too_many_digits_falls_back(tmp_path, percent_calls):
@@ -328,7 +329,9 @@ def test_general_block_spanning_too_many_digits_falls_back(tmp_path, percent_cal
     # ones: 21 digits, so the block falls back; 3.0 and 1.5e5 need 11 + 6,
     # within the 18 the encoder takes
     fmt = "%.12g\r\n"
-    for values, calls in ([np.array([1.2345e-4, 1.5e5, 3.0]), [3]], [np.array([1.5e5, 3.0]), [3]]):
+    for values, calls in ([np.array([1.2345e-4, 1.5e5, 3.0]), [SHORT_BLOCK_ROWS]],
+                          [np.array([1.5e5, 3.0]), [SHORT_BLOCK_ROWS]]):
+        values = np.resize(values, SHORT_BLOCK_ROWS)  # long enough for the encoder
         write_rows(tmp_path / "got.csv", ["x"], fmt, [values])
         assert percent_calls == calls
         assert (tmp_path / "got.csv").read_bytes() == b"x\r\n" + _percent_rows(fmt, [values])
@@ -346,8 +349,9 @@ def test_series_only_matches_percent(tmp_path, seed, beta):
 
 
 def test_tempogram_csv_is_encoded_without_percent(tmp_path, monkeypatch):
-    """Magnitudes from below 1 to thousands: a block spans decades -1 to 3."""
-    times = 0.1 + 0.37 * np.arange(2 * BLOCK_ROWS // 7 + 2)
+    """Magnitudes from below 1 to thousands: a block spans decades -1 to 3.
+    Two full blocks and a last one long enough for the encoder."""
+    times = 0.1 + 0.37 * np.arange((2 * BLOCK_ROWS + SHORT_BLOCK_ROWS) // 7 + 1)
     tempi = 30.0 + 2.1 * np.arange(7)
     magnitude = np.random.default_rng(5).uniform(-0.05, 3.9, (len(times), len(tempi)))
     magnitude = 10.0 ** magnitude
@@ -364,7 +368,7 @@ def _refuse(fmt, block):
 
 
 def test_drift_and_histogram_are_encoded_without_percent(tmp_path, monkeypatch):
-    n = 2 * BLOCK_ROWS + 1
+    n = 2 * BLOCK_ROWS + SHORT_BLOCK_ROWS  # the last block is long enough for the encoder
     d = odd_values(n)
     d[np.abs(d) > 1.0] = 0.5  # in the encoder's range
     times, gaps = np.cumsum(np.full(n, 0.1234567)), np.arange(n) % 5 == 0
@@ -413,6 +417,8 @@ def test_only_blocks_out_of_range_fall_back(tmp_path, percent_calls):
 ])
 def test_other_conversions_and_dtypes_fall_back(tmp_path, percent_calls, fmt, column):
     columns = [np.array(["a", "b"], dtype=object), np.array([0.25, -0.5])] if column is None else [column]
+    # a block long enough for the encoder, so that only the format or dtype sends it to %
+    columns = [np.resize(c, SHORT_BLOCK_ROWS) for c in columns]
     write_rows(tmp_path / "got.csv", ["h"], fmt, columns)
     assert percent_calls == [len(columns[0])]
     assert (tmp_path / "got.csv").read_bytes() == b"h\r\n" + _percent_rows(fmt, columns)
@@ -421,9 +427,29 @@ def test_other_conversions_and_dtypes_fall_back(tmp_path, percent_calls, fmt, co
 def test_literal_text_and_percent_signs_are_kept(tmp_path, percent_calls):
     fmt = "<%d%%|%.3f>\t%.0f;\r\n"
     columns = [np.array([-7, 0, 12345]), np.array([2.0005, -0.0, 1e9]), np.array([0.5, 1.5, -2.5])]
+    columns = [np.resize(c, SHORT_BLOCK_ROWS) for c in columns]  # long enough for the encoder
     write_rows(tmp_path / "got.csv", ["h"], fmt, columns)
     assert percent_calls == []
     assert (tmp_path / "got.csv").read_bytes() == b"h\r\n" + _percent_rows(fmt, columns)
+
+
+@pytest.mark.parametrize("n", [SHORT_BLOCK_ROWS - 1, SHORT_BLOCK_ROWS, SHORT_BLOCK_ROWS + 1,
+                               BLOCK_ROWS + 1])
+@pytest.mark.parametrize("fmt", ["%d,%.3f,%.9g\r\n", "%d,%.6f,%.12g\r\n"])
+def test_short_blocks_are_written_by_percent(tmp_path, percent_calls, n, fmt):
+    """A block under ``SHORT_BLOCK_ROWS`` rows, a whole file or the last
+    block of a longer one, is written by ``%``, a NaN in it included; the
+    other blocks are in the encoder's range, and every block gives ``%``'s
+    bytes."""
+    ints = np.arange(n, dtype=np.int64) - 7
+    fixed = np.resize(TIE_FLOATS, n) + np.arange(n) // 7
+    general = 0.25 + np.random.default_rng(n).random(n)
+    last = n % BLOCK_ROWS
+    if last < SHORT_BLOCK_ROWS:
+        general[-1] = np.nan
+    write_rows(tmp_path / "got.csv", ["i", "f", "g"], fmt, [ints, fixed, general])
+    assert (tmp_path / "got.csv").read_bytes() == b"i,f,g\r\n" + _percent_rows(fmt, [ints, fixed, general])
+    assert percent_calls == ([last] if last < SHORT_BLOCK_ROWS else [])
 
 
 @pytest.mark.parametrize("time_s", [[0.1], [0.1, 0.2]])

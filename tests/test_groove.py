@@ -26,7 +26,7 @@ from groovekit import (
     swing_ratio,
 )
 
-from groovekit.groove import _row_stats, _slot_stats
+from groovekit.groove import _phrase_grid, _row_stats
 
 from conftest import select_onsets, series_from_times
 
@@ -255,15 +255,34 @@ class TestPhraseIntervalProfile:
         assert all(n == 0 for n in profile.n)
 
 
+def _slot_stats(per_slot) -> tuple[tuple, tuple, tuple]:
+    """The reference: mean, std and count of each slot's values (a contiguous
+    1-D array in phrase order) reduced one slot at a time; None for an empty
+    slot."""
+    mean, std, n = [], [], []
+    for vals in per_slot:
+        n.append(len(vals))
+        if len(vals):
+            mean.append(float(np.mean(vals)))
+            std.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
+        else:
+            mean.append(None)
+            std.append(None)
+    return tuple(mean), tuple(std), tuple(n)
+
+
 def _bits(values):
     return [None if v is None else struct.pack("<d", v) for v in values]
 
 
-def _assert_row_stats_match(rows):
-    with np.errstate(all="ignore"):
-        fast, slow = _row_stats(rows), _slot_stats(rows)
+def _assert_stats_match(fast, slow):
     assert [_bits(fast[0]), _bits(fast[1]), list(fast[2])] == [
         _bits(slow[0]), _bits(slow[1]), list(slow[2])]
+
+
+def _assert_row_stats_match(rows):
+    with np.errstate(all="ignore"):
+        _assert_stats_match(_row_stats(rows), _slot_stats(rows))
 
 
 class TestSlotStatsInOneReduction:
@@ -294,6 +313,38 @@ class TestSlotStatsInOneReduction:
 
 
 class TestPhraseAmplitudeProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bars=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+        drop=st.floats(min_value=0.0, max_value=0.3),
+        exponent=st.floats(min_value=-300.0, max_value=0.0),
+        sectioned=st.booleans(),
+    )
+    def test_grid_with_holes_equals_per_slot_reference(self, bars, seed, drop, exponent,
+                                                       sectioned):
+        """Slots of unequal counts are reduced in groups of equal count; each
+        slot's statistics equal the one-slot-at-a-time reduction's bit for bit."""
+        spec = GrooveSpec(bpm=84.0, swing_ratio=1.79, bars=bars, jitter_sigma_ms=3.0,
+                          amplitude_jitter=0.1, ghost_probability=0.2)
+        onsets, _ = gen_shuffle_onsets(spec, seed=seed)
+        base = estimate_base_unit(intervals(onsets))
+        rng = np.random.default_rng(seed)
+        pruned = select_onsets(onsets, rng.random(len(onsets)) >= drop)
+        # amplitudes spread over many decades, so that summation order shows in the bits
+        amplitudes = rng.random(len(pruned)) * 10.0 ** rng.uniform(exponent, 0.0, len(pruned))
+        pruned = series_from_times(pruned.times(), amplitudes, pruned.labels())
+        series = classify_intervals(intervals(pruned), base)
+        sections = None
+        if sectioned:
+            mid = float(pruned.times()[len(pruned) // 2])
+            sections = SectionMap([Section(0.0, mid), Section(mid, mid + 1e4)])
+        profile = phrase_amplitude_profile(series, pruned, sections=sections)
+        grid, _ = _phrase_grid(series, pruned, PhraseTemplate(), sections)
+        amps = pruned.amplitudes()
+        _assert_stats_match((profile.mean, profile.std, profile.n),
+                            _slot_stats(amps[col[col >= 0]] for col in grid.T))
+
     def test_constant_amplitudes_flat(self):
         spec = GrooveSpec(bpm=84.0, swing_ratio=2.0, bars=8, amplitude_pattern=(0.5,))
         onsets, _ = gen_shuffle_onsets(spec, seed=0)

@@ -78,12 +78,28 @@ def test_wav_commands_load_no_scipy_signal(tmp_path):
         assert result == {"before": [], "rc": 0, "after": []}, argv[0]
 
 
+# The kernels groovekit binds, as (module, function) under scipy.signal; prints
+# whether the binding is active and, for each kernel that cannot be loaded,
+# its module, function and why.
+BINDING = """
+import json
+from groovekit import _signal
+errors = []
+for module, function in (("_sosfilt", "_sosfilt"), ("_peak_finding_utils", "_local_maxima_1d")):
+    try:
+        getattr(_signal._load(module), function)
+    except (ImportError, AttributeError) as exc:
+        errors.append(f"scipy.signal.{module}.{function}: {exc}")
+print(json.dumps({"bound": _signal.bound(), "errors": errors}))
+"""
+
+
 def test_scipy_kernels_bound():
     """The binding, not the fallback to public scipy.signal, is active on the
     installed scipy. A silent fallback gives the same outputs, so only this
-    shows the start-up time and memory being lost."""
-    code = "import json; from groovekit import _signal; print(json.dumps(_signal.bound()))"
-    assert _run(code) is True
+    shows the start-up time and memory being lost; on failure it names the
+    module and function that could not be bound."""
+    assert _run(BINDING) == {"bound": True, "errors": []}
 
 
 def test_wav_commands_load_no_scipy_io(tmp_path):

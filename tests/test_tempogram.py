@@ -1,3 +1,7 @@
+import csv
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from groovekit import (
     novelty_curve,
     render_clicks,
 )
+from groovekit.cli import main
+from groovekit.synth import GrooveSpec, bar_time_s
 from groovekit.tempogram import NoveltyCurve
 
 
@@ -135,3 +141,46 @@ class TestFourierTempogram:
         tg = fourier_tempogram(novelty_curve(clip), params)
         assert tg.tempi_bpm[0] >= 60.0
         assert tg.tempi_bpm[-1] <= 120.0
+
+
+class TestTempoRamp:
+    """``analyze`` on a rendered 40-bar groove whose tempo ramps linearly
+    (in bars) from 84 to 96 BPM: the ``tempogram.json`` track follows the
+    group rate, twice the programmed tempo at each frame's time.
+
+    The bounds are set from seeds 0-11 of this render. A seed's largest
+    distance from the group rate was 0.75-1.12 bins, and its fitted slope
+    was 0.3-2.7% off the programmed one.
+    """
+
+    BARS = 40
+    MAX_BINS = 2.0
+    MAX_SLOPE_ERROR = 0.06
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_track_follows_the_ramp(self, tmp_path, seed):
+        csv_path, wav_path, out = tmp_path / "g.csv", tmp_path / "g.wav", tmp_path / "out"
+        assert main(["synth", "-o", str(csv_path), "--bars", str(self.BARS), "--bpm", "84",
+                     "--ramp-bpm", "96", "--swing", "1.79", "--jitter-ms", "5",
+                     "--amplitude-jitter", "0.1", "--noise-db", "-40", "--seed", str(seed),
+                     "--render", str(wav_path)]) == 0
+        assert main(["analyze", str(wav_path), "--out-dir", str(out)]) == 0
+        track = json.loads((out / "tempogram.json").read_text())["track"]
+        times = np.array([frame["time_s"] for frame in track])
+        bpm = np.array([frame["bpm"] for frame in track])
+        with open(out / "tempogram.csv", newline="") as fh:
+            rows = list(itertools.islice(csv.reader(fh), 1, 3))
+        bin_width = float(rows[1][1]) - float(rows[0][1])
+        # the programmed tempo at each frame's time, from the bar each time falls in
+        spec = GrooveSpec(bpm=84.0, bars=self.BARS,
+                          drift_profile=((0.0, 84.0), (float(self.BARS), 96.0)))
+        bars = np.linspace(0.0, self.BARS, 4001)
+        bar_times = spec.start_s + np.array([bar_time_s(spec, b) for b in bars.tolist()])
+        group_rate = 2.0 * (84.0 + 12.0 * np.interp(times, bar_times, bars) / self.BARS)
+        # away from the edges: the first and last tenth of the frames are left out
+        inner = slice(len(track) // 10, len(track) - len(track) // 10)
+        assert len(track) > 50
+        assert np.max(np.abs(bpm[inner] - group_rate[inner])) <= self.MAX_BINS * bin_width
+        slope = np.polyfit(times[inner], bpm[inner], 1)[0]
+        programmed = np.polyfit(times[inner], group_rate[inner], 1)[0]
+        assert abs(slope / programmed - 1.0) <= self.MAX_SLOPE_ERROR
