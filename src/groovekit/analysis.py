@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -22,7 +21,7 @@ from . import _cpu
 from . import dfa as dfa_mod
 from ._csvio import write_rows
 from ._version import __version__
-from .errors import EstimationError, GrooveKitError, ParameterError
+from .errors import EstimationError, GrooveKitError
 from .groove import (
     PhraseProfile,
     PhraseTemplate,
@@ -39,6 +38,7 @@ from .intervals import (
     DEFAULT_MAX_MULTIPLE,
     IntervalSeries,
     SectionMap,
+    _check_positive,
     classify_intervals,
     estimate_base_unit,
     interval_stats,
@@ -83,8 +83,7 @@ class AnalysisParams:
         if self.bpm_hint is not None:
             checked["bpm_hint"] = self.bpm_hint
         for name, value in checked.items():
-            if not 0 < value < math.inf:
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, value)
 
 
 @dataclass

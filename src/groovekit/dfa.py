@@ -204,6 +204,8 @@ def local_alpha(
     half_window: int = 2,
 ) -> tuple[tuple[int, float], ...]:
     """Sliding log-log slope centered on each interior scale."""
+    if not half_window >= 1:
+        raise ParameterError(f"half_window must be at least 1, got {half_window}")
     n = len(result.scales)
     width = 2 * half_window + 1
     if n < width:
@@ -234,9 +236,6 @@ def dfa_analyze(
     result = dfa_fluctuation(series, scales=scales, detrend_order=detrend_order)
     s_max = int(result.scales[-1])
     ranges = [(lo, min(hi, s_max)) for lo, hi in (short_range, long_range)]
-    if result.degenerate:
-        return FluctuationResult(result.scales, result.F, detrend_order, degenerate=True,
-                                 alpha1_range=ranges[0], alpha2_range=ranges[1])
     fits = []
     for rng in ranges:
         try:
@@ -249,6 +248,7 @@ def dfa_analyze(
         alocal = ()
     (a1, _, r1), (a2, _, r2) = fits
     return FluctuationResult(
-        result.scales, result.F, detrend_order, alpha1=a1, alpha2=a2, alpha1_r2=r1,
-        alpha2_r2=r2, alpha1_range=ranges[0], alpha2_range=ranges[1], alpha_local=alocal,
+        result.scales, result.F, detrend_order, degenerate=result.degenerate, alpha1=a1,
+        alpha2=a2, alpha1_r2=r1, alpha2_r2=r2, alpha1_range=ranges[0],
+        alpha2_range=ranges[1], alpha_local=alocal,
     )

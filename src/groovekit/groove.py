@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import write_rows
 from .errors import EstimationError, ParameterError
-from .intervals import IntervalSeries, SectionMap, _check_base
+from .intervals import IntervalSeries, SectionMap, _check_positive
 from .onsets import LABELS, OnsetSeries
 
 __all__ = [
@@ -111,9 +111,7 @@ def compute_drift(series: IntervalSeries, base: float) -> np.ndarray:
     a discarded interval is a gap, where the drift resets to zero.
     Each gap-delimited run is summed left to right on its own.
     """
-    _check_base(base)
-    if not series.classified:
-        raise ParameterError("classify the series before computing drift")
+    _check_positive("base unit", base)
     gap = series.multiples() == 0
     drift = np.zeros(len(series))
     drift[~gap] = series.normalized_taus() - base
@@ -138,8 +136,6 @@ def swing_ratio(series: IntervalSeries, onsets: OnsetSeries) -> SwingReport:
     Singles adjacent to a ghost-labeled onset are intra-triplet halves of a
     double and are excluded.
     """
-    if not series.classified:
-        raise ParameterError("classify the series before computing swing")
     _check_pairs(series, onsets)
     taus, multiples = series.taus(), series.multiples()
     ghost = onsets.label_codes() == LABELS.index("ghost")
@@ -185,12 +181,10 @@ def _phrase_grid(
     """Onset index per (phrase, slot), -1 where no onset lands, and each
     phrase's closer (slot 0 of the same anchor's next phrase) or -1.
 
-    ``series`` holds the classified intervals of ``onsets``. Each anchor
+    ``series`` holds the intervals of ``onsets``. Each anchor
     restarts a unit walk at zero; a discarded interval loses the grid until
     the next anchor. Rows are the phrases the walk reaches, in order.
     """
-    if not series.classified:
-        raise ParameterError("classify the series before computing phrase profiles")
     _check_pairs(series, onsets)
     n = len(onsets)
     # unit span of the interval leaving each onset; 0 where none or discarded

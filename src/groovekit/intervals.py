@@ -56,12 +56,22 @@ CLASSES = (BeatClass.SINGLE, BeatClass.DOUBLE, BeatClass.TRIPLE)
 _MULTIPLE = {klass: m for m, klass in enumerate(CLASSES, start=1)}
 
 
+def _durations(taus) -> np.ndarray:
+    """``taus`` as float64 interval durations: 1-D, each positive and finite."""
+    taus = np.asarray(taus, dtype=np.float64)
+    if taus.ndim != 1:
+        raise ParameterError("interval durations must be a 1-D array")
+    if not np.all((taus > 0.0) & (taus < np.inf)):
+        raise ParameterError("interval durations must be positive and finite")
+    return taus
+
+
 class IntervalSeries(ColumnSeries):
-    """Inter-onset intervals as columns, ``IntervalSeries(taus, multiples)``.
+    """Classified inter-onset intervals as columns, ``IntervalSeries(taus, multiples)``.
 
     Interval i runs from onset i to onset i + 1 of the onsets it was taken
-    from. The class multiple is 1/2/3 for single/double/triple, 0 discarded,
-    -1 unclassified. Validity and normalized durations derive from it.
+    from. The class multiple is 1/2/3 for single/double/triple, 0 discarded.
+    Validity and normalized durations derive from it.
     """
 
     __slots__ = ()
@@ -69,10 +79,9 @@ class IntervalSeries(ColumnSeries):
 
     @staticmethod
     def _check(taus, multiples) -> None:
-        if not np.all((taus > 0.0) & (taus < np.inf)):
-            raise ParameterError("interval durations must be positive and finite")
-        if not np.all((multiples >= -1) & (multiples <= 3)):
-            raise ParameterError("class multiples must lie in -1..3")
+        _durations(taus)
+        if not np.all((multiples >= 0) & (multiples <= 3)):
+            raise ParameterError("class multiples must lie in 0..3")
 
     def taus(self) -> np.ndarray:
         return self._cols[0]
@@ -81,13 +90,9 @@ class IntervalSeries(ColumnSeries):
         return self._cols[1]
 
     def normalized_taus(self) -> np.ndarray:
-        """Durations over class multiples of the classified, valid intervals."""
+        """Durations over class multiples of the valid intervals."""
         valid = self.multiples() > 0
         return self.taus()[valid] / self.multiples()[valid]
-
-    @property
-    def classified(self) -> bool:
-        return bool(np.all(self.multiples() >= 0))
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,12 @@ class SectionMap:
         return len(self.sections)
 
 
-def intervals(onsets: OnsetSeries) -> IntervalSeries:
-    """Differences of consecutive onset times, unclassified."""
+def intervals(onsets: OnsetSeries) -> np.ndarray:
+    """Durations of the gaps between consecutive onset times."""
     if len(onsets) < 2:
         raise ParameterError("need at least 2 onsets to form intervals")
-    return IntervalSeries(np.diff(onsets.times()), np.full(len(onsets) - 1, -1))
+    with np.errstate(over="ignore"):  # a gap beyond float64 is inf; _durations names it
+        return _durations(np.diff(onsets.times()))
 
 
 def _first_edge(taus: np.ndarray, width_s: float) -> float:
@@ -194,7 +200,7 @@ def _class_multiples(ratios: np.ndarray, max_multiple: float) -> np.ndarray:
 
 
 def estimate_base_unit(
-    series: IntervalSeries,
+    taus,
     hint_bpm: float | None = None,
     max_multiple: float = DEFAULT_MAX_MULTIPLE,
 ) -> float:
@@ -211,10 +217,10 @@ def estimate_base_unit(
     ignored), and the estimate becomes the mean normalized duration. Stops
     when the update falls below 0.1 ms.
     """
-    _check_max_multiple(max_multiple)
-    if len(series) == 0:
-        raise ParameterError("cannot estimate a base unit from an empty series")
-    taus = series.taus()
+    _check_positive("max_multiple", max_multiple)
+    taus = _durations(taus)
+    if len(taus) == 0:
+        raise ParameterError("cannot estimate a base unit from no intervals")
     if hint_bpm is not None:
         if hint_bpm <= 0:
             raise ParameterError("hint_bpm must be positive")
@@ -245,30 +251,26 @@ def estimate_base_unit(
     )
 
 
-def _check_base(base: float) -> None:
-    if not 0.0 < base < math.inf:
-        raise ParameterError(f"base unit must be positive and finite, got {base}")
-
-
-def _check_max_multiple(max_multiple: float) -> None:
-    if not 0.0 < max_multiple < math.inf:
-        raise ParameterError(f"max_multiple must be positive and finite, got {max_multiple}")
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def classify_intervals(
-    series: IntervalSeries,
+    taus,
     base: float,
     max_multiple: float = DEFAULT_MAX_MULTIPLE,
 ) -> IntervalSeries:
-    """Assign single/double/triple classes by nearest multiple of ``base``.
+    """Interval series of the durations ``taus``, each classed as a
+    single/double/triple by nearest multiple of ``base``.
 
     Ratio bands: under 1.5 is a single, [1.5, 2.5) a double, [2.5,
     ``max_multiple``] a triple; anything beyond comes from missing onsets and
     is discarded (multiple 0).
     """
-    _check_base(base)
-    _check_max_multiple(max_multiple)
-    taus = series.taus()
+    _check_positive("base unit", base)
+    _check_positive("max_multiple", max_multiple)
+    taus = np.asarray(taus, dtype=np.float64)
     return IntervalSeries(taus, _class_multiples(taus / base, max_multiple))
 
 
@@ -279,8 +281,7 @@ def interval_stats(series: IntervalSeries, bin_width_ms: float = 2.0) -> dict:
     ``detection_rate`` (valid / raw intervals). Empty classes report only
     their zero count.
     """
-    if not series.classified:
-        raise ParameterError("classify the series before computing stats")
+    _check_positive("bin_width_ms", bin_width_ms)
     out: dict = {}
     for klass in CLASSES:
         taus = series.taus()[series.multiples() == klass.multiple]

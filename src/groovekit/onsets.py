@@ -83,7 +83,8 @@ def _code(name: str, codes: dict[str, int], what: str) -> int:
 
 def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray):
     """(row, problem) of the first row that breaks a column rule, or None."""
-    with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check names that row
+    # NaN from inf - inf (the finiteness check names that row); inf from a gap past float64
+    with np.errstate(invalid="ignore", over="ignore"):
         steps = np.diff(times)
     checks = (
         (~np.isfinite(times), "onset time must be finite"),

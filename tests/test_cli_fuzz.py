@@ -73,11 +73,16 @@ def analyze_flags(draw):
 GROOVE = "".join(f"{k},{0.5 + 0.3 * (k // 2) + 0.2 * (k % 2):.6f},0.5,hihat,auto\r\n"
                  for k in range(40)).encode()
 
+# finite onset times whose middle gap overflows float64
+OVERFLOW = "".join(f"{k},{t!r},0.5,hihat,auto\r\n" for k, t in enumerate(
+    [-1.7e308, -1.6e308, -1.5e308, -1.4e308, 1.4e308, 1.5e308, 1.6e308, 1.7e308])).encode()
+
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tail=csv_tails(), flags=analyze_flags())
 @example(tail=GROOVE, flags=["--bpm-hint", "1e308"])
 @example(tail=GROOVE, flags=["--bpm-hint", "1e-320"])
+@example(tail=OVERFLOW, flags=[])
 def test_analyze_csv_exits_cleanly(tail, flags, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.csv"

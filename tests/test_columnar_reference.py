@@ -55,15 +55,18 @@ class DriftRow:
     gap: bool = False
 
 
-# class of each multiple code: -1 unclassified, 0 discarded, 1-3 single to triple
+# class of each multiple code: 0 discarded, 1-3 single to triple
 _CLASS_OF_MULTIPLE = {
-    -1: None, 0: BeatClass.DISCARDED,
-    1: BeatClass.SINGLE, 2: BeatClass.DOUBLE, 3: BeatClass.TRIPLE,
+    0: BeatClass.DISCARDED, 1: BeatClass.SINGLE, 2: BeatClass.DOUBLE, 3: BeatClass.TRIPLE,
 }
 
 
 def interval_rows(series, onsets):
+    """Row records of an interval series, or unclassed ones of the raw
+    durations ``intervals`` returns."""
     times = onsets.times().tolist()
+    if isinstance(series, np.ndarray):
+        return [IntervalRow(tau, i, times[i]) for i, tau in enumerate(series.tolist())]
     return [
         IntervalRow(tau, i, times[i], klass=_CLASS_OF_MULTIPLE[m],
                     normalized_tau_s=tau / m if m > 0 else None, valid=m != 0)

@@ -29,7 +29,9 @@ from groovekit import (
     estimate_base_unit,
     gen_shuffle_onsets,
     highpass,
+    interval_stats,
     intervals,
+    local_alpha,
     merge_close_onsets,
     read_edits_csv,
     read_onsets_csv,
@@ -94,12 +96,17 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_interval_columns_reject_non_finite_tau(self, value):
         with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
-            IntervalSeries([0.1, value], [-1, -1])
+            IntervalSeries([0.1, value], [1, 1])
 
     @pytest.mark.parametrize("tau", [0.0, -0.0, -0.1])
     def test_interval_columns_reject_non_positive_tau(self, tau):
         with pytest.raises(ParameterError, match="interval durations must be positive and finite"):
-            IntervalSeries([tau, 0.1], [-1, -1])
+            IntervalSeries([tau, 0.1], [1, 1])
+
+    @pytest.mark.parametrize("multiple", [-1, 4])
+    def test_interval_columns_reject_multiples_outside_0_to_3(self, multiple):
+        with pytest.raises(ParameterError, match=r"class multiples must lie in 0\.\.3"):
+            IntervalSeries([0.1, 0.2], [1, multiple])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_columns_reject_non_finite(self, value):
@@ -128,7 +135,7 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError):
             OnsetSeries([0.1, 0.2], [0.5, 0.5], [0, 0], [0, 0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            IntervalSeries([0.1], [-1], [0])
+            IntervalSeries([0.1], [1], [0])
 
 
 class TestDfaRangeFlags:
@@ -438,6 +445,23 @@ class TestNonFiniteLibraryInputs:
             dfa_fluctuation(x)
         with pytest.raises(ParameterError, match="non-finite"):
             dfa_analyze(x)
+
+    @pytest.mark.parametrize("half_window", [0, -1])
+    def test_dfa_half_window_at_least_one(self, half_window):
+        # 0 gave NaN slopes after a RuntimeWarning, -1 numpy's window_shape error
+        noise = np.random.default_rng(0).normal(size=256)
+        with pytest.raises(ParameterError, match="half_window must be at least 1"):
+            local_alpha(dfa_fluctuation(noise), half_window=half_window)
+        for x in (noise, np.ones(256)):
+            with pytest.raises(ParameterError, match="half_window must be at least 1"):
+                dfa_analyze(x, half_window=half_window)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -2.0])
+    def test_histogram_bin_width_must_be_positive_and_finite(self, width):
+        # 0, -2 and nan used to raise EstimationError about bins, inf a RuntimeWarning
+        series = classify_intervals(intervals(series_from_times([0.0, 0.12, 0.36])), 0.12)
+        with pytest.raises(ParameterError, match="bin_width_ms must be positive and finite"):
+            interval_stats(series, bin_width_ms=width)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -84.0])
     @pytest.mark.parametrize("name", ["bpm_hint", "max_multiple", "histogram_bin_ms"])

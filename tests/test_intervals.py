@@ -40,9 +40,9 @@ def _grid_series(multiples, base_s=0.120, jitter_s=0.0, seed=0):
 
 class TestIntervals:
     def test_differences(self):
-        series = intervals(series_from_times([0.0, 0.128, 0.356]))
-        assert series.taus() == pytest.approx([0.128, 0.228])
-        assert not series.classified
+        taus = intervals(series_from_times([0.0, 0.128, 0.356]))
+        assert isinstance(taus, np.ndarray) and taus.dtype == np.float64
+        assert taus == pytest.approx([0.128, 0.228])
 
     def test_count_is_n_minus_one(self):
         onsets = series_from_times(np.linspace(0.0, 200.0, 1239))
@@ -93,22 +93,17 @@ class TestEstimateBaseUnit:
         assert abs(base - 0.119) <= 2e-3
 
     def test_empty_series_errors(self):
-        from groovekit import IntervalSeries
-
         with pytest.raises(ParameterError):
-            estimate_base_unit(IntervalSeries((), ()))
+            estimate_base_unit(np.array([]))
 
     def test_fixed_point_classes_as_classify_does_at_two_and_a_half(self):
-        from groovekit import IntervalSeries
-
         # against the hint's base of exactly 0.1 s, 0.25 s is 2.5 units: a triple
         taus = np.array([0.1] * 20 + [0.25])
-        series = IntervalSeries(taus, np.full(len(taus), -1))
         hint_base = 60.0 / (100.0 * 6.0)
-        assert classify_intervals(series, hint_base).multiples()[-1] == BeatClass.TRIPLE.multiple
-        base = estimate_base_unit(series, hint_bpm=100.0)
+        assert classify_intervals(taus, hint_base).multiples()[-1] == BeatClass.TRIPLE.multiple
+        base = estimate_base_unit(taus, hint_bpm=100.0)
         for at in (hint_base, base):
-            multiples = classify_intervals(series, at).multiples()
+            multiples = classify_intervals(taus, at).multiples()
             assert base == np.mean(taus / multiples)
         assert base == pytest.approx((20 * 0.1 + 0.25 / 3) / 21, abs=1e-12)
 
@@ -285,11 +280,6 @@ class TestIntervalStats:
         singles = series.taus()[series.multiples() == BeatClass.SINGLE.multiple]
         assert len(singles) >= 400
         assert abs(sps.skew(singles)) < 0.3
-
-    def test_unclassified_series_rejected(self):
-        series = intervals(_grid_series([1, 2]))
-        with pytest.raises(ParameterError):
-            interval_stats(series)
 
 
 class TestSections:
