@@ -31,9 +31,7 @@ __all__ = ["butter_highpass_sos", "sosfilt_zi", "sosfilt", "find_peaks"]
 def butter_highpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     """Second-order sections of a digital Butterworth high-pass, as
     ``scipy.signal.butter(order, cutoff_hz, btype="highpass", fs=fs,
-    output="sos")`` returns them. The caller checks ``0 < cutoff_hz < fs / 2``."""
-    if abs(int(order)) != order:
-        raise ValueError("Filter order must be a nonnegative integer")
+    output="sos")`` returns them. The caller checks ``order`` and ``cutoff_hz``."""
     wn = np.asarray(cutoff_hz, dtype=np.float64) / (float(fs) / 2)
     warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)  # iirfilter pre-warps with fs = 2
     # buttap: the analog prototype

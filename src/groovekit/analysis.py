@@ -21,7 +21,7 @@ from . import _cpu
 from . import dfa as dfa_mod
 from ._csvio import write_rows
 from ._version import __version__
-from .errors import EstimationError, GrooveKitError
+from .errors import EstimationError, GrooveKitError, _check_positive
 from .groove import (
     PhraseProfile,
     PhraseTemplate,
@@ -38,7 +38,6 @@ from .intervals import (
     DEFAULT_MAX_MULTIPLE,
     IntervalSeries,
     SectionMap,
-    _check_positive,
     classify_intervals,
     estimate_base_unit,
     interval_stats,
@@ -79,11 +78,10 @@ class AnalysisParams:
     histogram_bin_ms: float = 2.0
 
     def __post_init__(self):
-        checked = {"max_multiple": self.max_multiple, "histogram_bin_ms": self.histogram_bin_ms}
+        _check_positive("max_multiple", self.max_multiple)
+        _check_positive("histogram_bin_ms", self.histogram_bin_ms)
         if self.bpm_hint is not None:
-            checked["bpm_hint"] = self.bpm_hint
-        for name, value in checked.items():
-            _check_positive(name, value)
+            _check_positive("bpm_hint", self.bpm_hint)
 
 
 @dataclass

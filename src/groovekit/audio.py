@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cpu
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _check_count, _check_positive
 
 __all__ = ["AudioClip", "EnvelopeSignal", "load_audio", "save_audio", "highpass", "envelope"]
-
-
-def _check_rate(sample_rate: float) -> None:
-    if not 0 < sample_rate < np.inf:
-        raise ParameterError(f"sample_rate must be positive and finite, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +34,7 @@ class AudioClip:
     channel_count_original: int = 1
 
     def __post_init__(self):
-        _check_rate(self.sample_rate)
+        _check_positive("sample_rate", self.sample_rate)
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ParameterError("AudioClip holds mono data; downmix before constructing")
@@ -90,7 +85,7 @@ class EnvelopeSignal:
     silent: bool = False
 
     def __post_init__(self):
-        _check_rate(self.sample_rate)
+        _check_positive("sample_rate", self.sample_rate)
         values = np.array(self.values, dtype=np.float64)
         # reductions, not a clip-sized mask; fmin skips NaN, and a NaN makes max() NaN
         if values.size and np.fmin.reduce(values, axis=None) < 0:
@@ -448,10 +443,10 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     Raises
     ------
     ParameterError
-        If the cutoff is not below the Nyquist rate or so far below it
-        that the filter's initial state is singular, the clip is too short
-        for the filter's padding, or samples near the float64 limit make
-        the filter's output overflow.
+        If ``order`` is negative or not whole, the cutoff is not below the
+        Nyquist rate or so far below it that the filter's initial state is
+        singular, the clip is too short for the filter's padding, or samples
+        near the float64 limit make the filter's output overflow.
     """
     from . import _signal  # local import; the CSV path never needs it
 
@@ -460,7 +455,7 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
         raise ParameterError(
             f"cutoff_hz must be in (0, {nyquist:g}) for sample rate {clip.sample_rate:g}"
         )
-    sos = _signal.butter_highpass_sos(order, cutoff_hz, clip.sample_rate)
+    sos = _signal.butter_highpass_sos(_check_count("order", order, 0), cutoff_hz, clip.sample_rate)
     # sosfiltfilt's default padding: 3 * taps samples at each end, fewer than the clip
     taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
     edge = 3 * taps
@@ -558,8 +553,7 @@ def _envelope_into(clip: AudioClip, smoothing_ms: float, out: np.ndarray, helper
     finite (a non-finite sample, in a clip built without the finite check)
     raises :class:`ParameterError`.
     """
-    if not 0 < smoothing_ms < np.inf:
-        raise ParameterError("smoothing_ms must be positive and finite")
+    _check_positive("smoothing_ms", smoothing_ms)
     # one-pole low-pass of the rectified signal: y[n] = a*y[n-1] + (1-a)*x[n],
     # as one second-order section filtered in place; on input >= 0 it gives
     # lfilter([1 - a], [1, -a])'s bits

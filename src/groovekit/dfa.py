@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FitError, ParameterError
+from .errors import FitError, ParameterError, _check_count
 
 __all__ = [
     "FluctuationResult",
@@ -130,8 +130,9 @@ def dfa_fluctuation(
         scales = np.unique(np.asarray(scales, dtype=np.int64))
     if len(scales) == 0:
         raise ParameterError("no scales given")
-    if detrend_order < 0 or int(scales[0]) < detrend_order + 2:
-        raise ParameterError(f"need detrend_order >= 0 and scales >= {detrend_order + 2}")
+    detrend_order = _check_count("detrend_order", detrend_order, 0)
+    if int(scales[0]) < detrend_order + 2:
+        raise ParameterError(f"need scales >= {detrend_order + 2} for detrend_order {detrend_order}")
     if n < 4 * int(scales[-1]):
         raise ParameterError(
             f"series of length {n} is too short for scale {int(scales[-1])} (need 4x)"
@@ -204,8 +205,7 @@ def local_alpha(
     half_window: int = 2,
 ) -> tuple[tuple[int, float], ...]:
     """Sliding log-log slope centered on each interior scale."""
-    if not half_window >= 1:
-        raise ParameterError(f"half_window must be at least 1, got {half_window}")
+    _check_count("half_window", half_window, 1)
     n = len(result.scales)
     width = 2 * half_window + 1
     if n < width:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter rules."""
+
+import math
+import operator
 
 
 class GrooveKitError(Exception):
@@ -23,3 +26,20 @@ class EstimationError(GrooveKitError, RuntimeError):
 
 class FitError(GrooveKitError, ValueError):
     """A regression has too few or degenerate points to fit."""
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``: a whole number (what ``operator.index``
+    accepts, so numpy integers but not ``2.0``) of at least ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}, got {count}")
+    return count

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvio import write_rows
-from .errors import EstimationError, ParameterError
-from .intervals import IntervalSeries, SectionMap, _check_positive
+from .errors import EstimationError, ParameterError, _check_count, _check_positive
+from .intervals import IntervalSeries, SectionMap
 from .onsets import LABELS, OnsetSeries
 
 __all__ = [
@@ -75,8 +75,8 @@ class PhraseTemplate:
     @classmethod
     def shuffle(cls, positions: int = 16) -> "PhraseTemplate":
         """Shuffle template with ``positions`` hi-hat slots (two per group of 3 units)."""
-        if positions < 2 or positions % 2:
-            raise ParameterError("shuffle template needs an even position count >= 2")
+        if _check_count("positions", positions, 2) % 2:
+            raise ParameterError(f"positions must be even, got {positions}")
         groups = positions // 2
         return cls(
             slot_units=tuple(u for k in range(groups) for u in (3 * k, 3 * k + 2)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_rows, write_rows
-from .errors import EstimationError, ParameterError
+from .errors import EstimationError, ParameterError, _check_positive
 from .onsets import ColumnSeries, OnsetSeries
 
 __all__ = [
@@ -131,11 +131,10 @@ class SectionMap:
 
 
 def intervals(onsets: OnsetSeries) -> np.ndarray:
-    """Durations of the gaps between consecutive onset times."""
+    """Durations of the gaps between consecutive onset times, each positive and finite."""
     if len(onsets) < 2:
         raise ParameterError("need at least 2 onsets to form intervals")
-    with np.errstate(over="ignore"):  # a gap beyond float64 is inf; _durations names it
-        return _durations(np.diff(onsets.times()))
+    return np.diff(onsets.times())
 
 
 def _first_edge(taus: np.ndarray, width_s: float) -> float:
@@ -249,11 +248,6 @@ def estimate_base_unit(
     raise EstimationError(
         f"base-unit estimate did not converge in {BASE_UNIT_MAX_ITER} iterations"
     )
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def classify_intervals(

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._csvio import quote, read_rows, row_error, write_rows
-from .errors import EditError, ParameterError
+from .errors import EditError, ParameterError, _check_positive
 
 if TYPE_CHECKING:  # annotations only; the CSV path never loads audio
     from .audio import EnvelopeSignal
@@ -83,13 +83,14 @@ def _code(name: str, codes: dict[str, int], what: str) -> int:
 
 def _first_bad_row(times: np.ndarray, amplitudes: np.ndarray):
     """(row, problem) of the first row that breaks a column rule, or None."""
-    # NaN from inf - inf (the finiteness check names that row); inf from a gap past float64
+    # NaN from inf - inf (the finiteness check names that row); +inf from a gap past float64
     with np.errstate(invalid="ignore", over="ignore"):
         steps = np.diff(times)
     checks = (
         (~np.isfinite(times), "onset time must be finite"),
         (~((amplitudes >= 0.0) & (amplitudes <= 1.0)), "onset amplitude must lie in [0, 1]"),
         (np.concatenate(([False], steps <= 0.0)), "onset times must be strictly increasing"),
+        (np.concatenate(([False], steps == np.inf)), "onset gap overflows float64"),
     )
     found = [(int(np.argmax(bad)), why) for bad, why in checks if bad.any()]
     return min(found, key=lambda f: f[0], default=None)
@@ -355,8 +356,7 @@ def detect_onsets(
     """
     if not 0 < threshold < 1:
         raise ParameterError("threshold must lie in (0, 1)")
-    if not 0 < refractory_ms < math.inf:
-        raise ParameterError("refractory_ms must be positive and finite")
+    _check_positive("refractory_ms", refractory_ms)
     values = env.values
     if env.silent or len(values) < 3:
         return OnsetSeries((), (), (), ())
@@ -380,8 +380,7 @@ def merge_close_onsets(series: OnsetSeries, window_ms: float = 3.0) -> OnsetSeri
     A run keeps its first member's time (the hit is annotated to the first
     trigger) and the maximum amplitude seen in the run.
     """
-    if not 0 < window_ms < math.inf:
-        raise ParameterError("window_ms must be positive and finite")
+    _check_positive("window_ms", window_ms)
     if len(series) <= 1:
         return series
     times, amplitudes, labels, sources = series._cols

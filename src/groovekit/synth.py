@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip
-from .errors import ParameterError
+from .errors import ParameterError, _check_count, _check_positive
 from .onsets import OnsetSeries
 
 __all__ = [
@@ -80,12 +80,9 @@ class GrooveSpec:
     drift_profile: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not 0 < self.bpm < math.inf:
-            raise ParameterError("bpm must be positive and finite")
-        if not 0 < self.swing_ratio < math.inf:
-            raise ParameterError("swing_ratio must be positive and finite")
-        if self.bars < 1:
-            raise ParameterError("bars must be at least 1")
+        _check_positive("bpm", self.bpm)
+        _check_positive("swing_ratio", self.swing_ratio)
+        _check_count("bars", self.bars, 1)
         for name in ("jitter_sigma_ms", "lrc_sigma_ms", "amplitude_jitter"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be non-negative and finite")
@@ -99,8 +96,8 @@ class GrooveSpec:
             bars = [b for b, _ in self.drift_profile]
             if len(bars) < 2 or any(not b1 < b2 < math.inf for b1, b2 in zip(bars, bars[1:])):
                 raise ParameterError("drift_profile needs strictly increasing bar positions")
-            if any(not 0 < bpm < math.inf for _, bpm in self.drift_profile):
-                raise ParameterError("drift_profile tempi must be positive and finite")
+            for _, bpm in self.drift_profile:
+                _check_positive("drift_profile tempi", bpm)
 
 
 @dataclass(frozen=True)
@@ -231,12 +228,9 @@ def gen_powerlaw_noise(
     circular wrap-around correlation of the synthesis. Expected DFA exponent
     is (beta + 1) / 2.
     """
-    if n < 2:
-        raise ParameterError("n must be at least 2")
-    if oversample < 1:
-        raise ParameterError("oversample must be at least 1")
+    n = _check_count("n", n, 2)
+    m = _check_count("oversample", oversample, 1) * n
     rng = np.random.default_rng(seed)
-    m = int(oversample) * n
     freqs = np.fft.rfftfreq(m)
     amps = np.zeros_like(freqs)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(freqs))
@@ -332,8 +326,7 @@ def render_clicks(
         raise ParameterError(
             f"sample_rate must lie in [8000, {MAX_SAMPLE_RATE:.0f}] Hz, got {sample_rate}"
         )
-    if not 0 < click_ms < math.inf:
-        raise ParameterError("click_ms must be positive and finite")
+    _check_positive("click_ms", click_ms)
     if noise_db is not None:
         try:
             noise_gain = 10.0 ** (noise_db / 20.0)

@@ -9,13 +9,14 @@ argmax (with a soft preference for tempi near a reference) tracks the tempo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._csvio import write_rows
 from .audio import AudioClip, _of
-from .errors import ParameterError
+from .errors import ParameterError, _check_count, _check_positive
 
 __all__ = [
     "NoveltyCurve",
@@ -59,12 +60,13 @@ class TempogramParams:
     ref_bpm: float = 84.0
 
     def __post_init__(self):
-        if self.window_length < 2 or self.hop < 1:
-            raise ParameterError("window_length must be >= 2 and hop >= 1")
-        if self.fft_length < self.window_length:
-            raise ParameterError("fft_length must cover the window")
+        window_length = _check_count("window_length", self.window_length, 2)
+        _check_count("hop", self.hop, 1)
+        _check_count("fft_length", self.fft_length, window_length)
         if not 0 < self.min_bpm < self.max_bpm:
             raise ParameterError("need 0 < min_bpm < max_bpm")
+        if not math.isfinite(self.ref_bpm):
+            raise ParameterError(f"ref_bpm must be finite, got {self.ref_bpm}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,11 @@ def novelty_curve(
         If samples near the float64 limit overflow a frame's spectrum or its
         compression, which would make the curve NaN.
     """
-    if window < 2 or hop < 1:
-        raise ParameterError("window must be >= 2 and hop >= 1")
+    _check_count("window", window, 2)
+    _check_count("hop", hop, 1)
+    _check_positive("compression", compression)
+    if not math.isfinite(min_db):
+        raise ParameterError(f"min_db must be finite, got {min_db}")
     n = len(clip)
     frame_rate = clip.sample_rate / hop
     start_s = window / 2.0 / clip.sample_rate
@@ -204,8 +209,10 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
     energy report 0.
     """
     ref = ref_bpm if ref_bpm is not None else tg.params.ref_bpm
+    if not math.isfinite(ref):
+        raise ParameterError(f"ref_bpm must be finite, got {ref}")
     mag = tg.magnitude
-    if ref and ref > 0:
+    if ref > 0:
         with np.errstate(divide="ignore"):
             logs = np.log2(np.maximum(tg.tempi_bpm, 1e-12) / ref)
         mag = mag * np.exp(-0.5 * (logs / OCTAVE_SIGMA) ** 2)[None, :]

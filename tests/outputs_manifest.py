@@ -5,7 +5,10 @@ The inputs are built with ``groovekit synth`` from fixed seeds:
 - a 300-bar LRC groove ramped from 84 to 90 BPM, as CSV, analyzed plain, with
   ``--sections``, with ``--raw-intervals`` and with ``--phrase-len 12``;
 - ten 60-bar grooves as CSV, each analyzed once;
-- a 20 s click track as WAV, run through ``analyze`` and ``onsets``.
+- a 20 s click track as WAV, run through ``analyze``, ``onsets`` and
+  ``onsets --edits`` (one edit of each kind);
+- a power-law series of the default length, from ``synth --series-only``,
+  whose ``%.12g`` column takes the CSV writer's ``%.Ng`` encoder.
 
 ``tests/test_outputs_manifest.py`` compares the hashes with the committed
 ``tests/data/outputs_sha256.json``. A change that alters outputs on purpose
@@ -38,6 +41,9 @@ _GROOVE = ["--swing", "1.79", "--jitter-ms", "5", "--lrc-beta", "1", "--lrc-sigm
 _CLICKS = ["--bars", "14", "--swing", "1.79", "--jitter-ms", "5", "--amplitude-jitter", "0.1",
            "--noise-db", "-40"]
 _SECTIONS = "start_s,end_s,tag\r\n0,120,A1-verse\r\n120,240,A2-prechorus\r\n240,500,B-chorus\r\n"
+# targets are onsets that ``onsets`` detects in the click track
+_EDITS = ("kind,target_time_s,new_time_s,label\r\nrelabel,0.504694,,hihat\r\n"
+          "move,0.730227,0.74,\r\nremove,0.861746,,\r\nadd,1.0,,ghost\r\n")
 _BATCH = 10
 
 
@@ -76,6 +82,8 @@ def _commands():
     yield ["synth", "-o", "inputs/clicks.csv", "--render", wav, "--seed", "7", *_CLICKS], wav
     yield ["analyze", wav, "--out-dir", "clicks"], "clicks"
     yield ["onsets", wav, "-o", "clicks_onsets.csv"], "clicks_onsets.csv"
+    yield ["onsets", wav, "--edits", "inputs/edits.csv", "-o", "clicks_edited.csv"], "clicks_edited.csv"
+    yield ["synth", "-o", "series.csv", "--series-only", "--seed", "11"], "series.csv"
 
 
 def _sha256(path: Path) -> str:
@@ -89,6 +97,7 @@ def output_hashes(workdir: Path) -> dict[str, str]:
 
     (workdir / "inputs").mkdir()
     (workdir / "inputs" / "sections.csv").write_bytes(_SECTIONS.encode())
+    (workdir / "inputs" / "edits.csv").write_bytes(_EDITS.encode())
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

@@ -14,9 +14,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from groovekit import OnsetSeries, ParameterError
 from groovekit.cli import main
 from groovekit.onsets import LABELS, SOURCES
 
@@ -73,9 +75,9 @@ def analyze_flags(draw):
 GROOVE = "".join(f"{k},{0.5 + 0.3 * (k // 2) + 0.2 * (k % 2):.6f},0.5,hihat,auto\r\n"
                  for k in range(40)).encode()
 
-# finite onset times whose middle gap overflows float64
-OVERFLOW = "".join(f"{k},{t!r},0.5,hihat,auto\r\n" for k, t in enumerate(
-    [-1.7e308, -1.6e308, -1.5e308, -1.4e308, 1.4e308, 1.5e308, 1.6e308, 1.7e308])).encode()
+# finite onset times whose middle gap, before onset 4, overflows float64
+OVERFLOW_TIMES = [-1.7e308, -1.6e308, -1.5e308, -1.4e308, 1.4e308, 1.5e308, 1.6e308, 1.7e308]
+OVERFLOW = "".join(f"{k},{t!r},0.5,hihat,auto\r\n" for k, t in enumerate(OVERFLOW_TIMES)).encode()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,3 +96,13 @@ def test_analyze_csv_exits_cleanly(tail, flags, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (code, err)
         assert "Traceback" not in err
+
+
+def test_overflowing_gap_names_its_row(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    path.write_bytes(HEADER.encode() + OVERFLOW)
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    # onset 4 sits on line 6, after the header
+    assert f"{path}:6: bad annotation row: onset gap overflows float64" in capsys.readouterr().err
+    with pytest.raises(ParameterError, match="^onset 4: onset gap overflows float64$"):
+        OnsetSeries.from_columns(OVERFLOW_TIMES, [0.5] * len(OVERFLOW_TIMES))

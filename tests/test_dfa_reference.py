@@ -194,7 +194,7 @@ def test_constant_input_stays_degenerate(order, level):
 
 def test_negative_detrend_order_rejected():
     x = np.random.default_rng(0).normal(size=256)
-    with pytest.raises(ParameterError, match="detrend_order >= 0"):
+    with pytest.raises(ParameterError, match="detrend_order must be at least 0"):
         dfa_fluctuation(x, scales=[4, 8, 16], detrend_order=-1)
 
 

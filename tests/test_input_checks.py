@@ -19,7 +19,11 @@ from groovekit import (
     IntervalSeries,
     OnsetSeries,
     ParameterError,
+    PhraseTemplate,
     Section,
+    Tempogram,
+    TempogramParams,
+    argmax_track,
     classify_intervals,
     compute_drift,
     detect_onsets,
@@ -27,12 +31,14 @@ from groovekit import (
     dfa_fluctuation,
     envelope,
     estimate_base_unit,
+    gen_powerlaw_noise,
     gen_shuffle_onsets,
     highpass,
     interval_stats,
     intervals,
     local_alpha,
     merge_close_onsets,
+    novelty_curve,
     read_edits_csv,
     read_onsets_csv,
     render_clicks,
@@ -685,3 +691,67 @@ class TestHugeIntervals:
         and so does the histogram when a hint skips the seed (base 5e13 s)."""
         times = [i * 1e14 + (i % 2) * 5e13 for i in range(10)]
         self._assert_exit_2(tmp_path, capsys, times, message, flags)
+
+
+# One row per parameter rule: the parameter's name, as its message gives it,
+# and a call that passes it a value.
+_CLIP = AudioClip(samples=np.random.default_rng(0).uniform(-1.0, 1.0, 4096), sample_rate=44100.0)
+_NOISE = np.random.default_rng(1).normal(size=256)
+_TEMPOGRAM = Tempogram(times_s=np.zeros(1), tempi_bpm=np.array([84.0]), magnitude=np.ones((1, 1)),
+                       params=TempogramParams())
+POSITIVE = [
+    ("sample_rate", lambda v: AudioClip(samples=np.zeros(64), sample_rate=v)),
+    ("sample_rate", lambda v: EnvelopeSignal(values=np.zeros(64), sample_rate=v, source_max=0.0,
+                                             silent=True)),
+    ("smoothing_ms", lambda v: envelope(_CLIP, smoothing_ms=v)),
+    ("refractory_ms", lambda v: detect_onsets(make_envelope([0.0, 1.0, 0.0]), refractory_ms=v)),
+    ("window_ms", lambda v: merge_close_onsets(series_from_times([0.1, 0.2]), window_ms=v)),
+    ("bpm", lambda v: GrooveSpec(bpm=v)),
+    ("swing_ratio", lambda v: GrooveSpec(swing_ratio=v)),
+    ("drift_profile tempi", lambda v: GrooveSpec(drift_profile=((0.0, 84.0), (4.0, v)))),
+    ("click_ms", lambda v: render_clicks(series_from_times([0.1]), click_ms=v)),
+    ("max_multiple", lambda v: AnalysisParams(max_multiple=v)),
+    ("histogram_bin_ms", lambda v: AnalysisParams(histogram_bin_ms=v)),
+    ("bpm_hint", lambda v: AnalysisParams(bpm_hint=v)),
+    ("compression", lambda v: novelty_curve(_CLIP, compression=v)),
+]
+FINITE = [
+    ("min_db", lambda v: novelty_curve(_CLIP, min_db=v)),
+    ("ref_bpm", lambda v: TempogramParams(ref_bpm=v)),
+    ("ref_bpm", lambda v: argmax_track(_TEMPOGRAM, ref_bpm=v)),
+]
+# (name, minimum, a valid count, call)
+COUNTS = [
+    ("detrend_order", 0, 1, lambda v: dfa_fluctuation(_NOISE, detrend_order=v)),
+    ("half_window", 1, 1, lambda v: local_alpha(dfa_fluctuation(_NOISE), half_window=v)),
+    ("half_window", 1, 1, lambda v: dfa_analyze(_NOISE, half_window=v)),
+    ("window_length", 2, 1024, lambda v: TempogramParams(window_length=v)),
+    ("hop", 1, 64, lambda v: TempogramParams(hop=v)),
+    ("fft_length", 1024, 4096, lambda v: TempogramParams(fft_length=v)),
+    ("window", 2, 1024, lambda v: novelty_curve(_CLIP, window=v)),
+    ("hop", 1, 512, lambda v: novelty_curve(_CLIP, hop=v)),
+    ("bars", 1, 2, lambda v: gen_shuffle_onsets(GrooveSpec(bars=v))),
+    ("n", 2, 100, lambda v: gen_powerlaw_noise(1.0, v)),
+    ("oversample", 1, 1, lambda v: gen_powerlaw_noise(1.0, 100, oversample=v)),
+    ("positions", 2, 16, lambda v: PhraseTemplate.shuffle(v)),
+    ("order", 0, 2, lambda v: highpass(_CLIP, order=v)),
+]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+BAD = (
+    [(name, call, v) for name, call in POSITIVE for v in [*_NON_FINITE, 0.0, -1.0]]
+    + [(name, call, v) for name, call in FINITE for v in _NON_FINITE]
+    # a fraction, a float that equals a valid count, and counts below the minimum
+    + [(name, call, v) for name, low, ok, call in COUNTS
+       for v in [ok + 0.5, float(ok), *_NON_FINITE, *(k for k in (0, -1) if k < low)]]
+)
+
+
+@pytest.mark.parametrize("name, call, value", BAD, ids=[f"{name}={v!r}" for name, _, v in BAD])
+def test_bad_parameter_is_named(name, call, value):
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, low, ok, call", COUNTS, ids=[row[0] for row in COUNTS])
+def test_counts_accept_numpy_integers(name, low, ok, call):
+    call(np.int64(ok))
