@@ -2,15 +2,17 @@
 
 ``from scipy import signal`` also imports scipy.stats, scipy.interpolate and
 scipy.optimize: over a second and about 75 MB, for a pipeline that needs only
-a Butterworth high-pass design and two compiled kernels. The design is
+a Butterworth high-pass design and three compiled kernels. The design is
 ported to numpy here, step for step and in scipy's order of operations, so
-its coefficients are byte for byte scipy's. The kernels are scipy's own:
-``_sosfilt`` and ``_peak_finding_utils`` are loaded straight
+its coefficients are byte for byte scipy's. The three kernels are scipy's
+own: ``sosfilt``'s, and ``find_peaks``' local-maximum scan and distance rule.
+Their modules, ``_sosfilt`` and ``_peak_finding_utils``, are loaded straight
 from the installed ``scipy/signal/`` directory, without running the package's
 ``__init__``. Around each kernel stays the argument handling of the public
 function it serves. Those modules are private to scipy, so if one cannot be
 loaded or lacks the function, every call here goes to public ``scipy.signal``
-instead, with the same results.
+instead, with the same results; its ``find_peaks`` then scans the whole array
+at once, so its peak arrays scale with the clip.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ __all__ = ["butter_highpass_sos", "sosfilt_zi", "sosfilt", "find_peaks"]
 def butter_highpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     """Second-order sections of a digital Butterworth high-pass, as
     ``scipy.signal.butter(order, cutoff_hz, btype="highpass", fs=fs,
-    output="sos")`` returns them. The caller checks ``order`` and ``cutoff_hz``."""
+    output="sos")`` returns them. The caller checks ``cutoff_hz``, and that
+    ``order`` is at least 1."""
     wn = np.asarray(cutoff_hz, dtype=np.float64) / (float(fs) / 2)
     warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)  # iirfilter pre-warps with fs = 2
     # buttap: the analog prototype
@@ -61,8 +64,6 @@ def _zpk2sos(z: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     a digital Butterworth high-pass. Its zeros are all real (at z = 1), and
     its poles are conjugate pairs plus, for an odd order, one real pole, so
     only scipy's pairing branches for real zeros can run; they are kept."""
-    if len(p) == 0:
-        return np.asarray([[k, 0.0, 0.0, 1.0, 0.0, 0.0]])
     sos = np.zeros(((len(p) + 1) // 2, 6))
     if len(p) % 2 == 1:  # a real pole at 0, and a zero to match
         p = np.concatenate((p, [0.0]))
@@ -157,6 +158,9 @@ def _lfilter_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 # --- the compiled kernels
 
+# values per local-maximum scan in find_peaks
+_PEAK_BLOCK = 1 << 18
+
 
 def _load(name: str):
     """The compiled module ``scipy.signal.<name>``, loaded from its file
@@ -177,10 +181,11 @@ def _load(name: str):
 
 @functools.cache
 def _kernels():
-    """(``_sosfilt``, ``_local_maxima_1d``) from scipy's compiled modules, or
-    None when either cannot be bound."""
+    """(``_sosfilt``, ``_local_maxima_1d``, ``_select_by_peak_distance``) from
+    scipy's compiled modules, or None when any cannot be bound."""
     try:
-        return _load("_sosfilt")._sosfilt, _load("_peak_finding_utils")._local_maxima_1d
+        peaks = _load("_peak_finding_utils")
+        return _load("_sosfilt")._sosfilt, peaks._local_maxima_1d, peaks._select_by_peak_distance
     except (ImportError, AttributeError):
         return None
 
@@ -219,13 +224,74 @@ def sosfilt(
     return out, state.reshape(zi.shape)
 
 
-def find_peaks(x: np.ndarray, height: float) -> np.ndarray:
-    """The peak indices of ``scipy.signal.find_peaks(x, height=height)``."""
+def find_peaks(values: np.ndarray, height: float, distance: float) -> np.ndarray:
+    """The peak indices of ``scipy.signal.find_peaks(values, height=height,
+    distance=distance)`` for finite ``values`` and ``distance >= 1``.
+
+    scipy rounds ``distance`` up to a C integer, which a huge distance
+    overflows, so it is clamped first to the length of ``values``: no two
+    peaks lie that far apart, so every larger distance keeps the same peaks.
+    Bound, the peaks are found a block at a time (``_candidate_peaks``) and
+    spaced by scipy's compiled ``_select_by_peak_distance``.
+    """
+    distance = min(distance, max(len(values), 1))
     kernels = _kernels()
     if kernels is None:
         from scipy import signal
 
-        return signal.find_peaks(x, height=height)[0]
-    x = np.asarray(x, order="C", dtype=np.float64)
-    peaks = kernels[1](x)[0]
-    return peaks[height <= x[peaks]]
+        return signal.find_peaks(values, height=height, distance=distance)[0]
+    values = np.asarray(values, dtype=np.float64)
+    peaks = _candidate_peaks(values, height, kernels[1])
+    return peaks[kernels[2](peaks, values[peaks], distance)]
+
+
+def _candidate_peaks(values: np.ndarray, height: float, local_maxima) -> np.ndarray:
+    """The peaks of ``find_peaks(values, height=height)``, a block at a time.
+
+    Each block goes to ``local_maxima`` with its values below ``height`` set
+    to -inf: they can be neither a peak nor part of one's plateau, and a
+    peak's neighbours stay strictly lower, so the peaks are the same and far
+    fewer local maxima are scanned. A block ends, and the next one starts,
+    on a value that is below ``height`` or lower than the value before it.
+    Such a value is never a peak nor inside a plateau, so every peak has its
+    whole plateau and both neighbours inside one block. A run of
+    non-decreasing values above ``height`` that fills a block doubles the
+    block until a cut fits.
+    """
+    found = []
+    # the masked block, in one reused array: a fresh 2 MB array per block is
+    # mapped and paged in anew each time unless glibc's mmap threshold was
+    # raised by a larger freed array (27k page faults a call on a 5-minute clip)
+    scratch = np.empty(0)
+    start, size = 0, _PEAK_BLOCK
+    while True:
+        stop = min(start + size, len(values))
+        block = values[start:stop]
+        if stop < len(values):
+            cut = _last_cut(block, height)
+            if cut == 0:
+                size *= 2
+                continue
+            stop = start + cut + 1
+            block = block[:cut + 1]
+        if len(scratch) < len(block):
+            scratch = np.empty(len(block))
+        masked = scratch[:len(block)]
+        masked.fill(-np.inf)
+        np.copyto(masked, block, where=block >= height)
+        found.append(local_maxima(masked)[0] + start)
+        if stop == len(values):
+            return np.concatenate(found)
+        start, size = stop - 1, _PEAK_BLOCK
+
+
+def _last_cut(block: np.ndarray, height: float) -> int:
+    """Index of the last value of ``block[1:]`` that is below ``height`` or
+    lower than the value before it, or 0 when there is none. The block's
+    last 1024 values are searched first; a cut is nearly always there."""
+    for width in (min(1024, len(block)), len(block)):
+        tail = block[len(block) - width:]
+        ok = (tail[1:] < height) | (tail[1:] < tail[:-1])
+        if ok.any():
+            return len(block) - 1 - int(np.argmax(ok[::-1]))
+    return 0

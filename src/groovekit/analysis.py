@@ -21,7 +21,7 @@ from . import _cpu
 from . import dfa as dfa_mod
 from ._csvio import write_rows
 from ._version import __version__
-from .errors import EstimationError, GrooveKitError, _check_positive
+from .errors import EstimationError, GrooveKitError, _check_count, _check_positive
 from .groove import (
     PhraseProfile,
     PhraseTemplate,
@@ -78,6 +78,11 @@ class AnalysisParams:
     histogram_bin_ms: float = 2.0
 
     def __post_init__(self):
+        # counts stored as Python ints, which json.dumps takes and numpy integers are not
+        positions = _check_count("phrase_positions", self.phrase_positions, 2)
+        object.__setattr__(self, "phrase_positions", positions)
+        for name in ("dfa_short", "dfa_long"):
+            object.__setattr__(self, name, tuple(_check_count(name, end, 1) for end in getattr(self, name)))
         _check_positive("max_multiple", self.max_multiple)
         _check_positive("histogram_bin_ms", self.histogram_bin_ms)
         if self.bpm_hint is not None:

@@ -443,10 +443,10 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
     Raises
     ------
     ParameterError
-        If ``order`` is negative or not whole, the cutoff is not below the
-        Nyquist rate or so far below it that the filter's initial state is
-        singular, the clip is too short for the filter's padding, or samples
-        near the float64 limit make the filter's output overflow.
+        If ``order`` is not a whole number of at least 1, the cutoff is not
+        below the Nyquist rate or so far below it that the filter's initial
+        state is singular, the clip is too short for the filter's padding, or
+        samples near the float64 limit make the filter's output overflow.
     """
     from . import _signal  # local import; the CSV path never needs it
 
@@ -455,7 +455,7 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
         raise ParameterError(
             f"cutoff_hz must be in (0, {nyquist:g}) for sample rate {clip.sample_rate:g}"
         )
-    sos = _signal.butter_highpass_sos(_check_count("order", order, 0), cutoff_hz, clip.sample_rate)
+    sos = _signal.butter_highpass_sos(_check_count("order", order, 1), cutoff_hz, clip.sample_rate)
     # sosfiltfilt's default padding: 3 * taps samples at each end, fewer than the clip
     taps = 2 * len(sos) + 1 - min(np.sum(sos[:, 2] == 0), np.sum(sos[:, 5] == 0))
     edge = 3 * taps

@@ -41,8 +41,6 @@ SOURCES = ("auto", "manual-add", "manual-move")
 
 # onsets whose peak-width uncertainty exceeds this are dropped at detection
 MAX_UNCERTAINTY_MS = 5.0
-# envelope samples per find_peaks call in detect_onsets
-_PEAK_BLOCK = 1 << 18
 # samples each side of a peak that _runs reads first (wider than nearly every
 # run on a 44.1 kHz click track), and its most samples per gather: about
 # 0.6 MB of indices, values and flags
@@ -262,82 +260,6 @@ def _runs(values, peaks, cuts, step: int, limits) -> np.ndarray:
     return runs
 
 
-def _candidate_peaks(values: np.ndarray, height: float) -> np.ndarray:
-    """The peaks of ``find_peaks(values, height=height)``, a block at a time.
-
-    Each block goes to ``find_peaks`` with its values below ``height`` zeroed:
-    they can be neither a peak nor part of one's plateau, and a peak's
-    neighbours stay strictly lower when zeroed, so the peaks are the same and
-    far fewer local maxima are scanned. A block ends, and the next one starts,
-    on a value that is below ``height`` or lower than the value before it.
-    Such a value is never a peak nor inside a plateau, so every peak has its
-    whole plateau and both neighbours inside one block. A run of
-    non-decreasing values above ``height`` that fills a block doubles the
-    block until a cut fits.
-    """
-    from . import _signal  # local import; the CSV path never needs it
-
-    found = []
-    # the masked block, in one reused array: a fresh 2 MB array per block is
-    # mapped and paged in anew each time unless glibc's mmap threshold was
-    # raised by a larger freed array (27k page faults a call on a 5-minute clip)
-    scratch = np.empty(0)
-    start, size = 0, _PEAK_BLOCK
-    while True:
-        stop = min(start + size, len(values))
-        block = values[start:stop]
-        if stop < len(values):
-            cut = _last_cut(block, height)
-            if cut == 0:
-                size *= 2
-                continue
-            stop = start + cut + 1
-            block = block[:cut + 1]
-        if len(scratch) < len(block):
-            scratch = np.empty(len(block))
-        # values below height zeroed (a -0.0 among them turns +0.0, which
-        # find_peaks treats alike); the values are finite, as EnvelopeSignal checked
-        masked = scratch[:len(block)]
-        masked.fill(0.0)
-        np.copyto(masked, block, where=block >= height)
-        found.append(_signal.find_peaks(masked, height) + start)
-        if stop == len(values):
-            return np.concatenate(found)
-        start, size = stop - 1, _PEAK_BLOCK
-
-
-def _last_cut(block: np.ndarray, height: float) -> int:
-    """Index of the last value of ``block[1:]`` that is below ``height`` or
-    lower than the value before it, or 0 when there is none. The block's
-    last 1024 values are searched first; a cut is nearly always there."""
-    for width in (min(1024, len(block)), len(block)):
-        tail = block[len(block) - width:]
-        ok = (tail[1:] < height) | (tail[1:] < tail[:-1])
-        if ok.any():
-            return len(block) - 1 - int(np.argmax(ok[::-1]))
-    return 0
-
-
-def _spaced(peaks: np.ndarray, heights: np.ndarray, distance: int) -> np.ndarray:
-    """Mask of the peaks ``find_peaks`` keeps for ``distance``: taken highest
-    first, in ``np.argsort``'s order as scipy takes them, each one removing
-    every peak closer than ``distance`` samples that is still kept."""
-    at = peaks.tolist()
-    keep = [True] * len(at)
-    for j in np.argsort(heights)[::-1].tolist():
-        if not keep[j]:
-            continue
-        k = j - 1
-        while k >= 0 and at[j] - at[k] < distance:
-            keep[k] = False
-            k -= 1
-        k = j + 1
-        while k < len(at) and at[k] - at[j] < distance:
-            keep[k] = False
-            k += 1
-    return np.array(keep, dtype=bool)
-
-
 def detect_onsets(
     env: EnvelopeSignal,
     threshold: float = 0.1,
@@ -352,7 +274,7 @@ def detect_onsets(
     which peaks are kept and is not stored. A silent envelope yields an
     empty series.
     The peaks are those of ``scipy.signal.find_peaks`` with the same height
-    and distance, found without a copy of the envelope.
+    and distance.
     """
     if not 0 < threshold < 1:
         raise ParameterError("threshold must lie in (0, 1)")
@@ -365,10 +287,9 @@ def detect_onsets(
     samples = refractory_ms * 1e-3 * env.sample_rate
     if samples == math.inf:
         raise ParameterError(f"refractory_ms {refractory_ms:g} overflows at sample rate {env.sample_rate:g}")
-    distance = max(1, int(round(samples)))
-    peaks = _candidate_peaks(values, height)
-    peaks = peaks[_spaced(peaks, values[peaks], distance)]
+    from . import _signal  # local import; the CSV path never needs it
 
+    peaks = _signal.find_peaks(values, height, max(1, int(round(samples))))
     keep = _uncertainty_ms(values, peaks, env.sample_rate) <= MAX_UNCERTAINTY_MS
     peaks = peaks[keep]
     return OnsetSeries.from_columns(peaks / env.sample_rate, values[peaks])

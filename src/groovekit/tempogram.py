@@ -60,9 +60,11 @@ class TempogramParams:
     ref_bpm: float = 84.0
 
     def __post_init__(self):
-        window_length = _check_count("window_length", self.window_length, 2)
-        _check_count("hop", self.hop, 1)
-        _check_count("fft_length", self.fft_length, window_length)
+        # stored as Python ints, which json.dumps takes and numpy integers are not
+        object.__setattr__(self, "window_length", _check_count("window_length", self.window_length, 2))
+        object.__setattr__(self, "hop", _check_count("hop", self.hop, 1))
+        fft_length = _check_count("fft_length", self.fft_length, self.window_length)
+        object.__setattr__(self, "fft_length", fft_length)
         if not 0 < self.min_bpm < self.max_bpm:
             raise ParameterError("need 0 < min_bpm < max_bpm")
         if not math.isfinite(self.ref_bpm):

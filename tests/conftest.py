@@ -16,6 +16,24 @@ def sine_clip():
     return make
 
 
+@pytest.fixture
+def unbind(monkeypatch):
+    """A call that makes scipy's compiled kernels unloadable for the rest of
+    the test, so that ``groovekit._signal`` goes to public ``scipy.signal``."""
+    from groovekit import _signal
+
+    def unbind():
+        def unloadable(name):
+            raise ImportError(f"no scipy.signal.{name} (made unloadable by the test)")
+
+        monkeypatch.setattr(_signal, "_load", unloadable)
+        _signal._kernels.cache_clear()
+        assert not _signal.bound()
+
+    yield unbind
+    _signal._kernels.cache_clear()  # so that the next test binds the kernels again
+
+
 def make_envelope(values, sample_rate=1000.0):
     return EnvelopeSignal(
         values=np.asarray(values, dtype=float),

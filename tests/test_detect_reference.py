@@ -1,16 +1,18 @@
 """detect_onsets against a plain ``find_peaks`` over the whole envelope.
 
-``detect_onsets`` zeroes every value below the height threshold before
-calling ``find_peaks``. The reference below is the original detection: the
-unmasked envelope, the same height and distance, the same uncertainty rule.
-Both must find the same peaks and build the same series, on hand-made edge
-cases (plateaus at and around the threshold, array ends, ties closer than the
-refractory distance) and on small quantized envelopes full of ties.
+``detect_onsets`` takes its peaks from ``_signal.find_peaks``, which sets
+every value below the height threshold to -inf before scanning for local
+maxima. The reference below is the original detection: public ``find_peaks``
+on the unmasked envelope, the same height and distance, the same uncertainty
+rule. Both must find the same peaks and build the same series, on hand-made
+edge cases (plateaus at and around the threshold, array ends, ties closer
+than the refractory distance) and on small quantized envelopes full of ties.
 
-``detect_onsets`` also cuts the envelope into blocks of ``_PEAK_BLOCK``
-samples and applies the distance rule itself. With the block shrunk to a few
-samples, every plateau, long run above the threshold and close tie lands
-across block ends, and the result must still be plain ``find_peaks``'.
+``_signal.find_peaks`` also cuts the envelope into blocks of ``_PEAK_BLOCK``
+samples before it applies scipy's compiled distance rule to all the peaks.
+With the block shrunk to a few samples, every plateau, long run above the
+threshold and close tie lands across block ends, and the result must still
+be plain ``find_peaks``'.
 
 Peak widths are measured for all peaks at once, over windows each side of
 them. The reference is the scalar loop that walked out from one peak at a
@@ -24,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from groovekit import OnsetSeries, detect_onsets
+from groovekit import OnsetSeries, _signal, detect_onsets
 from groovekit import onsets as onsets_mod
 from groovekit.onsets import MAX_UNCERTAINTY_MS
 
@@ -120,7 +122,7 @@ def test_quantized_envelopes(levels, threshold, distance):
 def test_small_blocks(monkeypatch, runs, block, threshold, distance):
     """Runs of equal values: plateaus, and stretches above the threshold,
     longer than the block, and ties closer than the distance."""
-    monkeypatch.setattr(onsets_mod, "_PEAK_BLOCK", block)
+    monkeypatch.setattr(_signal, "_PEAK_BLOCK", block)
     levels, lengths = zip(*runs)
     assert_same_detection(np.repeat(np.asarray(levels, dtype=float) / 4.0, lengths), threshold, distance)
 
@@ -129,7 +131,7 @@ def test_small_blocks(monkeypatch, runs, block, threshold, distance):
 def test_runs_longer_than_the_block(monkeypatch, shape):
     """A non-decreasing run above the threshold with no place to cut, longer
     than the block and longer than the 1024-sample tail searched first."""
-    monkeypatch.setattr(onsets_mod, "_PEAK_BLOCK", 2000)
+    monkeypatch.setattr(_signal, "_PEAK_BLOCK", 2000)
     noise = np.random.default_rng(3).uniform(0.0, 1.0, 7000)
     if shape == "rising-run":
         values = np.concatenate([noise, np.linspace(0.5, 0.9, 5000), [0.2], noise])
@@ -139,11 +141,10 @@ def test_runs_longer_than_the_block(monkeypatch, shape):
         values = np.concatenate([noise[:800], np.linspace(0.3, 0.95, 2600), [0.0], noise])
     env = make_envelope(values, sample_rate=SAMPLE_RATE)
     height = 0.25 * float(np.max(values))
-    candidates = onsets_mod._candidate_peaks(values, height)
     for distance in (1, 7, 300):
         # the wide peaks here are dropped for their width, so compare before that
-        spaced = candidates[onsets_mod._spaced(candidates, values[candidates], distance)]
-        np.testing.assert_array_equal(spaced, find_peaks(values, height=height, distance=distance)[0])
+        np.testing.assert_array_equal(
+            _signal.find_peaks(values, height, distance), find_peaks(values, height=height, distance=distance)[0])
         refractory_ms = distance * 1e3 / SAMPLE_RATE
         assert detect_onsets(env, threshold=0.25, refractory_ms=refractory_ms) == ref_detect(
             env, 0.25, refractory_ms)[1]
@@ -151,14 +152,14 @@ def test_runs_longer_than_the_block(monkeypatch, shape):
 
 @pytest.mark.parametrize("block", [4, 5000])
 def test_signed_zeros_below_the_height(monkeypatch, block):
-    """The masked block holds +0.0 wherever a value is below the height, so a
-    -0.0 there turns +0.0; zeros of either sign beside peaks and plateaus
-    must leave the peaks where plain ``find_peaks`` puts them."""
-    monkeypatch.setattr(onsets_mod, "_PEAK_BLOCK", block)
+    """The masked block holds -inf wherever a value is below the height;
+    zeros of either sign there, beside peaks and plateaus, must leave the
+    peaks where plain ``find_peaks`` puts them."""
+    monkeypatch.setattr(_signal, "_PEAK_BLOCK", block)
     values = np.array([-0.0, 0.5, -0.0, 0.0, 0.7, 0.7, -0.0, 0.3, 0.3, -0.0, 0.0, 0.9, -0.0, -0.0] * 5)
     for height in (0.2, 0.4, 0.6, 0.8):
         np.testing.assert_array_equal(
-            onsets_mod._candidate_peaks(values, height), find_peaks(values, height=height)[0])
+            _signal.find_peaks(values, height, 1), find_peaks(values, height=height)[0])
     env = make_envelope(values, sample_rate=SAMPLE_RATE)
     assert detect_onsets(env, threshold=0.45, refractory_ms=1.0) == ref_detect(env, 0.45, 1.0)[1]
 

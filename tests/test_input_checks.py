@@ -43,6 +43,7 @@ from groovekit import (
     read_onsets_csv,
     render_clicks,
     run_analysis,
+    tempogram_summary,
 )
 from groovekit import onsets as onsets_mod
 from groovekit.cli import main
@@ -419,12 +420,16 @@ class TestNonFiniteDetectionParameters:
         with pytest.raises(ParameterError, match="refractory_ms"):
             detect_onsets(env, refractory_ms=value)
 
-    def test_refractory_overflowing_in_samples(self):
+    def test_refractory_overflowing_in_samples(self, unbind):
         # 1e307 ms at 44.1 kHz is more samples than a float holds; it used to
         # raise an OverflowError traceback from int()
         env = make_envelope([0.0, 1.0, 0.0, 0.5, 0.0], sample_rate=44100.0)
         with pytest.raises(ParameterError, match="refractory_ms 1e\\+307 overflows at sample rate 44100"):
             detect_onsets(env, refractory_ms=1e307)
+        # 1e300 ms fits a float but not the C integer scipy rounds it to, bound
+        # and through public find_peaks alike
+        assert len(detect_onsets(env, refractory_ms=1e300)) == 1
+        unbind()
         assert len(detect_onsets(env, refractory_ms=1e300)) == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -734,7 +739,10 @@ COUNTS = [
     ("n", 2, 100, lambda v: gen_powerlaw_noise(1.0, v)),
     ("oversample", 1, 1, lambda v: gen_powerlaw_noise(1.0, 100, oversample=v)),
     ("positions", 2, 16, lambda v: PhraseTemplate.shuffle(v)),
-    ("order", 0, 2, lambda v: highpass(_CLIP, order=v)),
+    ("order", 1, 2, lambda v: highpass(_CLIP, order=v)),
+    ("phrase_positions", 2, 16, lambda v: AnalysisParams(phrase_positions=v)),
+    ("dfa_short", 1, 4, lambda v: AnalysisParams(dfa_short=(v, 16))),
+    ("dfa_long", 1, 100, lambda v: AnalysisParams(dfa_long=(16, v))),
 ]
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 BAD = (
@@ -755,3 +763,20 @@ def test_bad_parameter_is_named(name, call, value):
 @pytest.mark.parametrize("name, low, ok, call", COUNTS, ids=[row[0] for row in COUNTS])
 def test_counts_accept_numpy_integers(name, low, ok, call):
     call(np.int64(ok))
+
+
+def test_numpy_integer_counts_reach_json_as_ints():
+    """A numpy integer count is stored as an ``int``, so the JSON written
+    from it is that of the plain ``int``."""
+    def summary(hop):
+        params = TempogramParams(hop=hop)
+        return tempogram_summary(Tempogram(
+            times_s=np.zeros(1), tempi_bpm=np.array([84.0]), magnitude=np.ones((1, 1)), params=params))
+
+    def report(positions, short):
+        onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))
+        params = AnalysisParams(phrase_positions=positions, dfa_short=short)
+        return run_analysis(onsets, params=params).report_dict()
+
+    assert json.dumps(summary(np.int64(64))) == json.dumps(summary(64))
+    assert json.dumps(report(np.int64(16), (np.int64(4), np.int64(16)))) == json.dumps(report(16, (4, 16)))

@@ -130,17 +130,22 @@ def _peak_cases():
         "flat": np.full(50, 0.25),
         "short": np.array([0.3, 0.6]),
         "empty": np.zeros(0),
+        # exact zeros, with negative neighbours at times, are peaks at height 0
+        "signed": np.round(rng.uniform(-1.0, 1.0, 3000), 1),
     }
 
 
 @pytest.mark.parametrize("case", list(_peak_cases()))
 @pytest.mark.parametrize("height", [0.0, 0.25, 0.5, 0.8])
-def test_find_peaks_matches_scipy(case, height):
+def test_find_peaks_matches_scipy(unbind, case, height):
+    """With the kernels bound, and with them unloadable."""
     x = _peak_cases()[case]
-    assert _same(_signal.find_peaks(x, height), signal.find_peaks(x, height=height)[0])
-    # the envelope as detection hands it over: values below the height zeroed
-    masked = np.where(x >= height, x, 0.0)
-    assert _same(_signal.find_peaks(masked, height), signal.find_peaks(masked, height=height)[0])
+    want = {distance: signal.find_peaks(x, height=height, distance=distance)[0] for distance in (1, 3, 50)}
+    for binding in ("bound", "unbound"):
+        if binding == "unbound":
+            unbind()
+        for distance, peaks in want.items():
+            assert _same(_signal.find_peaks(x, height, distance), peaks), (binding, distance)
 
 
 def _audio_results(clip):

@@ -85,7 +85,8 @@ BINDING = """
 import json
 from groovekit import _signal
 errors = []
-for module, function in (("_sosfilt", "_sosfilt"), ("_peak_finding_utils", "_local_maxima_1d")):
+for module, function in (("_sosfilt", "_sosfilt"), ("_peak_finding_utils", "_local_maxima_1d"),
+                         ("_peak_finding_utils", "_select_by_peak_distance")):
     try:
         getattr(_signal._load(module), function)
     except (ImportError, AttributeError) as exc:
