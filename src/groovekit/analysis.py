@@ -21,7 +21,7 @@ from . import _cpu
 from . import dfa as dfa_mod
 from ._csvio import write_rows
 from ._version import __version__
-from .errors import EstimationError, GrooveKitError, _check_count, _check_positive
+from .errors import EstimationError, GrooveKitError, ParameterError, _check_count, _check_positive
 from .groove import (
     PhraseProfile,
     PhraseTemplate,
@@ -82,7 +82,10 @@ class AnalysisParams:
         positions = _check_count("phrase_positions", self.phrase_positions, 2)
         object.__setattr__(self, "phrase_positions", positions)
         for name in ("dfa_short", "dfa_long"):
-            object.__setattr__(self, name, tuple(_check_count(name, end, 1) for end in getattr(self, name)))
+            ends = tuple(_check_count(name, end, 1) for end in getattr(self, name))
+            if len(ends) != 2 or ends[0] >= ends[1]:
+                raise ParameterError(f"{name} must be a (lo, hi) scale range with lo < hi, got {ends}")
+            object.__setattr__(self, name, ends)
         _check_positive("max_multiple", self.max_multiple)
         _check_positive("histogram_bin_ms", self.histogram_bin_ms)
         if self.bpm_hint is not None:

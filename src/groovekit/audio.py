@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cpu
-from .errors import FormatError, ParameterError, _check_count, _check_positive
+from .errors import FormatError, ParameterError, _check_count, _check_positive, _first_nonfinite
 
 __all__ = ["AudioClip", "EnvelopeSignal", "load_audio", "save_audio", "highpass", "envelope"]
 
@@ -38,8 +38,7 @@ class AudioClip:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ParameterError("AudioClip holds mono data; downmix before constructing")
-        # reductions, not a clip-sized mask; a NaN sample makes min() NaN
-        if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        if _first_nonfinite(samples) is not None:
             raise ParameterError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
@@ -364,9 +363,8 @@ class WavReader:
 
     def _check_finite(self, start: int, values: np.ndarray) -> None:
         """Raise if a value of ``values``, frames ``start..``, is NaN or infinite."""
-        # reductions, not a block-sized mask; a NaN sample makes min() NaN
-        if len(values) and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            at = int(np.flatnonzero(~np.isfinite(values))[0])
+        at = _first_nonfinite(values)
+        if at is not None:
             raise FormatError(
                 f"samples must be finite in {self.path!r}: sample {start + at} is {float(values[at])}"
             )
@@ -495,7 +493,7 @@ def highpass(clip: AudioClip, cutoff_hz: float = 1000.0, order: int = 4) -> Audi
         block = back[start:start + _BLOCK]
         block[...], zi = _signal.sosfilt(sos, block, zi, out=scratch[:len(block)])
         lo, hi = max(len(buf) - start - len(block), edge), min(len(buf) - start, edge + n)
-        if lo < hi and not (np.isfinite(buf[lo:hi].min()) and np.isfinite(buf[lo:hi].max())):
+        if _first_nonfinite(buf[lo:hi]) is not None:
             raise ParameterError(
                 f"the samples{_of(clip)} overflow the high-pass filter: its output is not finite"
             )

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FitError, ParameterError, _check_count
+from .errors import FitError, ParameterError, _check_count, _first_nonfinite
 
 __all__ = [
     "FluctuationResult",
@@ -120,14 +120,15 @@ def dfa_fluctuation(
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("series must be one-dimensional")
-    if not np.all(np.isfinite(x)):
+    if _first_nonfinite(x) is not None:
         raise ParameterError("series contains non-finite values")
     n = len(x)
     if scales is None:
         # the default grid is already sorted and unique; the copy is the result's own
         scales = _default_grid(n // 4).copy()
     else:
-        scales = np.unique(np.asarray(scales, dtype=np.int64))
+        counts = [_check_count("scales", s, 1) for s in np.ravel(scales).tolist()]
+        scales = np.unique(np.array(counts, dtype=np.int64))
     if len(scales) == 0:
         raise ParameterError("no scales given")
     detrend_order = _check_count("detrend_order", detrend_order, 0)

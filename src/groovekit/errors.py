@@ -3,6 +3,8 @@
 import math
 import operator
 
+import numpy as np
+
 
 class GrooveKitError(Exception):
     """Base class for all groovekit errors."""
@@ -31,6 +33,21 @@ class FitError(GrooveKitError, ValueError):
 def _check_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _first_nonfinite(values) -> int | None:
+    """Index of the first NaN or infinity in the 1-D array ``values``, or
+    None when every value is finite."""
+    # two reductions, not a values-sized mask: a NaN makes min() and max()
+    # NaN, and an infinity is one of them; the mask is built only to find it
+    if not len(values) or (math.isfinite(values.min()) and math.isfinite(values.max())):
+        return None
+    return int(np.flatnonzero(~np.isfinite(values))[0])
 
 
 def _check_count(name: str, value, minimum: int) -> int:

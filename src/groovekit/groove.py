@@ -56,12 +56,14 @@ class PhraseTemplate:
     units_per_phrase: int = 24
 
     def __post_init__(self):
-        slots = tuple(self.slot_units)
+        slots = tuple(_check_count("slot_units", u, 0) for u in self.slot_units)
+        units = _check_count("units_per_phrase", self.units_per_phrase, 2)
         if len(slots) < 2 or any(b <= a for a, b in zip(slots, slots[1:])):
             raise ParameterError("slot_units must be strictly increasing, length >= 2")
-        if slots[-1] >= self.units_per_phrase:
+        if slots[-1] >= units:
             raise ParameterError("slots must fit inside the phrase")
         object.__setattr__(self, "slot_units", slots)
+        object.__setattr__(self, "units_per_phrase", units)
 
     def __len__(self) -> int:
         return len(self.slot_units)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import read_rows, write_rows
-from .errors import EstimationError, ParameterError, _check_positive
+from .errors import EstimationError, ParameterError, _check_finite, _check_positive
 from .onsets import ColumnSeries, OnsetSeries
 
 __all__ = [
@@ -102,8 +102,8 @@ class Section:
     tag: str = "other"
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_time_s) and math.isfinite(self.end_time_s)):
-            raise ParameterError("section start and end must be finite")
+        _check_finite("start_time_s", self.start_time_s)
+        _check_finite("end_time_s", self.end_time_s)
         if self.end_time_s <= self.start_time_s:
             raise ParameterError("section end must exceed start")
         if self.tag not in ("A1-verse", "A2-prechorus", "B-chorus", "other"):

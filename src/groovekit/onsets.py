@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._csvio import quote, read_rows, row_error, write_rows
-from .errors import EditError, ParameterError, _check_positive
+from .errors import EditError, ParameterError, _check_finite, _check_positive
 
 if TYPE_CHECKING:  # annotations only; the CSV path never loads audio
     from .audio import EnvelopeSignal
@@ -197,10 +197,9 @@ class AnnotationEdit:
     def __post_init__(self):
         if self.kind not in ("add", "remove", "move", "relabel"):
             raise ParameterError(f"unknown edit kind {self.kind!r}")
-        if not math.isfinite(self.target_time_s):
-            raise ParameterError("edit target_time_s must be finite")
-        if self.new_time_s is not None and not math.isfinite(self.new_time_s):
-            raise ParameterError("edit new_time_s must be finite")
+        _check_finite("target_time_s", self.target_time_s)
+        if self.new_time_s is not None:
+            _check_finite("new_time_s", self.new_time_s)
         if self.kind == "move" and self.new_time_s is None:
             raise ParameterError("move edits need new_time_s")
         if self.kind == "relabel" and self.label is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip
-from .errors import ParameterError, _check_count, _check_positive
+from .errors import ParameterError, _check_count, _check_finite, _check_positive
 from .onsets import OnsetSeries
 
 __all__ = [
@@ -83,6 +83,8 @@ class GrooveSpec:
         _check_positive("bpm", self.bpm)
         _check_positive("swing_ratio", self.swing_ratio)
         _check_count("bars", self.bars, 1)
+        _check_finite("start_s", self.start_s)
+        _check_finite("lrc_beta", self.lrc_beta)
         for name in ("jitter_sigma_ms", "lrc_sigma_ms", "amplitude_jitter"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be non-negative and finite")
@@ -117,7 +119,8 @@ def bar_time_s(spec: GrooveSpec, bar: float) -> float:
     Integrates the instantaneous bar duration 120/bpm over the piecewise
     linear tempo curve in closed form, so fractional positions are exact.
     """
-    if bar < 0:
+    if not 0 <= bar < math.inf:  # one comparison on the per-onset path
+        _check_finite("bar", bar)
         raise ParameterError("bar positions start at 0")
     profile = spec.drift_profile or ((0.0, spec.bpm),)
     points = list(profile)
@@ -154,6 +157,7 @@ def gen_shuffle_onsets(spec: GrooveSpec, seed: int = 0) -> tuple[OnsetSeries, Sh
     yields 8 onsets. Optional ghost notes land midway through the long
     interval. Returns the (possibly noisy) onsets and the noise-free truth.
     """
+    seed = _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     r = spec.swing_ratio
     note3_offset = 3.0 * r / (1.0 + r)
@@ -228,9 +232,10 @@ def gen_powerlaw_noise(
     circular wrap-around correlation of the synthesis. Expected DFA exponent
     is (beta + 1) / 2.
     """
+    _check_finite("beta", beta)
     n = _check_count("n", n, 2)
     m = _check_count("oversample", oversample, 1) * n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     freqs = np.fft.rfftfreq(m)
     amps = np.zeros_like(freqs)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(freqs))
@@ -278,6 +283,8 @@ def gen_crossover_series(
     if not 0.0 <= mix <= 1.0:
         raise ParameterError("mix must lie in [0, 1]")
     period = len(pattern)
+    n = _check_count("n", n, 2)
+    _check_finite("lrc_beta", lrc_beta)
     if n < 4 * period:
         raise ParameterError("n must be at least 4x the pattern period")
     reps = int(np.ceil(n / period))
@@ -327,6 +334,7 @@ def render_clicks(
             f"sample_rate must lie in [8000, {MAX_SAMPLE_RATE:.0f}] Hz, got {sample_rate}"
         )
     _check_positive("click_ms", click_ms)
+    _check_count("seed", seed, 0)
     if noise_db is not None:
         try:
             noise_gain = 10.0 ** (noise_db / 20.0)

@@ -9,14 +9,13 @@ argmax (with a soft preference for tempi near a reference) tracks the tempo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._csvio import write_rows
 from .audio import AudioClip, _of
-from .errors import ParameterError, _check_count, _check_positive
+from .errors import ParameterError, _check_count, _check_finite, _check_positive, _first_nonfinite
 
 __all__ = [
     "NoveltyCurve",
@@ -65,10 +64,10 @@ class TempogramParams:
         object.__setattr__(self, "hop", _check_count("hop", self.hop, 1))
         fft_length = _check_count("fft_length", self.fft_length, self.window_length)
         object.__setattr__(self, "fft_length", fft_length)
+        _check_finite("max_bpm", self.max_bpm)  # so tempogram.json holds no Infinity
         if not 0 < self.min_bpm < self.max_bpm:
             raise ParameterError("need 0 < min_bpm < max_bpm")
-        if not math.isfinite(self.ref_bpm):
-            raise ParameterError(f"ref_bpm must be finite, got {self.ref_bpm}")
+        _check_finite("ref_bpm", self.ref_bpm)
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ def novelty_curve(
     _check_count("window", window, 2)
     _check_count("hop", hop, 1)
     _check_positive("compression", compression)
-    if not math.isfinite(min_db):
-        raise ParameterError(f"min_db must be finite, got {min_db}")
+    _check_finite("min_db", min_db)
     n = len(clip)
     frame_rate = clip.sample_rate / hop
     start_s = window / 2.0 / clip.sample_rate
@@ -152,10 +150,8 @@ def novelty_curve(
             np.maximum(flux[:k], 0.0, out=flux[:k])
             np.sum(flux[:k], axis=1, out=novelty[start:start + k])
             spectra[0] = compressed[-1]
-    # each value is at most (window // 2 + 1) * log1p(compression * max|X|), so
-    # their sum is finite unless one of them is not
-    if not np.isfinite(novelty.sum()):
-        at = int(np.flatnonzero(~np.isfinite(novelty))[0])
+    at = _first_nonfinite(novelty)
+    if at is not None:
         raise ParameterError(
             f"the samples{_of(clip)} overflow the novelty curve's spectrum "
             f"at {start_s + at / frame_rate:.3f} s"
@@ -211,8 +207,7 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
     energy report 0.
     """
     ref = ref_bpm if ref_bpm is not None else tg.params.ref_bpm
-    if not math.isfinite(ref):
-        raise ParameterError(f"ref_bpm must be finite, got {ref}")
+    _check_finite("ref_bpm", ref)
     mag = tg.magnitude
     if ref > 0:
         with np.errstate(divide="ignore"):

@@ -24,6 +24,7 @@ from groovekit import (
     Tempogram,
     TempogramParams,
     argmax_track,
+    bar_time_s,
     classify_intervals,
     compute_drift,
     detect_onsets,
@@ -31,6 +32,7 @@ from groovekit import (
     dfa_fluctuation,
     envelope,
     estimate_base_unit,
+    gen_crossover_series,
     gen_powerlaw_noise,
     gen_shuffle_onsets,
     highpass,
@@ -724,6 +726,16 @@ FINITE = [
     ("min_db", lambda v: novelty_curve(_CLIP, min_db=v)),
     ("ref_bpm", lambda v: TempogramParams(ref_bpm=v)),
     ("ref_bpm", lambda v: argmax_track(_TEMPOGRAM, ref_bpm=v)),
+    ("max_bpm", lambda v: TempogramParams(max_bpm=v)),
+    ("target_time_s", lambda v: AnnotationEdit("add", v)),
+    ("new_time_s", lambda v: AnnotationEdit("move", 0.5, new_time_s=v)),
+    ("start_time_s", lambda v: Section(v, 1.0)),
+    ("end_time_s", lambda v: Section(0.0, v)),
+    ("start_s", lambda v: GrooveSpec(start_s=v)),
+    ("bar", lambda v: bar_time_s(GrooveSpec(), v)),
+    ("lrc_beta", lambda v: GrooveSpec(lrc_beta=v)),
+    ("beta", lambda v: gen_powerlaw_noise(v, 100)),
+    ("lrc_beta", lambda v: gen_crossover_series(100, [1.0, -1.0], lrc_beta=v)),
 ]
 # (name, minimum, a valid count, call)
 COUNTS = [
@@ -743,6 +755,12 @@ COUNTS = [
     ("phrase_positions", 2, 16, lambda v: AnalysisParams(phrase_positions=v)),
     ("dfa_short", 1, 4, lambda v: AnalysisParams(dfa_short=(v, 16))),
     ("dfa_long", 1, 100, lambda v: AnalysisParams(dfa_long=(16, v))),
+    ("scales", 1, 8, lambda v: dfa_fluctuation(_NOISE, scales=[v])),
+    ("slot_units", 0, 2, lambda v: PhraseTemplate(slot_units=(0, v), units_per_phrase=3)),
+    ("units_per_phrase", 2, 24, lambda v: PhraseTemplate(units_per_phrase=v)),
+    ("seed", 0, 1, lambda v: gen_shuffle_onsets(GrooveSpec(), seed=v)),
+    ("seed", 0, 1, lambda v: render_clicks(series_from_times([0.1]), seed=v)),
+    ("seed", 0, 1, lambda v: gen_powerlaw_noise(1.0, 100, seed=v)),
 ]
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 BAD = (
@@ -763,6 +781,27 @@ def test_bad_parameter_is_named(name, call, value):
 @pytest.mark.parametrize("name, low, ok, call", COUNTS, ids=[row[0] for row in COUNTS])
 def test_counts_accept_numpy_integers(name, low, ok, call):
     call(np.int64(ok))
+
+
+# not a COUNTS row: a second "n" row there would change the ids of gen_powerlaw_noise's
+@pytest.mark.parametrize("n", [100.5, 100.0, math.nan, 0])
+def test_crossover_length_is_a_count(n):
+    with pytest.raises(ParameterError, match="^n must be"):
+        gen_crossover_series(n, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("name", ["dfa_short", "dfa_long"])
+@pytest.mark.parametrize("ends", [(16, 4), (8, 8)])
+def test_inverted_dfa_range_is_named(name, ends):
+    # (16, 4) reported alpha1 null over s_range [16, 4]
+    with pytest.raises(ParameterError, match=f"^{name} must be a \\(lo, hi\\) scale range"):
+        AnalysisParams(**{name: ends})
+
+
+def test_negative_slot_is_named():
+    # slot -3 passed the ordering rule and then indexed unit 0
+    with pytest.raises(ParameterError, match="^slot_units must be at least 0, got -3"):
+        PhraseTemplate(slot_units=(-3, 2))
 
 
 def test_numpy_integer_counts_reach_json_as_ints():
