@@ -60,23 +60,30 @@ from .onsets import (
     write_onsets_csv,
 )
 
+# The audio stack loads on first use (PEP 562): `import groovekit` and an
+# annotation CSV analysis never import these three modules. This is the one
+# list of their public names; `__all__` and `groovekit.cli` read it.
+_LAZY = {
+    "audio": ("AudioClip", "EnvelopeSignal", "envelope", "highpass", "load_audio", "save_audio"),
+    "synth": ("GrooveSpec", "ShuffleGroundTruth", "bar_time_s", "gen_crossover_series",
+              "gen_powerlaw_noise", "gen_shuffle_onsets", "render_clicks", "unit_duration_s"),
+    "tempogram": ("NoveltyCurve", "Tempogram", "TempogramParams", "argmax_track",
+                  "fourier_tempogram", "novelty_curve", "tempogram_summary", "write_tempogram_csv"),
+}
+
 __all__ = [
     "__version__",
     "AnalysisParams",
     "AnalysisResult",
     "AnnotationEdit",
-    "AudioClip",
     "BeatClass",
     "EditError",
-    "EnvelopeSignal",
     "EstimationError",
     "FitError",
     "FluctuationResult",
     "FormatError",
     "GrooveKitError",
-    "GrooveSpec",
     "IntervalSeries",
-    "NoveltyCurve",
     "Onset",
     "OnsetSeries",
     "ParameterError",
@@ -84,75 +91,32 @@ __all__ = [
     "PhraseTemplate",
     "Section",
     "SectionMap",
-    "ShuffleGroundTruth",
     "SwingReport",
-    "Tempogram",
-    "TempogramParams",
     "apply_edits",
-    "argmax_track",
-    "bar_time_s",
     "classify_intervals",
     "compute_drift",
     "default_scales",
     "detect_onsets",
     "dfa_analyze",
     "dfa_fluctuation",
-    "envelope",
     "estimate_base_unit",
     "fit_alpha",
     "fit_loglog",
-    "fourier_tempogram",
-    "gen_crossover_series",
-    "gen_powerlaw_noise",
-    "gen_shuffle_onsets",
-    "highpass",
     "interval_stats",
     "intervals",
-    "load_audio",
     "local_alpha",
     "merge_close_onsets",
-    "novelty_curve",
     "phrase_amplitude_profile",
     "phrase_interval_profile",
     "read_edits_csv",
     "read_onsets_csv",
-    "render_clicks",
     "run_analysis",
-    "save_audio",
     "swing_ratio",
-    "tempogram_summary",
-    "unit_duration_s",
     "write_analysis_outputs",
     "write_edits_csv",
     "write_onsets_csv",
-    "write_tempogram_csv",
+    *(name for names in _LAZY.values() for name in names),
 ]
-
-# The audio stack loads on first use (PEP 562): `import groovekit` and an
-# annotation CSV analysis never import these three modules.
-_LAZY = {
-    "audio": ("AudioClip", "EnvelopeSignal", "envelope", "highpass", "load_audio", "save_audio"),
-    "synth": (
-        "GrooveSpec",
-        "ShuffleGroundTruth",
-        "bar_time_s",
-        "gen_crossover_series",
-        "gen_powerlaw_noise",
-        "gen_shuffle_onsets",
-        "render_clicks",
-        "unit_duration_s",
-    ),
-    "tempogram": (
-        "NoveltyCurve",
-        "Tempogram",
-        "TempogramParams",
-        "argmax_track",
-        "fourier_tempogram",
-        "novelty_curve",
-        "tempogram_summary",
-        "write_tempogram_csv",
-    ),
-}
 
 
 def __getattr__(name: str):

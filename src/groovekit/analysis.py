@@ -78,7 +78,8 @@ class AnalysisParams:
     histogram_bin_ms: float = 2.0
 
     def __post_init__(self):
-        # counts stored as Python ints, which json.dumps takes and numpy integers are not
+        # stored as Python ints, floats and bools, which json.dumps takes and
+        # their numpy counterparts are not
         positions = _check_count("phrase_positions", self.phrase_positions, 2)
         object.__setattr__(self, "phrase_positions", positions)
         for name in ("dfa_short", "dfa_long"):
@@ -86,10 +87,13 @@ class AnalysisParams:
             if len(ends) != 2 or ends[0] >= ends[1]:
                 raise ParameterError(f"{name} must be a (lo, hi) scale range with lo < hi, got {ends}")
             object.__setattr__(self, name, ends)
-        _check_positive("max_multiple", self.max_multiple)
-        _check_positive("histogram_bin_ms", self.histogram_bin_ms)
+        for name in ("max_multiple", "histogram_bin_ms"):
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if self.bpm_hint is not None:
-            _check_positive("bpm_hint", self.bpm_hint)
+            object.__setattr__(self, "bpm_hint", _check_positive("bpm_hint", self.bpm_hint))
+        if not isinstance(self.raw_intervals, (bool, np.bool_)):
+            raise ParameterError(f"raw_intervals must be a bool, got {self.raw_intervals!r}")
+        object.__setattr__(self, "raw_intervals", bool(self.raw_intervals))
 
 
 @dataclass

@@ -20,6 +20,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import _LAZY
 from ._csvio import write_rows
 from ._version import __version__
 from .analysis import (
@@ -42,21 +43,9 @@ from .onsets import (
 
 __all__ = ["main"]
 
-# The names of the audio, synth and tempogram modules this module uses, bound
-# into its globals on first use, so that a CSV analyze never loads those
-# modules. perfbench/tracer.py wraps every name of the analyze path in this
-# module; load_audio and envelope are not called here and are listed only for
-# it.
-_LAZY = {
-    "audio": ("WavReader", "_envelope_into", "envelope", "highpass", "load_audio", "save_audio"),
-    "synth": ("GrooveSpec", "gen_powerlaw_noise", "gen_shuffle_onsets", "render_clicks"),
-    "tempogram": ("TempogramParams", "fourier_tempogram", "novelty_curve", "tempogram_summary",
-                  "write_tempogram_csv"),
-}
-
-
 def _bind(*modules: str) -> None:
-    """Import ``modules`` and bind their ``_LAZY`` names here. A name already
+    """Import ``modules`` and bind their public names (``groovekit._LAZY``)
+    here, so that a CSV analyze never loads the audio stack. A name already
     bound (a tracer's span, a test's monkeypatch) is kept."""
     namespace = globals()
     for module in modules:
@@ -115,6 +104,8 @@ def _detect_from_audio(source, args, helper=None) -> tuple:
     ``helper``, ``(executor, idle)``, lends the envelope a second thread
     (see ``audio._envelope_into``).
     """
+    from .audio import _envelope_into
+
     _bind("audio")
     clip = highpass(source, cutoff_hz=args.cutoff_hz)
     env = _envelope_into(clip, args.smoothing_ms, out=clip.samples, helper=helper)
@@ -126,7 +117,8 @@ def _detect_from_audio(source, args, helper=None) -> tuple:
 def _cmd_onsets(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    _bind("audio")
+    from .audio import WavReader
+
     # the pool runs nothing else, so its thread is always idle for the envelope
     with WavReader(args.audio) as reader, ThreadPoolExecutor(max_workers=1) as pool:
         series, env = _detect_from_audio(reader, args, helper=(pool, lambda: True))
@@ -159,6 +151,8 @@ def _cmd_analyze(args) -> int:
     else:
         # local import; CSV analysis never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
+
+        from .audio import WavReader
 
         _bind("audio", "tempogram")
         # The tempogram shares only the file with detection, and the FFTs and

@@ -30,14 +30,19 @@ class FitError(GrooveKitError, ValueError):
     """A regression has too few or degenerate points to fit."""
 
 
-def _check_positive(name: str, value: float) -> None:
+def _check_positive(name: str, value: float) -> float:
+    """``value`` as a ``float`` (which ``json.dumps`` takes and numpy floats
+    are not), positive and finite."""
     if not 0.0 < value < math.inf:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
-def _check_finite(name: str, value: float) -> None:
+def _check_finite(name: str, value: float) -> float:
+    """``value`` as a ``float``, finite."""
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _first_nonfinite(values) -> int | None:

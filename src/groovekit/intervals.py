@@ -221,12 +221,11 @@ def estimate_base_unit(
     if len(taus) == 0:
         raise ParameterError("cannot estimate a base unit from no intervals")
     if hint_bpm is not None:
-        if hint_bpm <= 0:
-            raise ParameterError("hint_bpm must be positive")
-        base = 60.0 / (float(hint_bpm) * 6.0)
+        hint_bpm = _check_positive("hint_bpm", hint_bpm)
+        base = 60.0 / (hint_bpm * 6.0)
         if not 0.0 < base < math.inf:
             raise ParameterError(
-                f"hint_bpm={float(hint_bpm)!r} gives a starting base unit of {base:g} s, "
+                f"hint_bpm={hint_bpm!r} gives a starting base unit of {base:g} s, "
                 "not a positive finite duration"
             )
     else:
@@ -237,7 +236,7 @@ def estimate_base_unit(
         if not np.any(keep):
             if step == 0 and hint_bpm is not None:
                 raise EstimationError(
-                    f"hint_bpm={float(hint_bpm)!r} gives a starting base unit of {base:g} s, "
+                    f"hint_bpm={hint_bpm!r} gives a starting base unit of {base:g} s, "
                     "against which no interval is within the class cutoff"
                 )
             raise EstimationError("no intervals within the class cutoff; base unit undefined")

@@ -337,7 +337,7 @@ def render_clicks(
     _check_count("seed", seed, 0)
     if noise_db is not None:
         try:
-            noise_gain = 10.0 ** (noise_db / 20.0)
+            noise_gain = 10.0 ** (_check_finite("noise_db", noise_db) / 20.0)
         except OverflowError:
             noise_gain = math.inf
         if not noise_gain < math.inf:

@@ -59,15 +59,18 @@ class TempogramParams:
     ref_bpm: float = 84.0
 
     def __post_init__(self):
-        # stored as Python ints, which json.dumps takes and numpy integers are not
+        # stored as Python ints and floats, which json.dumps takes and numpy
+        # integers and floats are not
         object.__setattr__(self, "window_length", _check_count("window_length", self.window_length, 2))
         object.__setattr__(self, "hop", _check_count("hop", self.hop, 1))
         fft_length = _check_count("fft_length", self.fft_length, self.window_length)
         object.__setattr__(self, "fft_length", fft_length)
-        _check_finite("max_bpm", self.max_bpm)  # so tempogram.json holds no Infinity
+        # finite, so tempogram.json holds no Infinity
+        object.__setattr__(self, "max_bpm", _check_finite("max_bpm", self.max_bpm))
         if not 0 < self.min_bpm < self.max_bpm:
             raise ParameterError("need 0 < min_bpm < max_bpm")
-        _check_finite("ref_bpm", self.ref_bpm)
+        object.__setattr__(self, "min_bpm", float(self.min_bpm))
+        object.__setattr__(self, "ref_bpm", _check_finite("ref_bpm", self.ref_bpm))
 
 
 @dataclass(frozen=True)

@@ -505,7 +505,10 @@ class TestNonFiniteLibraryInputs:
     @pytest.mark.parametrize("hint", [1e308, 3e307, 5e-308, 1e-320, math.nan])
     def test_bpm_hint_without_a_finite_starting_base(self, hint):
         series = intervals(series_from_times([0.0, 0.12, 0.36]))
-        with pytest.raises(ParameterError, match=re.escape(f"hint_bpm={hint!r} gives a starting base")):
+        # a NaN hint is refused by the positive rule before any base is computed
+        message = ("hint_bpm must be positive and finite, got nan" if math.isnan(hint)
+                   else f"hint_bpm={hint!r} gives a starting base")
+        with pytest.raises(ParameterError, match=re.escape(message)):
             estimate_base_unit(series, hint_bpm=hint)
 
     def test_smallest_bpm_hint_with_a_finite_starting_base(self):
@@ -721,6 +724,7 @@ POSITIVE = [
     ("histogram_bin_ms", lambda v: AnalysisParams(histogram_bin_ms=v)),
     ("bpm_hint", lambda v: AnalysisParams(bpm_hint=v)),
     ("compression", lambda v: novelty_curve(_CLIP, compression=v)),
+    ("hint_bpm", lambda v: estimate_base_unit(np.array([0.12, 0.24]), hint_bpm=v)),
 ]
 FINITE = [
     ("min_db", lambda v: novelty_curve(_CLIP, min_db=v)),
@@ -736,6 +740,7 @@ FINITE = [
     ("lrc_beta", lambda v: GrooveSpec(lrc_beta=v)),
     ("beta", lambda v: gen_powerlaw_noise(v, 100)),
     ("lrc_beta", lambda v: gen_crossover_series(100, [1.0, -1.0], lrc_beta=v)),
+    ("noise_db", lambda v: render_clicks(series_from_times([0.1]), noise_db=v)),
 ]
 # (name, minimum, a valid count, call)
 COUNTS = [
@@ -819,3 +824,27 @@ def test_numpy_integer_counts_reach_json_as_ints():
 
     assert json.dumps(summary(np.int64(64))) == json.dumps(summary(64))
     assert json.dumps(report(np.int64(16), (np.int64(4), np.int64(16)))) == json.dumps(report(16, (4, 16)))
+
+
+def test_numpy_floats_and_bools_reach_json_as_python_values():
+    """A numpy float or bool parameter is stored as a ``float`` or ``bool``,
+    so the JSON written from it is that of the plain value; a
+    ``raw_intervals`` that is not a bool is refused."""
+    def summary(**params):
+        return tempogram_summary(Tempogram(times_s=np.zeros(1), tempi_bpm=np.array([84.0]),
+                                           magnitude=np.ones((1, 1)), params=TempogramParams(**params)))
+
+    def report(**params):
+        onsets, _ = gen_shuffle_onsets(GrooveSpec(bars=4))
+        return run_analysis(onsets, params=AnalysisParams(**params)).report_dict()
+
+    def float32(params):
+        return {name: np.float32(value) for name, value in params.items()}
+
+    tempi = {"min_bpm": 40.0, "max_bpm": 320.0, "ref_bpm": 84.0}
+    assert json.dumps(summary(**float32(tempi))) == json.dumps(summary(**tempi))
+    analysis = {"max_multiple": 3.5, "histogram_bin_ms": 2.5, "bpm_hint": 84.0}
+    assert (json.dumps(report(raw_intervals=np.True_, **float32(analysis)))
+            == json.dumps(report(raw_intervals=True, **analysis)))
+    with pytest.raises(ParameterError, match=re.escape("raw_intervals must be a bool, got 'yes'")):
+        AnalysisParams(raw_intervals="yes")
