@@ -31,6 +31,7 @@ being physical. The annotation reader parses plain files with numpy's C
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
@@ -118,8 +119,9 @@ def quote(text: str) -> str:
     return text
 
 
-def write_rows(path, header, fmt: str, columns) -> None:
-    """Write ``header`` and then row i of ``columns`` as ``fmt % (row i)``.
+def write_rows(dest, header, fmt: str, columns) -> None:
+    """Write ``header`` and then row i of ``columns`` as ``fmt % (row i)``
+    to ``dest``: a path, or an open binary stream, which is left open.
 
     ``fmt`` formats one row, ``\\r\\n`` included. Columns are equal-length
     sequences (lists, tuples, ranges or 1-D numpy arrays); they are sliced,
@@ -130,7 +132,7 @@ def write_rows(path, header, fmt: str, columns) -> None:
     if any(len(c) != n for c in columns):  # numpy would broadcast a 1-row column
         raise ValueError(f"columns of {', '.join(str(len(c)) for c in columns)} rows")
     plan = _plan(fmt) if n >= SHORT_BLOCK_ROWS else None
-    with open(path, "wb") as fh:
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n, BLOCK_ROWS):
             block = [c[start:start + BLOCK_ROWS] for c in columns]

@@ -24,6 +24,8 @@ import os
 
 import numpy as np
 
+from . import _cpu
+
 __all__ = ["butter_highpass_sos", "sosfilt_zi", "sosfilt", "find_peaks"]
 
 
@@ -160,6 +162,8 @@ def _lfilter_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 # values per local-maximum scan in find_peaks
 _PEAK_BLOCK = 1 << 18
+# values searched first for a cut: by _last_cut, and before the middle for a split scan
+_CUT_SEARCH = 1024
 
 
 def _load(name: str):
@@ -224,7 +228,7 @@ def sosfilt(
     return out, state.reshape(zi.shape)
 
 
-def find_peaks(values: np.ndarray, height: float, distance: float) -> np.ndarray:
+def find_peaks(values: np.ndarray, height: float, distance: float, helper=None) -> np.ndarray:
     """The peak indices of ``scipy.signal.find_peaks(values, height=height,
     distance=distance)`` for finite ``values`` and ``distance >= 1``.
 
@@ -233,6 +237,14 @@ def find_peaks(values: np.ndarray, height: float, distance: float) -> np.ndarray
     peaks lie that far apart, so every larger distance keeps the same peaks.
     Bound, the peaks are found a block at a time (``_candidate_peaks``) and
     spaced by scipy's compiled ``_select_by_peak_distance``.
+
+    ``helper`` is ``(executor, idle)``, as for ``audio._envelope_into``. When
+    its thread is idle, the process has more than one CPU and ``values``
+    holds at least two blocks, the values are cut at the last cut value (see
+    ``_candidate_peaks``) among the ``_CUT_SEARCH`` before the middle: the
+    thread scans from there to the end while this one scans up to it, and
+    the distance rule runs once over both. With no cut there, the scan is
+    serial.
     """
     distance = min(distance, max(len(values), 1))
     kernels = _kernels()
@@ -241,7 +253,16 @@ def find_peaks(values: np.ndarray, height: float, distance: float) -> np.ndarray
 
         return signal.find_peaks(values, height=height, distance=distance)[0]
     values = np.asarray(values, dtype=np.float64)
-    peaks = _candidate_peaks(values, height, kernels[1])
+    cut = near = 0
+    if helper is not None and len(values) >= 2 * _PEAK_BLOCK and helper[1]() and _cpu.cpu_count() > 1:
+        near = max(len(values) // 2 - _CUT_SEARCH, 0)
+        cut = near + _last_cut(values[near:len(values) // 2 + 1], height)
+    if cut > near:
+        tail = helper[0].submit(_candidate_peaks, values[cut:], height, kernels[1])
+        head = _candidate_peaks(values[:cut + 1], height, kernels[1])
+        peaks = np.concatenate((head, tail.result() + cut))
+    else:
+        peaks = _candidate_peaks(values, height, kernels[1])
     return peaks[kernels[2](peaks, values[peaks], distance)]
 
 
@@ -288,8 +309,9 @@ def _candidate_peaks(values: np.ndarray, height: float, local_maxima) -> np.ndar
 def _last_cut(block: np.ndarray, height: float) -> int:
     """Index of the last value of ``block[1:]`` that is below ``height`` or
     lower than the value before it, or 0 when there is none. The block's
-    last 1024 values are searched first; a cut is nearly always there."""
-    for width in (min(1024, len(block)), len(block)):
+    last ``_CUT_SEARCH`` values are searched first; a cut is nearly always
+    there."""
+    for width in (min(_CUT_SEARCH, len(block)), len(block)):
         tail = block[len(block) - width:]
         ok = (tail[1:] < height) | (tail[1:] < tail[:-1])
         if ok.any():

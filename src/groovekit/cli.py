@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import io
 import json
 import math
 import sys
@@ -101,15 +102,15 @@ def _detect_from_audio(source, args, helper=None) -> tuple:
     The high-pass buffer is the only clip-sized array: the high-pass fills it
     from ``source`` block by block, and it is then rectified, smoothed and
     normalized in place into the envelope that peak picking reads.
-    ``helper``, ``(executor, idle)``, lends the envelope a second thread
-    (see ``audio._envelope_into``).
+    ``helper``, ``(executor, idle)``, lends the envelope and the peak scan a
+    second thread (see ``audio._envelope_into`` and ``_signal.find_peaks``).
     """
     from .audio import _envelope_into
 
     _bind("audio")
     clip = highpass(source, cutoff_hz=args.cutoff_hz)
     env = _envelope_into(clip, args.smoothing_ms, out=clip.samples, helper=helper)
-    series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms)
+    series = detect_onsets(env, threshold=args.threshold, refractory_ms=args.refractory_ms, _helper=helper)
     series = merge_close_onsets(series, window_ms=args.merge_ms)
     return series, env
 
@@ -157,21 +158,22 @@ def _cmd_analyze(args) -> int:
         _bind("audio", "tempogram")
         # The tempogram shares only the file with detection, and the FFTs and
         # filters of both release the GIL, so it runs on a second thread
-        # meanwhile, reading its own blocks. Once it is done, its thread takes
-        # half of the envelope. The pool is joined before the file is closed.
-        # Its files are written with the others, after every stage, so an
-        # error in any stage or write leaves no output.
+        # meanwhile, reading its own blocks, and encodes its two files there.
+        # Once that is done, its thread takes half of the envelope and half of
+        # the peak scan. The pool is joined before the file is closed. Its
+        # files are written with the others, after every stage, so an error
+        # in any stage or write leaves no output.
         with WavReader(args.input) as reader, ThreadPoolExecutor(max_workers=1) as pool:
-            tempogram = pool.submit(_tempogram, reader)
+            tempogram = pool.submit(_tempogram_files, reader)
             series, _ = _detect_from_audio(reader, args, helper=(pool, tempogram.done))
             result = _analyze_series(args, series)
-            tg = tempogram.result()
-        if tg is None:
+            files = tempogram.result()
+        if files is None:
             print("clip shorter than one tempogram window; skipping tempogram outputs")
         else:
-            sidecars = [("tempogram.csv", lambda p: write_tempogram_csv(p, tg)),
-                        ("tempogram.json", lambda p: p.write_text(
-                            json.dumps(tempogram_summary(tg), indent=2) + "\n", encoding="utf-8"))]
+            csv_bytes, summary = files
+            sidecars = [("tempogram.csv", lambda p: p.write_bytes(csv_bytes)),
+                        ("tempogram.json", lambda p: p.write_text(summary, encoding="utf-8"))]
     report_path = write_analysis_outputs(args.out_dir, result, sidecars=sidecars)
     print(f"wrote {report_path}")
     return 0
@@ -199,6 +201,18 @@ def _tempogram(source):
     if len(nov) < params.window_length:
         return None
     return fourier_tempogram(nov, params)
+
+
+def _tempogram_files(source):
+    """``(tempogram.csv bytes, tempogram.json text)`` of :func:`_tempogram`,
+    or None when it is None."""
+    tg = _tempogram(source)
+    if tg is None:
+        return None
+    with io.BytesIO() as buffer:
+        write_tempogram_csv(buffer, tg)
+        csv_bytes = buffer.getvalue()  # hands over the buffer, trimmed, not a copy
+    return csv_bytes, json.dumps(tempogram_summary(tg), indent=2) + "\n"
 
 
 def _cmd_synth(args) -> int:

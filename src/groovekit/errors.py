@@ -33,15 +33,28 @@ class FitError(GrooveKitError, ValueError):
 def _check_positive(name: str, value: float) -> float:
     """``value`` as a ``float`` (which ``json.dumps`` takes and numpy floats
     are not), positive and finite."""
-    if not 0.0 < value < math.inf:
+    number = _real(name, value)
+    if not 0.0 < number < math.inf:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
-    return float(value)
+    return number
 
 
 def _check_finite(name: str, value: float) -> float:
     """``value`` as a ``float``, finite."""
-    if not math.isfinite(value):
+    number = _real(name, value)
+    if not math.isfinite(number):
         raise ParameterError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``, if ``math`` takes it as a real number (numpy
+    scalars do; a string, None or a complex number raises a ``TypeError``
+    that does not name the parameter)."""
+    try:
+        math.isfinite(value)  # float() would parse a string
+    except TypeError:
+        raise ParameterError(f"{name} must be a real number, got {value!r}") from None
     return float(value)
 
 

@@ -263,6 +263,8 @@ def detect_onsets(
     env: EnvelopeSignal,
     threshold: float = 0.1,
     refractory_ms: float = 50.0,
+    *,
+    _helper=None,
 ) -> OnsetSeries:
     """Pick local envelope maxima above a threshold as onsets.
 
@@ -273,7 +275,8 @@ def detect_onsets(
     which peaks are kept and is not stored. A silent envelope yields an
     empty series.
     The peaks are those of ``scipy.signal.find_peaks`` with the same height
-    and distance.
+    and distance. ``_helper`` is private: the CLI lends the peak scan a
+    second thread with it (see ``_signal.find_peaks``).
     """
     if not 0 < threshold < 1:
         raise ParameterError("threshold must lie in (0, 1)")
@@ -288,7 +291,7 @@ def detect_onsets(
         raise ParameterError(f"refractory_ms {refractory_ms:g} overflows at sample rate {env.sample_rate:g}")
     from . import _signal  # local import; the CSV path never needs it
 
-    peaks = _signal.find_peaks(values, height, max(1, int(round(samples))))
+    peaks = _signal.find_peaks(values, height, max(1, int(round(samples))), _helper)
     keep = _uncertainty_ms(values, peaks, env.sample_rate) <= MAX_UNCERTAINTY_MS
     peaks = peaks[keep]
     return OnsetSeries.from_columns(peaks / env.sample_rate, values[peaks])

@@ -119,7 +119,11 @@ def bar_time_s(spec: GrooveSpec, bar: float) -> float:
     Integrates the instantaneous bar duration 120/bpm over the piecewise
     linear tempo curve in closed form, so fractional positions are exact.
     """
-    if not 0 <= bar < math.inf:  # one comparison on the per-onset path
+    try:
+        ok = 0 <= bar < math.inf  # one comparison on the per-onset path
+    except TypeError:  # not a number: _check_finite names it
+        ok = False
+    if not ok:
         _check_finite("bar", bar)
         raise ParameterError("bar positions start at 0")
     profile = spec.drift_profile or ((0.0, spec.bpm),)

@@ -67,9 +67,9 @@ class TempogramParams:
         object.__setattr__(self, "fft_length", fft_length)
         # finite, so tempogram.json holds no Infinity
         object.__setattr__(self, "max_bpm", _check_finite("max_bpm", self.max_bpm))
-        if not 0 < self.min_bpm < self.max_bpm:
+        object.__setattr__(self, "min_bpm", _check_positive("min_bpm", self.min_bpm))
+        if not self.min_bpm < self.max_bpm:
             raise ParameterError("need 0 < min_bpm < max_bpm")
-        object.__setattr__(self, "min_bpm", float(self.min_bpm))
         object.__setattr__(self, "ref_bpm", _check_finite("ref_bpm", self.ref_bpm))
 
 
@@ -223,7 +223,8 @@ def argmax_track(tg: Tempogram, ref_bpm: float | None = None) -> np.ndarray:
 
 def write_tempogram_csv(path, tg: Tempogram) -> None:
     """Long-form CSV: time_s,bpm,magnitude, one row per (frame, tempo) cell,
-    written a block of rows at a time."""
+    written a block of rows at a time to ``path``, a path or an open binary
+    stream (see :func:`~groovekit._csvio.write_rows`)."""
     times, tempi = tg.times_s, tg.tempi_bpm
     write_rows(path, ["time_s", "bpm", "magnitude"], "%.6f,%.4f,%.9g\r\n", [
         np.repeat(times, len(tempi)),

@@ -126,3 +126,73 @@ def test_detection_error_writes_nothing(tmp_path, capsys):
     assert "cutoff_hz must be in (0, 22050)" in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["write_tempogram_csv", "tempogram_summary"])
+def test_sidecar_encoding_error_writes_nothing(tmp_path, capsys, monkeypatch, name):
+    """The tempogram thread encodes its two files before any file is
+    written; an error there is raised from the pool's result."""
+    wav = render(tmp_path, 24)
+    capsys.readouterr()
+
+    def failing(*args):
+        raise ParameterError(f"{name} failed")
+
+    monkeypatch.setattr(groovekit.cli, name, failing)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(wav), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", f"groovekit: {name} failed\n")
+    assert not out_dir.exists()
+
+
+SCHEDULES = {
+    # (the tempogram thread idle from the start, CPUs)
+    "every hand-off taken": (True, 2),
+    "helper busy": (False, 2),
+    "one CPU": (True, 1),
+}
+
+
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
+def test_outputs_do_not_depend_on_the_schedule(tmp_path, monkeypatch, schedule):
+    """The tempogram thread's hand-offs (half of the envelope and of its
+    divide, half of the peak scan) all taken, or each refused: the same
+    bytes as the serial pipeline. Idle from the start, the thread finishes
+    the tempogram and its files before detection begins, as the ``after``
+    case of the memory test in test_audio_streaming.py arranges."""
+    from groovekit import _cpu, _signal, audio
+
+    idle, cpus = SCHEDULES[schedule]
+    wav = render(tmp_path, 24)  # 34 s: long enough for both splits from the first block
+    detect = groovekit.cli._detect_from_audio
+
+    def scheduled(source, args, helper):
+        pool, done = helper
+        pool.submit(int).result(timeout=120)  # the one-thread pool has run the tempogram task
+        return detect(source, args, (pool, lambda: idle and done()))
+
+    tails, scans = [], []
+    smooth_tail, candidate_peaks = audio._smooth_tail, _signal._candidate_peaks
+
+    def spy_tail(*args):
+        tails.append(smooth_tail(*args))
+        return tails[-1]
+
+    def spy_scan(*args):
+        scans.append(threading.current_thread() is threading.main_thread())
+        return candidate_peaks(*args)
+
+    monkeypatch.setattr(groovekit.cli, "_detect_from_audio", scheduled)
+    monkeypatch.setattr(_cpu, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(audio, "_smooth_tail", spy_tail)
+    monkeypatch.setattr(_signal, "_candidate_peaks", spy_scan)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(wav), "--out-dir", str(out_dir)]) == 0
+    if idle and cpus > 1:
+        assert len(tails) == 1 and tails[0] is not None
+        assert sorted(scans) == [False, True]  # the tail on the helper, the head here
+    else:
+        assert tails == [] and scans == [True]
+    ref_dir = tmp_path / "ref"
+    serial_reference(wav, ref_dir)
+    assert contents(out_dir) == contents(ref_dir)

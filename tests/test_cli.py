@@ -210,14 +210,17 @@ class TestAnalyzeCommand:
         assert header == "time_s,bpm,magnitude"
 
     def test_failed_tempogram_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
-        import groovekit.tempogram
+        # the tempogram's CSV is encoded in memory and written with the report's
+        # other files: the disk fills halfway through writing it
+        write_bytes = Path.write_bytes
 
-        def write_half(path, header, fmt, columns):
-            with open(path, "w") as fh:
-                fh.write(",".join(header) + "\r\n0.000000,")
+        def write_half(path, data):
+            if path.name != "tempogram.csv.tmp":
+                return write_bytes(path, data)
+            write_bytes(path, data[:len(data) // 2])
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(groovekit.tempogram, "write_rows", write_half)
+        monkeypatch.setattr(Path, "write_bytes", write_half)
         wav = tmp_path / "clicks.wav"
         run_cli("synth", "-o", str(tmp_path / "t.csv"), "--bars", "30", "--render", str(wav))
         out_dir = tmp_path / "out"

@@ -725,6 +725,7 @@ POSITIVE = [
     ("bpm_hint", lambda v: AnalysisParams(bpm_hint=v)),
     ("compression", lambda v: novelty_curve(_CLIP, compression=v)),
     ("hint_bpm", lambda v: estimate_base_unit(np.array([0.12, 0.24]), hint_bpm=v)),
+    ("min_bpm", lambda v: TempogramParams(min_bpm=v)),
 ]
 FINITE = [
     ("min_db", lambda v: novelty_curve(_CLIP, min_db=v)),
@@ -781,6 +782,25 @@ BAD = (
 def test_bad_parameter_is_named(name, call, value):
     with pytest.raises(ParameterError, match=f"^{name} must be"):
         call(value)
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("max_multiple", "3.5", lambda v: AnalysisParams(max_multiple=v)),
+    ("max_multiple", None, lambda v: AnalysisParams(max_multiple=v)),
+    ("bpm_hint", "84", lambda v: AnalysisParams(bpm_hint=v)),
+    ("min_bpm", "30", lambda v: TempogramParams(min_bpm=v)),
+    ("max_bpm", "300", lambda v: TempogramParams(max_bpm=v)),
+])
+def test_non_number_is_named(name, value, call):
+    # each raised a bare TypeError from a comparison or math.isfinite
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call", POSITIVE + FINITE, ids=[row[0] for row in POSITIVE + FINITE])
+def test_every_real_parameter_names_a_string(name, call):
+    with pytest.raises(ParameterError, match=f"^{name} must be a real number, got '1'$"):
+        call("1")
 
 
 @pytest.mark.parametrize("name, low, ok, call", COUNTS, ids=[row[0] for row in COUNTS])

@@ -9,13 +9,17 @@ when the kernels cannot be bound, the fallback to the public functions must
 give the same audio results as the binding.
 """
 
+import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
-from groovekit import _signal
+from groovekit import _cpu, _signal
 from groovekit.audio import AudioClip, WavReader, envelope, highpass, save_audio
 from groovekit.onsets import detect_onsets
 
@@ -146,6 +150,73 @@ def test_find_peaks_matches_scipy(unbind, case, height):
             unbind()
         for distance, peaks in want.items():
             assert _same(_signal.find_peaks(x, height, distance), peaks), (binding, distance)
+
+
+# _PEAK_BLOCK and _CUT_SEARCH in the split-scan test: 32 values or more may be
+# split, at a cut among the 8 values before the middle
+SPLIT_BLOCK, SPLIT_SEARCH = 16, 8
+
+
+def _split_case(kind, n, height, seed):
+    """Non-negative values around a middle the split scan searches."""
+    rng = np.random.default_rng(seed)
+    mid = n // 2
+    if kind == "plateaus":  # runs of equal values, some above the height
+        return np.repeat(np.round(rng.uniform(0.0, 1.0, n), 1), rng.integers(1, 5, n))[:n]
+    x = rng.uniform(0.0, 1.0, n)
+    if kind == "run across the middle":  # non-decreasing above the height, from inside the search
+        lo, hi = mid - int(rng.integers(1, SPLIT_SEARCH)), mid + int(rng.integers(1, 10))
+    elif kind == "no cut near the middle":  # the run covers the whole search
+        lo, hi = mid - SPLIT_SEARCH - int(rng.integers(0, 10)), mid + int(rng.integers(1, 10))
+    else:
+        return x
+    x[lo:hi] = height + np.sort(np.round(rng.uniform(0.0, 1.0, hi - lo), 1))  # with plateaus
+    return x
+
+
+def _cut_near_middle(x, height):
+    """Whether a value among the SPLIT_SEARCH before the middle is below
+    the height or lower than the one before it."""
+    mid = len(x) // 2
+    return any(x[i] < height or x[i] < x[i - 1] for i in range(max(mid - SPLIT_SEARCH, 0) + 1, mid + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["noise", "plateaus", "run across the middle", "no cut near the middle"]),
+    n=st.integers(2 * SPLIT_BLOCK, 400),
+    height=st.sampled_from([0.0, 0.25, 0.5, 0.8]),
+    distance=st.sampled_from([1, 3, 50]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_scan_matches_scipy(kind, n, height, distance, seed):
+    """The scan split with an idle or busy helper, on one CPU or two: the
+    peaks are scipy's, the helper gets the tail exactly when it is idle,
+    there are two CPUs and a cut lies near the middle, and its task is done
+    when ``find_peaks`` returns."""
+    x = _split_case(kind, n, height, seed)
+    want = signal.find_peaks(x, height=height, distance=distance)[0]
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(max_workers=1) as pool:
+        mp.setattr(_signal, "_PEAK_BLOCK", SPLIT_BLOCK)
+        mp.setattr(_signal, "_CUT_SEARCH", SPLIT_SEARCH)
+        tasks = []
+
+        def submit(*args):
+            tasks.append(ThreadPoolExecutor.submit(pool, *args))
+            return tasks[-1]
+
+        mp.setattr(pool, "submit", submit)
+        for cpus in (1, 2):
+            mp.setattr(_cpu, "cpu_count", lambda: cpus)
+            for idle in (True, False):
+                del tasks[:]
+                assert _same(_signal.find_peaks(x, height, distance, (pool, lambda: idle)), want)
+                assert len(tasks) == (idle and cpus == 2 and _cut_near_middle(x, height))
+                assert all(task.done() for task in tasks)
+    if kind == "no cut near the middle":
+        assert not _cut_near_middle(x, height)
+    assert threading.active_count() == threads
 
 
 def _audio_results(clip):
